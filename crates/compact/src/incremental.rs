@@ -1146,7 +1146,7 @@ impl EditSession {
         // The invalidation decision is made; the relabel is next. A crash
         // here must leave any disk labeling cache consistent (exercised
         // by the serve crash-recovery harness).
-        flowc_failpoint::maybe_crash("compact.incremental.relabel");
+        flowc_failpoint::fire("compact.incremental.relabel");
 
         self.stats.outputs_invalidated += invalidated;
         let solved = solve_state(

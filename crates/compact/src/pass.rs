@@ -33,7 +33,7 @@ use crate::session::{
     bdd_key, graph_key, label_key, ArtifactKey, CacheOutcome, Claim, LabelArtifact, Session,
     SolveStats, StageKind, StageRecord,
 };
-use crate::supervisor::{chaos, panic_message, run_ladder, LadderOutcome, StageAttempt, Trigger};
+use crate::supervisor::{panic_message, run_ladder, LadderOutcome, StageAttempt, Trigger};
 use flowc_budget::Stopwatch;
 use flowc_xbar::metrics::CrossbarMetrics;
 
@@ -186,7 +186,7 @@ impl Pass<(&Network, Option<&[usize]>)> for BddBuildPass {
         let mut budget_lifted = false;
         let mut lift_trigger: Option<Trigger> = None;
         let first = catch_unwind(AssertUnwindSafe(|| {
-            chaos("bdd");
+            flowc_failpoint::fire("compact.bdd");
             try_build_sbdd(network, var_order, budget)
         }));
         let bdds = match first {

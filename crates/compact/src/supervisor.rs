@@ -32,10 +32,10 @@
 //! oracles) hold a long-lived session and use
 //! [`crate::session::synthesize_in`] directly.
 //!
-//! For fault-injection tests, the `FLOWC_CHAOS_PANIC` environment variable
-//! (a comma-separated list of stage names: `bdd`, `exact-mip`, `exact-oct`,
-//! `anytime-mip`, `heuristic-oct`) makes the named stages panic on entry;
-//! the supervisor must still return a valid design.
+//! Fault-injection tests arm the `compact.bdd` failpoint and the
+//! `compact.rung.<name>` failpoint at each rung's entry (see
+//! `flowc-failpoint`, compiled in for test builds only); the supervisor
+//! must still return a valid design.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -75,7 +75,8 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// The stage name used by `FLOWC_CHAOS_PANIC` and in reports.
+    /// The stage name used in reports and in the rung's
+    /// `compact.rung.<name>` failpoint.
     pub fn name(self) -> &'static str {
         match self {
             Rung::ExactMip => "exact-mip",
@@ -208,14 +209,6 @@ struct RungOutput {
     oct: Option<OctResult>,
 }
 
-pub(crate) fn chaos(stage: &str) {
-    if let Ok(v) = std::env::var("FLOWC_CHAOS_PANIC") {
-        if v.split(',').any(|s| s.trim() == stage) {
-            panic!("chaos injection: forced panic in stage `{stage}`");
-        }
-    }
-}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -252,7 +245,7 @@ fn run_rung(
     warm: Option<&Labeling>,
     oct: Option<&OctResult>,
 ) -> Option<RungOutput> {
-    chaos(rung.name());
+    flowc_failpoint::fire(format_args!("compact.rung.{rung}"));
     match rung {
         Rung::ExactMip => {
             let (gamma, time_limit, exact_node_limit) = match &config.strategy {

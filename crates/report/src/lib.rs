@@ -603,7 +603,7 @@ pub fn write_atomic_typed(path: &Path, contents: &str) -> Result<(), WriteError>
     let result = (|| {
         {
             use std::io::Write as _;
-            if flowc_failpoint::should_fail("report.write.temp") {
+            if flowc_failpoint::fire("report.write.temp") {
                 return Err(fail(
                     WriteStep::CreateTemp,
                     io::Error::other("injected temp-create failure"),
@@ -616,7 +616,7 @@ pub fn write_atomic_typed(path: &Path, contents: &str) -> Result<(), WriteError>
         }
         // A crash here must leave only the previous artifact visible:
         // the temp file is fully synced but not yet published.
-        flowc_failpoint::maybe_crash("report.write.before-rename");
+        flowc_failpoint::fire("report.write.before-rename");
         fs::rename(&tmp, path).map_err(|e| fail(WriteStep::Rename, e))?;
         if let Some(dir) = dir {
             // Durability of the rename itself: fsync the directory so the

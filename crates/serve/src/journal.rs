@@ -488,7 +488,7 @@ impl Inner {
         self.stats.compactions += 1;
         // Crash window under test: snapshot durable, old segments still
         // on disk. Replay must converge to the same table.
-        flowc_failpoint::maybe_crash("serve.journal.compact");
+        flowc_failpoint::fire("serve.journal.compact");
         for index in self.sealed.drain(..) {
             let _ = fs::remove_file(segment_path(dir, index));
         }
@@ -611,7 +611,7 @@ impl Journal {
     pub fn append(&self, record: &Record) {
         let mut inner = self.lock();
         inner.apply(record, self.config.retain);
-        flowc_failpoint::maybe_crash("serve.journal.append");
+        flowc_failpoint::fire("serve.journal.append");
         let frame = encode_frame(&record.to_json().to_compact());
         if flowc_failpoint::hit("serve.journal.torn") == flowc_failpoint::Action::Crash {
             // Simulate a crash mid-append: half a frame reaches the OS,
@@ -650,7 +650,7 @@ impl Journal {
         let next = inner.seg_index + 1;
         // Crash window under test: the old segment is sealed and synced,
         // the new one does not exist yet. Replay opens index `next` fresh.
-        flowc_failpoint::maybe_crash("serve.journal.rotate");
+        flowc_failpoint::fire("serve.journal.rotate");
         inner.seg = OpenOptions::new()
             .create_new(true)
             .append(true)

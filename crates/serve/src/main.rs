@@ -49,8 +49,6 @@ OPTIONS:
     --shards <n>          artifact-cache session shards (default 4)
     --cache-cap <n>       cached artifacts per stage per shard (default 64)
     --retain <n>          finished jobs retained for /result (default 1024)
-    --enable-chaos        honor the `chaos` job field (testing only: a chaos
-                          job panics its worker to exercise the supervisor)
     --journal <dir>       write-ahead job journal: every lifecycle record is
                           CRC32-framed and fsynced there; on startup the log
                           is replayed (tolerating a torn tail), finished
@@ -144,7 +142,6 @@ fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
                     .parse()
                     .map_err(|_| "--retain needs an integer".to_string())?;
             }
-            "--enable-chaos" => config.enable_chaos = true,
             "--journal" => {
                 config.journal = Some(JournalConfig::new(take("--journal")?));
             }

@@ -56,9 +56,6 @@ pub struct SubmitSpec {
     pub deadline: Duration,
     /// Priority 0–9, higher first.
     pub priority: u8,
-    /// Chaos directive (only honored when the server enables chaos):
-    /// `"panic-worker"` kills the worker thread mid-job.
-    pub chaos: Option<String>,
     /// Client-supplied idempotency key: resubmitting the same key
     /// returns the existing job instead of running a second one — also
     /// across a crash/restart when the journal is enabled.
@@ -296,7 +293,6 @@ pub fn parse_submit(body: &str) -> Result<SubmitSpec, String> {
             u8::try_from(p.min(9)).expect("capped at 9")
         }
     };
-    let chaos = json.get("chaos").and_then(Json::as_str).map(str::to_string);
     let job_key = match json.get("job_key") {
         None | Some(Json::Null) => None,
         Some(v) => {
@@ -321,7 +317,6 @@ pub fn parse_submit(body: &str) -> Result<SubmitSpec, String> {
         backend: parse_backend_field(&json)?,
         deadline: Duration::from_millis(deadline_ms),
         priority,
-        chaos,
         job_key,
         patch: None,
     })

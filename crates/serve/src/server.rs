@@ -59,9 +59,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Finished jobs retained for result pickup.
     pub retain: usize,
-    /// Honor the `chaos` job field (test/CI only: a chaos job kills its
-    /// worker thread to exercise the supervisor).
-    pub enable_chaos: bool,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Write-ahead journal: `Some` makes every job lifecycle durable and
@@ -79,7 +76,6 @@ impl Default for ServeConfig {
             session_shards: 4,
             cache_capacity: 64,
             retain: 1024,
-            enable_chaos: false,
             breaker: BreakerConfig::default(),
             journal: None,
         }
@@ -710,7 +706,6 @@ fn patch(inner: &Arc<ServerInner>, body: &str) -> (u16, Json) {
         backend: Backend::default(),
         deadline: req.deadline,
         priority: req.priority,
-        chaos: None,
         job_key: Some(req.job_key),
         patch: Some(PatchDirective {
             lineage: req.base_key,
@@ -1140,24 +1135,11 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
             journal.append(&Record::Started { id: queued.id });
         }
 
-        // Chaos hooks (opt-in, test/CI only): `panic-worker` kills this
-        // worker mid-job to exercise the supervisor's crash containment
-        // (the slot still names the job, so it is failed as
-        // `worker_crashed`); `stall:<ms>` holds the worker to create
-        // deterministic backpressure for overload tests.
-        if inner.config.enable_chaos {
-            if spec.chaos.as_deref() == Some("panic-worker") {
-                panic!("chaos: panic-worker requested by job {}", queued.id);
-            }
-            if let Some(ms) = spec
-                .chaos
-                .as_deref()
-                .and_then(|c| c.strip_prefix("stall:"))
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                std::thread::sleep(Duration::from_millis(ms.min(10_000)));
-            }
-        }
+        // Test-only fault injection: `panic` kills this worker mid-job to
+        // exercise the supervisor's crash containment (the slot still
+        // names the job, so it is failed as `worker_crashed`); `sleep`
+        // holds the worker to keep work deterministically in flight.
+        flowc_failpoint::fire("serve.worker.run");
 
         let start = Instant::now();
         let remaining = budget.remaining_or(Duration::from_secs(3600));

@@ -80,6 +80,42 @@ pub fn await_terminal(addr: SocketAddr, id: u64, timeout: Duration) -> String {
     }
 }
 
+/// A submit body for a 24-bit ripple adder in the natural (worst-case)
+/// variable order: its shared-BDD build alone runs for tens of seconds,
+/// so the job holds its worker until cancelled.
+pub fn wide_adder_job() -> String {
+    let mut n = flowc_logic::Network::new("wide-add");
+    let a: Vec<_> = (0..24).map(|i| n.add_input(format!("a{i}"))).collect();
+    let b: Vec<_> = (0..24).map(|i| n.add_input(format!("b{i}"))).collect();
+    let cin = n.add_input("cin");
+    let (sum, cout) =
+        flowc_logic::bench_suite::blocks::ripple_adder(&mut n, &a, &b, cin, "fa").unwrap();
+    for s in sum {
+        n.mark_output(s);
+    }
+    n.mark_output(cout);
+    Json::Obj(vec![
+        ("circuit".into(), Json::str(flowc_logic::blif::write(&n))),
+        ("format".into(), Json::str("blif")),
+        ("strategy".into(), Json::str("staircase")),
+        ("deadline_ms".into(), Json::Num(120_000.0)),
+    ])
+    .to_compact()
+}
+
+/// Polls `/status` until the job is `running` (a worker has claimed it).
+pub fn await_running(addr: SocketAddr, id: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (_, json) = call(addr, "GET", &format!("/status?id={id}"), "");
+        if json.get("state").and_then(Json::as_str) == Some("running") {
+            return;
+        }
+        assert!(Instant::now() < deadline, "job {id} never started running");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 pub fn metrics(addr: SocketAddr) -> Json {
     let (status, json) = call(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);

@@ -1,6 +1,6 @@
 //! Crash-recovery integration tests: run the real `flowc-serve` binary
 //! with `--journal`, kill it for real (SIGKILL, plus seeded failpoint
-//! aborts with the `failpoints` feature), restart it over the same
+//! aborts armed through `FLOWC_FAILPOINTS`), restart it over the same
 //! directory, and assert the durability contract — every admitted job
 //! reaches a consistent terminal state exactly once, terminal outcomes
 //! survive verbatim, job keys dedupe across the crash, and corrupted
@@ -14,21 +14,12 @@ use std::time::{Duration, Instant};
 use flowc_report::Json;
 
 mod common;
-#[cfg(feature = "failpoints")]
-use common::try_call;
-use common::{await_terminal, call, metrics, scratch_dir, submit, ServerProc};
+use common::{await_terminal, call, metrics, scratch_dir, submit, try_call, ServerProc};
 
 fn fast_job(key: &str, priority: u8) -> String {
     format!(
         r#"{{"circuit": "dec", "format": "bench", "strategy": "staircase",
             "deadline_ms": 60000, "priority": {priority}, "job_key": "{key}"}}"#
-    )
-}
-
-fn chaos_job(key: &str, chaos: &str) -> String {
-    format!(
-        r#"{{"circuit": "dec", "format": "bench", "strategy": "staircase",
-            "deadline_ms": 60000, "job_key": "{key}", "chaos": "{chaos}"}}"#
     )
 }
 
@@ -64,22 +55,24 @@ fn sigkill_mid_workload_loses_no_job() {
         "2",
         "--queue-cap",
         "128",
-        "--enable-chaos",
     ];
-    let mut server = ServerProc::spawn(&flags, &[]);
+    // The 10th and 30th job runs stall their worker for 3 s, so work is
+    // still in flight when the kill lands; the 20th panics its worker.
+    let mut server = ServerProc::spawn(
+        &flags,
+        &[(
+            "FLOWC_FAILPOINTS",
+            "serve.worker.run=sleep(3000)@10,serve.worker.run=sleep(3000)@30,\
+             serve.worker.run=panic@20",
+        )],
+    );
     let addr = server.addr;
 
-    // 50 mixed jobs: mostly fast, two 3s worker stalls so work is still
-    // in flight when the kill lands, one worker panic, spread priorities.
+    // 50 fast jobs with spread priorities.
     let mut ids: Vec<(String, u64)> = Vec::new();
     for i in 0..50u64 {
         let key = format!("job-{i}");
-        let body = match i {
-            10 | 30 => chaos_job(&key, "stall:3000"),
-            20 => chaos_job(&key, "panic-worker"),
-            _ => fast_job(&key, (i % 10) as u8),
-        };
-        let (status, json) = submit(addr, &body);
+        let (status, json) = submit(addr, &fast_job(&key, (i % 10) as u8));
         assert_eq!(status, 200, "{}", json.to_compact());
         ids.push((key, json.get("id").and_then(Json::as_u64).unwrap()));
     }
@@ -242,10 +235,9 @@ fn corrupt_segment_bytes_are_detected_not_replayed() {
     assert!(journal_metric(&m, "records_replayed") >= 1);
 }
 
-/// Failpoint-driven crashes (compiled only with `--features failpoints`):
-/// a torn tail written mid-frame, and an abort between "snapshot written"
-/// and "sealed segments deleted".
-#[cfg(feature = "failpoints")]
+/// Failpoint-driven crashes: a torn tail written mid-frame, an abort
+/// inside an edit replay, and an abort between "snapshot written" and
+/// "sealed segments deleted".
 mod failpoints {
     use super::*;
 

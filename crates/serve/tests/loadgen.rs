@@ -9,9 +9,11 @@ use flowc_report::Json;
 use flowc_serve::{BreakerConfig, ServeConfig, Server};
 
 mod common;
-use common::{await_terminal, call, counter, metrics, submit};
+use common::{
+    await_running, await_terminal, call, counter, metrics, submit, wide_adder_job, ServerProc,
+};
 
-/// Overload: a stalled worker plus a tiny queue. Every submission gets a
+/// Overload: a busy worker plus a tiny queue. Every submission gets a
 /// typed answer (accept / queue_full / breaker_open) with retry hints,
 /// depth never exceeds the bound, accepted jobs all finish, and the
 /// breaker recovers through its half-open probe once the overload clears.
@@ -20,7 +22,6 @@ fn overload_sheds_typed_and_recovers() {
     let server = Server::start(ServeConfig {
         workers: 1,
         queue_capacity: 3,
-        enable_chaos: true,
         breaker: BreakerConfig {
             base_cooldown: Duration::from_millis(200),
             ..BreakerConfig::default()
@@ -30,18 +31,15 @@ fn overload_sheds_typed_and_recovers() {
     .expect("start");
     let addr = server.addr();
 
-    // Occupy the only worker deterministically.
-    let (status, json) = submit(
-        addr,
-        r#"{"circuit": "dec", "format": "bench", "strategy": "staircase",
-            "deadline_ms": 30000, "chaos": "stall:1200"}"#,
-    );
+    // Occupy the only worker with a long solve until the overload
+    // assertions are done.
+    let (status, json) = submit(addr, &wide_adder_job());
     assert_eq!(status, 200, "{}", json.to_compact());
-    let stalled = json.get("id").and_then(Json::as_u64).unwrap();
-    std::thread::sleep(Duration::from_millis(150)); // worker picked it up
+    let busy = json.get("id").and_then(Json::as_u64).unwrap();
+    await_running(addr, busy);
 
     // Fill the queue to its bound.
-    let mut accepted = vec![stalled];
+    let mut accepted = Vec::new();
     for _ in 0..3 {
         let (status, json) = submit(
             addr,
@@ -81,7 +79,14 @@ fn overload_sheds_typed_and_recovers() {
     let depth = m.get("queue_depth").and_then(Json::as_u64).unwrap();
     assert!(depth <= 3, "queue depth {depth} exceeded its bound");
 
-    // Every accepted job still completes — shedding protected them.
+    // Free the worker. Every accepted job still completes — shedding
+    // protected them.
+    let (status, json) = call(addr, "POST", "/cancel", &format!("{{\"id\": {busy}}}"));
+    assert_eq!(status, 200, "{}", json.to_compact());
+    assert_eq!(
+        await_terminal(addr, busy, Duration::from_secs(20)),
+        "cancelled"
+    );
     for id in accepted {
         assert_eq!(await_terminal(addr, id, Duration::from_secs(20)), "done");
     }
@@ -169,55 +174,47 @@ fn deadlines_reject_or_degrade_at_admission() {
     server.shutdown();
 }
 
-/// Crash containment: a chaos job panics its worker; only that job fails
-/// (typed `worker_crashed`), sibling jobs complete, the supervisor
-/// restarts the worker, and the pool serves again afterwards.
+/// Crash containment: a failpoint panics the worker on its first job;
+/// only that job fails (typed `worker_crashed`), sibling jobs complete,
+/// the supervisor restarts the worker, and the pool serves again
+/// afterwards.
 #[test]
 fn worker_panic_is_contained_and_repaired() {
-    let server = Server::start(ServeConfig {
-        workers: 2,
-        queue_capacity: 16,
-        enable_chaos: true,
-        ..ServeConfig::default()
-    })
-    .expect("start");
-    let addr = server.addr();
-
-    let (status, json) = submit(
-        addr,
-        r#"{"circuit": "dec", "format": "bench", "strategy": "staircase",
-            "deadline_ms": 30000, "chaos": "panic-worker"}"#,
+    let server = ServerProc::spawn(
+        &["--workers", "2", "--queue-cap", "16"],
+        &[("FLOWC_FAILPOINTS", "serve.worker.run=panic@1")],
     );
-    assert_eq!(status, 200, "{}", json.to_compact());
-    let chaos_id = json.get("id").and_then(Json::as_u64).unwrap();
+    let addr = server.addr;
 
-    let mut normal = Vec::new();
-    for _ in 0..4 {
+    let mut ids = Vec::new();
+    for _ in 0..5 {
         let (status, json) = submit(
             addr,
             r#"{"circuit": "dec", "format": "bench", "strategy": "staircase",
                 "deadline_ms": 30000}"#,
         );
         assert_eq!(status, 200, "{}", json.to_compact());
-        normal.push(json.get("id").and_then(Json::as_u64).unwrap());
+        ids.push(json.get("id").and_then(Json::as_u64).unwrap());
     }
 
-    // The chaos job is failed by the supervisor with a typed error.
-    assert_eq!(
-        await_terminal(addr, chaos_id, Duration::from_secs(20)),
-        "failed"
-    );
-    let (_, json) = call(addr, "GET", &format!("/result?id={chaos_id}"), "");
+    // Exactly one job — whichever a worker ran first — is failed by the
+    // supervisor with a typed error; its siblings are untouched.
+    let mut crashed = Vec::new();
+    for &id in &ids {
+        match await_terminal(addr, id, Duration::from_secs(20)).as_str() {
+            "done" => {}
+            "failed" => crashed.push(id),
+            other => panic!("job {id} ended `{other}`"),
+        }
+    }
+    assert_eq!(crashed.len(), 1, "failed jobs: {crashed:?}");
+    let (_, json) = call(addr, "GET", &format!("/result?id={}", crashed[0]), "");
     assert_eq!(
         json.get("outcome")
             .and_then(|o| o.get("error"))
             .and_then(Json::as_str),
         Some("worker_crashed")
     );
-    // Sibling jobs are untouched by the crash.
-    for id in normal {
-        assert_eq!(await_terminal(addr, id, Duration::from_secs(20)), "done");
-    }
     let m = metrics(addr);
     assert!(counter(&m, "worker_restarts") >= 1);
     assert!(counter(&m, "failed") >= 1);
@@ -232,8 +229,6 @@ fn worker_panic_is_contained_and_repaired() {
     assert_eq!(status, 200, "{}", json.to_compact());
     let id = json.get("id").and_then(Json::as_u64).unwrap();
     assert_eq!(await_terminal(addr, id, Duration::from_secs(20)), "done");
-
-    server.shutdown();
 }
 
 /// End-to-end cancellation: a job whose BDD build runs for tens of
@@ -248,40 +243,12 @@ fn cancel_stops_a_running_solve() {
     .expect("start");
     let addr = server.addr();
 
-    // A 24-bit ripple adder in the natural (worst-case) variable order:
-    // the shared-BDD build alone dwarfs the test timeout if not aborted.
-    let mut n = flowc_logic::Network::new("wide-add");
-    let a: Vec<_> = (0..24).map(|i| n.add_input(format!("a{i}"))).collect();
-    let b: Vec<_> = (0..24).map(|i| n.add_input(format!("b{i}"))).collect();
-    let cin = n.add_input("cin");
-    let (sum, cout) =
-        flowc_logic::bench_suite::blocks::ripple_adder(&mut n, &a, &b, cin, "fa").unwrap();
-    for s in sum {
-        n.mark_output(s);
-    }
-    n.mark_output(cout);
-    let blif = flowc_logic::blif::write(&n);
-    let body = Json::Obj(vec![
-        ("circuit".into(), Json::str(blif)),
-        ("format".into(), Json::str("blif")),
-        ("strategy".into(), Json::str("staircase")),
-        ("deadline_ms".into(), Json::Num(120_000.0)),
-    ])
-    .to_compact();
-    let (status, json) = submit(addr, &body);
+    let (status, json) = submit(addr, &wide_adder_job());
     assert_eq!(status, 200, "{}", json.to_compact());
     let id = json.get("id").and_then(Json::as_u64).unwrap();
 
     // Wait until the worker is actually inside the solve.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (_, json) = call(addr, "GET", &format!("/status?id={id}"), "");
-        if json.get("state").and_then(Json::as_str) == Some("running") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job never started running");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    await_running(addr, id);
     std::thread::sleep(Duration::from_millis(50));
 
     let cancel_at = Instant::now();

@@ -8,12 +8,13 @@
 use std::time::{Duration, Instant};
 
 use flowc::budget::Budget;
-use flowc::compact::supervisor::{synthesize_with_budget, Rung, Trigger};
+use flowc::compact::supervisor::{synthesize_with_budget, DegradationReport, Rung, Trigger};
 use flowc::compact::{synthesize, Config};
 use flowc::conform::fixtures::{fig2_network, fig2_pair, two_output_network};
 use flowc::logic::bench_suite;
 use flowc::xbar::verify::verify_functional;
 use flowc::xbar::{Crossbar, DeviceAssignment};
+use flowc_report::{write_atomic_typed, WriteStep};
 
 #[test]
 fn every_stuck_open_literal_fault_is_caught_on_fig2() {
@@ -189,48 +190,103 @@ fn one_node_bdd_ceiling_is_lifted_and_synthesis_recovers() {
     assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
 }
 
-#[test]
-fn injected_solver_panics_degrade_but_never_abort() {
-    // FLOWC_CHAOS_PANIC makes the named supervisor stages panic on entry.
-    // The env var is process-global: concurrent tests that synthesize may
-    // degrade past their exact rung while it is set, which is harmless —
-    // every rung still produces functionally valid designs.
-    let n = fig2_network();
-    std::env::set_var("FLOWC_CHAOS_PANIC", "exact-mip,anytime-mip");
-    let outcome = std::panic::catch_unwind(|| {
-        synthesize_with_budget(&n, &Config::default(), &Budget::unlimited())
-    });
-    std::env::remove_var("FLOWC_CHAOS_PANIC");
-    let r = outcome
-        .expect("the supervisor must isolate injected panics")
-        .expect("degradation must produce a design");
-    let report = r.degradation.as_ref().unwrap();
-    assert_eq!(report.rung, Rung::HeuristicOct, "{}", report.summary());
-    assert!(report.degraded);
-    let panicked: Vec<Rung> = report
+/// The rungs that panicked, in ladder order.
+fn panicked_rungs(report: &DegradationReport) -> Vec<Rung> {
+    report
         .attempts
         .iter()
         .filter(|a| matches!(a.trigger, Some(Trigger::Panicked(_))))
         .map(|a| a.rung)
-        .collect();
-    assert_eq!(panicked, vec![Rung::ExactMip, Rung::AnytimeMip]);
+        .collect()
+}
+
+const PANIC_BOTH_MIP_RUNGS: &str = "compact.rung.exact-mip=panic,compact.rung.anytime-mip=panic";
+
+#[test]
+fn injected_solver_panics_degrade_but_never_abort() {
+    // The scoped failpoints arm this thread only, so tests synthesizing
+    // on other threads never see these panics.
+    let n = fig2_network();
+    let _fp = flowc_failpoint::scoped(PANIC_BOTH_MIP_RUNGS);
+    let r = synthesize_with_budget(&n, &Config::default(), &Budget::unlimited())
+        .expect("degradation must produce a design");
+    let report = r.degradation.as_ref().unwrap();
+    assert_eq!(report.rung, Rung::HeuristicOct, "{}", report.summary());
+    assert!(report.degraded);
+    assert_eq!(
+        panicked_rungs(report),
+        vec![Rung::ExactMip, Rung::AnytimeMip]
+    );
     assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
 }
 
 #[test]
 fn injected_bdd_panic_is_answered_by_an_unbudgeted_rebuild() {
     let n = fig2_network();
-    std::env::set_var("FLOWC_CHAOS_PANIC", "bdd");
-    let outcome = std::panic::catch_unwind(|| {
-        synthesize_with_budget(&n, &Config::default(), &Budget::unlimited())
-    });
-    std::env::remove_var("FLOWC_CHAOS_PANIC");
-    let r = outcome
-        .expect("a BDD-stage panic must be isolated")
+    let _fp = flowc_failpoint::scoped("compact.bdd=panic");
+    let r = synthesize_with_budget(&n, &Config::default(), &Budget::unlimited())
         .expect("the rebuild must recover");
     let report = r.degradation.as_ref().unwrap();
     assert!(report.bdd_budget_lifted, "{}", report.summary());
     assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
+}
+
+#[test]
+fn scoped_panics_never_leak_into_concurrent_syntheses() {
+    // Regression for the process-global injector this replaced: armed
+    // and unarmed threads synthesize side by side, and each must see
+    // exactly its own faults.
+    let n = fig2_network();
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let n = &n;
+            s.spawn(move || {
+                let _fp = (t % 2 == 0).then(|| flowc_failpoint::scoped(PANIC_BOTH_MIP_RUNGS));
+                for i in 0..25 {
+                    let r = synthesize_with_budget(n, &Config::default(), &Budget::unlimited())
+                        .expect("degradation must produce a design");
+                    let report = r.degradation.as_ref().unwrap();
+                    let ctx = format!("thread {t}, iteration {i}: {}", report.summary());
+                    if t % 2 == 0 {
+                        assert_eq!(report.rung, Rung::HeuristicOct, "{ctx}");
+                        assert_eq!(
+                            panicked_rungs(report),
+                            vec![Rung::ExactMip, Rung::AnytimeMip],
+                            "{ctx}"
+                        );
+                    } else {
+                        assert_eq!(report.rung, Rung::ExactMip, "{ctx}");
+                        assert!(panicked_rungs(report).is_empty(), "{ctx}");
+                    }
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn injected_temp_create_error_leaves_the_previous_file_intact() {
+    let dir = std::env::temp_dir().join(format!("flowc-fault-write-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("artifact.json");
+    std::fs::write(&path, "previous").unwrap();
+
+    let err = {
+        let _fp = flowc_failpoint::scoped("report.write.temp=error");
+        write_atomic_typed(&path, "replacement").unwrap_err()
+    };
+    assert!(matches!(err.step, WriteStep::CreateTemp), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), b"previous");
+    let siblings: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        siblings,
+        ["artifact.json"],
+        "no .tmp.<pid> file is left behind"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
