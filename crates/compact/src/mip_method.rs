@@ -38,7 +38,8 @@ pub struct MipConfig {
     pub time_limit: Duration,
     /// Maximum node count for the exact LP-based MIP path.
     pub exact_node_limit: usize,
-    /// Worker threads for the exact branch & bound (1 = sequential).
+    /// Search threads for the exact branch & bound (1 = plain best-first
+    /// search on the calling thread).
     pub threads: usize,
 }
 
@@ -378,17 +379,11 @@ pub fn solve_exact_warm(
         solver = solver.warm_start(warm_start_values(graph, &vars, model.num_vars(), labeling));
     }
     let layout = vh_layout(graph, &vars, gamma);
-    let sol = if config.threads.max(1) > 1 {
-        let layout = &layout;
-        solver
-            .solve_parallel_with(&model, move || {
-                HybridBounder::new(VhBounder::new(layout.clone()))
-            })
-            .ok()?
-    } else {
-        let mut bounder = HybridBounder::new(VhBounder::new(layout));
-        solver.solve_with(&model, &mut bounder).ok()?
-    };
+    let sol = solver
+        .solve_with(&model, || {
+            HybridBounder::new(VhBounder::new(layout.clone()))
+        })
+        .ok()?;
     let labeling = labeling_from_solution(&vars, &sol.values);
     debug_assert!(labeling.is_valid(graph));
     let objective = labeling.stats().objective(gamma);

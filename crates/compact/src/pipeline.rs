@@ -74,8 +74,9 @@ pub struct Config {
     pub align: bool,
     /// Optional BDD variable order (a permutation of the input indices).
     pub var_order: Option<Vec<usize>>,
-    /// Worker threads for the exact VH-labeling branch & bound (1 =
-    /// sequential; the parallel engine proves the same optimum).
+    /// Search threads for the exact VH-labeling branch & bound (1 = plain
+    /// best-first search on the calling thread; more threads prove the
+    /// same optimum).
     pub label_threads: usize,
 }
 

@@ -1,22 +1,24 @@
 //! Best-first branch & bound over the binary variables of a [`Model`].
 //!
-//! The search core is shared between the sequential driver in this module
-//! and the work-stealing parallel driver in [`crate::parallel`]: nodes carry
-//! the relaxation point computed when they were *created*, so each node costs
-//! exactly one bounder call (the old driver re-solved the relaxation at every
-//! pop, doubling the LP count). Bounders can short-circuit against a cutoff
-//! (the incumbent), propose greedy completions for early incumbents, and
-//! steer branching — see [`Bounder`].
+//! This module holds the solver's configuration ([`BranchBound`]), the
+//! [`Bounder`] contract and the per-node step ([`expand_node`]); the one
+//! search loop that drives them, at every thread count, is in
+//! [`crate::parallel`]. Nodes carry the relaxation point computed when
+//! they were *created*, so each node costs exactly one bounder call.
+//! Bounders can short-circuit against a cutoff (the incumbent), propose
+//! greedy completions for early incumbents, and steer branching — see
+//! [`Bounder`].
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use flowc_budget::Budget;
 
 use crate::lp::{LpResult, Simplex};
 use crate::model::{Model, Sense, VarKind};
-use crate::sol::{MilpError, Solution, SolveStatus, SolveTrace, TracePoint};
+use crate::sol::Solution;
+#[cfg(doc)]
+use crate::sol::{MilpError, SolveStatus};
 use crate::Result;
 
 /// Supplies lower bounds (and optionally heuristic completions) for a node
@@ -178,8 +180,7 @@ pub(crate) struct Expansion {
 /// harvests incumbents (leaf completions, integral relaxation points).
 /// `inc_obj` is the incumbent objective (`+inf` if none); `abort` is polled
 /// between child bounds — returning `true` aborts mid-expansion and yields
-/// `None` (the caller re-opens the node). Shared by the sequential and
-/// parallel drivers.
+/// `None` (the caller abandons the node).
 pub(crate) fn expand_node(
     model: &Model,
     bounder: &mut dyn Bounder,
@@ -261,13 +262,8 @@ pub(crate) fn complete_leaf(
     bounder: &mut dyn Bounder,
     fixed: &[Option<bool>],
 ) -> Option<(Vec<f64>, f64)> {
-    if let Some(values) = bounder.suggest_incumbent(model, fixed) {
-        if values.len() == model.num_vars() && model.is_feasible(&values, 1e-6) {
-            let obj = model.objective_value(&values);
-            if !obj.is_nan() {
-                return Some((values, obj));
-            }
-        }
+    if let Some(found) = heuristic_incumbent(model, bounder, fixed) {
+        return Some(found);
     }
     let fixed_pairs: Vec<(usize, f64)> = fixed
         .iter()
@@ -380,10 +376,10 @@ impl BranchBound {
         self
     }
 
-    /// Number of worker threads for [`BranchBound::solve`] (default 1 =
-    /// sequential). With more than one thread the search runs the
-    /// work-stealing driver in [`crate::parallel`]: same optimum, possibly
-    /// a different optimal point when ties exist.
+    /// Number of search threads (default 1). One thread expands the nodes
+    /// of plain best-first search in order, on the calling thread; more
+    /// threads share the tree by work stealing and prove the same optimum,
+    /// possibly at a different optimal point when ties exist.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -399,278 +395,34 @@ impl BranchBound {
         self
     }
 
-    /// Solves `model` with LP-relaxation bounding, using the parallel
-    /// driver when [`BranchBound::threads`] is above one.
+    /// Solves `model` with LP-relaxation bounding.
     ///
     /// # Errors
     ///
     /// [`MilpError::Infeasible`] when no integer point exists,
     /// [`MilpError::Unbounded`] when the relaxation has no finite optimum.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
-        if self.threads > 1 {
-            return crate::parallel::solve_parallel(self, model, LpBounder::new);
-        }
-        let mut bounder = LpBounder::new();
-        self.solve_with(model, &mut bounder)
+        self.solve_with(model, LpBounder::new)
     }
 
-    /// Solves `model` on multiple threads with per-worker bounders built by
-    /// `make_bounder`. Equivalent to [`BranchBound::solve_with`] modulo
-    /// tie-breaking: the objective is identical, the optimal point may be a
-    /// different optimum.
+    /// Solves `model` with one [`Bounder`] per worker thread, each built by
+    /// `make_bounder`.
     ///
     /// # Errors
     ///
     /// See [`BranchBound::solve`].
-    pub fn solve_parallel_with<B, F>(&self, model: &Model, make_bounder: F) -> Result<Solution>
+    pub fn solve_with<B, F>(&self, model: &Model, make_bounder: F) -> Result<Solution>
     where
         B: Bounder,
         F: Fn() -> B + Sync,
     {
-        crate::parallel::solve_parallel(self, model, make_bounder)
-    }
-
-    /// Solves `model` with a caller-supplied [`Bounder`].
-    ///
-    /// # Errors
-    ///
-    /// See [`BranchBound::solve`].
-    pub fn solve_with(&self, model: &Model, bounder: &mut dyn Bounder) -> Result<Solution> {
-        let start = Instant::now();
-        let n = model.num_vars();
-        let mut trace = SolveTrace::new();
-        let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        let mut warm_used = self.warm.as_ref().map(|_| false);
-
-        if let Some(warm) = &self.warm {
-            if let Some(obj) = validate_warm_start(model, warm, self.integrality_tol) {
-                incumbent = Some((warm.clone(), obj));
-                warm_used = Some(true);
-            }
-        }
-
-        let root_fixed: Vec<Option<bool>> = vec![None; n];
-        let Some(root_fixed) = propagate(model, root_fixed) else {
-            return Err(MilpError::Infeasible);
-        };
-        let inc_obj = incumbent.as_ref().map_or(f64::INFINITY, |(_, o)| *o);
-        let root_bound = sanitize_bound(bounder.lower_bound(model, &root_fixed, inc_obj));
-        let root_bound = bounder.tighten_bound(root_bound);
-        if root_bound == f64::NEG_INFINITY {
-            return Err(MilpError::Unbounded);
-        }
-        if root_bound.is_infinite() {
-            // A warm-started solve proved the root relaxation cut off by the
-            // incumbent: the incumbent is optimal.
-            if let Some((values, objective)) = incumbent {
-                return Ok(Solution {
-                    values,
-                    objective,
-                    status: SolveStatus::Optimal,
-                    best_bound: objective,
-                    trace,
-                    nodes: 0,
-                    warm_start: warm_used,
-                });
-            }
-            return Err(MilpError::Infeasible);
-        }
-        // Root heuristics: the bounder's greedy completion, then rounding.
-        if let Some((values, obj)) = heuristic_incumbent(model, bounder, &root_fixed) {
-            update_incumbent(
-                &mut incumbent,
-                values,
-                obj,
-                &mut trace,
-                start,
-                root_bound,
-                0,
-            );
-        }
-        if incumbent.is_none() {
-            if let Some((values, obj)) = complete_leaf(model, bounder, &root_fixed) {
-                update_incumbent(
-                    &mut incumbent,
-                    values,
-                    obj,
-                    &mut trace,
-                    start,
-                    root_bound,
-                    0,
-                );
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(Node {
-            bound: root_bound,
-            fixed: root_fixed,
-            depth: 0,
-            point: bounder.relaxation_point().map(<[f64]>::to_vec),
-        });
-        let mut explored = 0u64;
-        let mut global_bound = root_bound;
-
-        while let Some(node) = heap.pop() {
-            // Best-first: the popped node carries the smallest bound, which
-            // *is* the global proven bound at this moment.
-            global_bound = node.bound;
-            // Budget first: a cancelled or exhausted budget must stop the
-            // search immediately, even when the next pop would have closed
-            // the gap.
-            let out_of_budget = self.budget_exhausted(explored);
-            if let Some((_, inc_obj)) = &incumbent {
-                let denom = inc_obj.abs().max(1e-10);
-                if !out_of_budget
-                    && ((inc_obj - global_bound).abs() / denom <= self.gap_tolerance
-                        || node.bound >= *inc_obj - 1e-9)
-                {
-                    global_bound = *inc_obj;
-                    break;
-                }
-            }
-            if start.elapsed() >= self.time_limit || out_of_budget {
-                // Push the node back conceptually: its bound remains open.
-                trace.push(TracePoint {
-                    elapsed: start.elapsed(),
-                    best_integer: incumbent.as_ref().map(|(_, o)| *o),
-                    best_bound: global_bound,
-                    open_nodes: heap.len() + 1,
-                });
-                return finish(
-                    incumbent,
-                    global_bound,
-                    trace,
-                    SolveStatus::TimeLimit,
-                    explored,
-                    warm_used,
-                );
-            }
-            explored += 1;
-            if (explored as usize).is_multiple_of(self.trace_every) {
-                trace.push(TracePoint {
-                    elapsed: start.elapsed(),
-                    best_integer: incumbent.as_ref().map(|(_, o)| *o),
-                    best_bound: global_bound,
-                    open_nodes: heap.len() + 1,
-                });
-            }
-
-            let inc_obj = incumbent.as_ref().map_or(f64::INFINITY, |(_, o)| *o);
-            let mut abort = || self.budget_exhausted(explored);
-            let Some(expansion) = expand_node(
-                model,
-                bounder,
-                &node,
-                inc_obj,
-                self.integrality_tol,
-                &mut abort,
-            ) else {
-                trace.push(TracePoint {
-                    elapsed: start.elapsed(),
-                    best_integer: incumbent.as_ref().map(|(_, o)| *o),
-                    best_bound: global_bound,
-                    open_nodes: heap.len() + 1,
-                });
-                return finish(
-                    incumbent,
-                    global_bound,
-                    trace,
-                    SolveStatus::TimeLimit,
-                    explored,
-                    warm_used,
-                );
-            };
-            for (values, obj) in expansion.incumbents {
-                update_incumbent(
-                    &mut incumbent,
-                    values,
-                    obj,
-                    &mut trace,
-                    start,
-                    global_bound,
-                    heap.len(),
-                );
-            }
-            for child in expansion.children {
-                heap.push(child);
-            }
-        }
-
-        if let Some((_, obj)) = &incumbent {
-            global_bound = global_bound.max(f64::NEG_INFINITY).min(*obj);
-            if heap.is_empty() {
-                global_bound = *obj;
-            }
-        } else if heap.is_empty() {
-            return Err(MilpError::Infeasible);
-        }
-        trace.push(TracePoint {
-            elapsed: start.elapsed(),
-            best_integer: incumbent.as_ref().map(|(_, o)| *o),
-            best_bound: global_bound,
-            open_nodes: heap.len(),
-        });
-        finish(
-            incumbent,
-            global_bound,
-            trace,
-            SolveStatus::Optimal,
-            explored,
-            warm_used,
-        )
+        crate::parallel::solve(self, model, make_bounder)
     }
 
     pub(crate) fn budget_exhausted(&self, explored: u64) -> bool {
         self.budget
             .as_ref()
             .is_some_and(|b| b.check_solver_nodes(explored).is_err())
-    }
-}
-
-pub(crate) fn finish(
-    incumbent: Option<(Vec<f64>, f64)>,
-    best_bound: f64,
-    trace: SolveTrace,
-    status: SolveStatus,
-    nodes: u64,
-    warm_start: Option<bool>,
-) -> Result<Solution> {
-    match incumbent {
-        Some((values, objective)) => Ok(Solution {
-            values,
-            objective,
-            status,
-            best_bound,
-            trace,
-            nodes,
-            warm_start,
-        }),
-        None => Err(MilpError::Infeasible),
-    }
-}
-
-fn update_incumbent(
-    incumbent: &mut Option<(Vec<f64>, f64)>,
-    values: Vec<f64>,
-    objective: f64,
-    trace: &mut SolveTrace,
-    start: Instant,
-    global_bound: f64,
-    open_nodes: usize,
-) {
-    let improves = match incumbent {
-        Some((_, cur)) => objective < *cur - 1e-12,
-        None => true,
-    };
-    if improves {
-        *incumbent = Some((values, objective));
-        trace.push(TracePoint {
-            elapsed: start.elapsed(),
-            best_integer: Some(objective),
-            best_bound: global_bound,
-            open_nodes,
-        });
     }
 }
 
@@ -815,6 +567,9 @@ pub(crate) fn propagate(model: &Model, mut fixed: Vec<Option<bool>>) -> Option<V
 pub(crate) mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+    use crate::sol::{MilpError, SolveStatus};
+    use std::collections::BinaryHeap;
+    use std::time::Instant;
 
     #[test]
     fn knapsack_optimum() {
@@ -863,10 +618,12 @@ pub(crate) mod tests {
         let mut m = Model::new();
         let a = m.add_binary("a", 1.0);
         m.add_constraint(&[(a, 1.0)], Sense::Ge, 2.0);
-        assert_eq!(
-            BranchBound::new().solve(&m).unwrap_err(),
-            MilpError::Infeasible
-        );
+        for threads in [1, 4] {
+            assert_eq!(
+                BranchBound::new().threads(threads).solve(&m).unwrap_err(),
+                MilpError::Infeasible
+            );
+        }
     }
 
     #[test]
@@ -912,7 +669,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn ring_cover_model(n: usize) -> Model {
+    pub(crate) fn ring_cover_model(n: usize) -> Model {
         let mut m = Model::new();
         let xs: Vec<_> = (0..n)
             .map(|i| m.add_binary(format!("x{i}"), 1.0 + (i % 3) as f64))
@@ -938,6 +695,62 @@ pub(crate) mod tests {
         }
     }
 
+    pub(crate) fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A seeded pairwise vertex cover with costs in 1..=5.
+    pub(crate) fn weighted_cover_model(seed: u64, n: usize, edges: usize) -> Model {
+        let mut state = seed;
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..n)
+            .map(|i| m.add_binary(format!("x{i}"), (xorshift(&mut state) % 5 + 1) as f64))
+            .collect();
+        for _ in 0..edges {
+            let u = (xorshift(&mut state) % n as u64) as usize;
+            let v = (xorshift(&mut state) % n as u64) as usize;
+            if u != v {
+                m.add_constraint(&[(xs[u], 1.0), (xs[v], 1.0)], Sense::Ge, 1.0);
+            }
+        }
+        m
+    }
+
+    /// A seeded unit-cost cover whose rows each hold three variables:
+    /// ties everywhere, so the pop order among equal bounds matters.
+    pub(crate) fn set_cover_model(seed: u64, n: usize, rows: usize) -> Model {
+        let mut state = seed;
+        let mut m = Model::new();
+        let xs: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"), 1.0)).collect();
+        for _ in 0..rows {
+            let terms: Vec<_> = (0..3)
+                .map(|_| (xs[(xorshift(&mut state) % n as u64) as usize], 1.0))
+                .collect();
+            m.add_constraint(&terms, Sense::Ge, 1.0);
+        }
+        m
+    }
+
+    /// A seeded strongly correlated knapsack (value = weight + 10, capacity
+    /// half the total weight), negated for minimization: hundreds of nodes.
+    pub(crate) fn knapsack_model(seed: u64, items: usize) -> Model {
+        let mut state = seed;
+        let mut m = Model::new();
+        let mut terms = Vec::with_capacity(items);
+        let mut total = 0u64;
+        for i in 0..items {
+            let weight = xorshift(&mut state) % 30 + 10;
+            total += weight;
+            let x = m.add_binary(format!("x{i}"), -((weight + 10) as f64));
+            terms.push((x, weight as f64));
+        }
+        m.add_constraint(&terms, Sense::Le, (total / 2) as f64);
+        m
+    }
+
     /// A market-split instance: a few dense equality knapsacks over many
     /// binaries. The LP bound is uselessly weak here, so branch & bound
     /// grinds through an enormous tree — exactly what a mid-flight cancel
@@ -952,10 +765,7 @@ pub(crate) mod tests {
             let mut terms = Vec::with_capacity(vars);
             let mut total = 0i64;
             for &x in &xs {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let c = (state % 97 + 1) as i64;
+                let c = (xorshift(&mut state) % 97 + 1) as i64;
                 total += c;
                 terms.push((x, c as f64));
             }
@@ -967,34 +777,37 @@ pub(crate) mod tests {
     #[test]
     fn cancellation_mid_solve_returns_promptly() {
         // The search tree on this instance is nowhere near exhausted when
-        // the cancel fires, so the solve must notice the token between LP
-        // bound calls — not only at node pops — for the abort to land
+        // the cancel fires, so every worker must notice the token between
+        // LP bound calls — not only at node pops — for the abort to land
         // within a couple of LP solves. The 2s ceiling is a wide CI-proof
         // margin over the observed latency; the 30s solver time limit is a
         // backstop so a cancellation regression fails the test instead of
         // hanging it.
         let m = market_split_model(40, 4);
-        let budget = Budget::unlimited();
-        let handle = budget.cancel_handle();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            handle.cancel();
-        });
-        let start = Instant::now();
-        let result = BranchBound::new()
-            .time_limit(Duration::from_secs(30))
-            .budget(&budget)
-            .solve(&m);
-        let elapsed = start.elapsed();
-        canceller.join().unwrap();
-        match result {
-            Ok(sol) => assert_eq!(sol.status, SolveStatus::TimeLimit),
-            Err(e) => assert_eq!(e, MilpError::Infeasible),
+        for threads in [1, 4] {
+            let budget = Budget::unlimited();
+            let handle = budget.cancel_handle();
+            let canceller = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                handle.cancel();
+            });
+            let start = Instant::now();
+            let result = BranchBound::new()
+                .threads(threads)
+                .time_limit(Duration::from_secs(30))
+                .budget(&budget)
+                .solve(&m);
+            let elapsed = start.elapsed();
+            canceller.join().unwrap();
+            match result {
+                Ok(sol) => assert_eq!(sol.status, SolveStatus::TimeLimit),
+                Err(e) => assert_eq!(e, MilpError::Infeasible),
+            }
+            assert!(
+                elapsed < Duration::from_secs(2),
+                "cancelled solve on {threads} threads took {elapsed:?}"
+            );
         }
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "cancelled solve took {elapsed:?}"
-        );
     }
 
     #[test]
@@ -1081,8 +894,11 @@ pub(crate) mod tests {
         for &(u, v) in &pairs {
             m.add_constraint(&[(xs[u], 1.0), (xs[v], 1.0)], Sense::Ge, 1.0);
         }
-        let mut bounder = CoverBounder { pairs };
-        let sol = BranchBound::new().solve_with(&m, &mut bounder).unwrap();
+        let sol = BranchBound::new()
+            .solve_with(&m, || CoverBounder {
+                pairs: pairs.clone(),
+            })
+            .unwrap();
         assert_eq!(sol.objective.round() as i64, 3);
         assert_eq!(sol.status, SolveStatus::Optimal);
     }
@@ -1132,14 +948,15 @@ pub(crate) mod tests {
         for i in 0..6 {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 6], 1.0)], Sense::Ge, 1.0);
         }
-        let mut bounder = NanBounder {
-            inner: LpBounder::new(),
-            calls: 0,
-        };
         // NaN-pruning may cut the true optimum's subtree, but the solve must
         // terminate with a feasible answer and an internally consistent
         // bound — never corrupt the heap or loop forever.
-        let sol = BranchBound::new().solve_with(&m, &mut bounder).unwrap();
+        let sol = BranchBound::new()
+            .solve_with(&m, || NanBounder {
+                inner: LpBounder::new(),
+                calls: 0,
+            })
+            .unwrap();
         assert!(model_feasible(&m, &sol.values));
         assert!(!sol.objective.is_nan());
         assert!(!sol.best_bound.is_nan());
@@ -1178,21 +995,24 @@ pub(crate) mod tests {
         for i in 0..5 {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
         }
-        let warm = vec![1.0, 0.0, 1.0, 0.0, 1.0];
-        let sol = BranchBound::new().warm_start(warm).solve(&m).unwrap();
-        assert_eq!(sol.objective.round() as i64, 3);
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        assert_eq!(sol.warm_start, Some(true));
+        for threads in [1, 4] {
+            let solver = BranchBound::new().threads(threads);
+            let warm = vec![1.0, 0.0, 1.0, 0.0, 1.0];
+            let sol = solver.clone().warm_start(warm).solve(&m).unwrap();
+            assert_eq!(sol.objective.round() as i64, 3);
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert_eq!(sol.warm_start, Some(true));
 
-        // An infeasible warm start is rejected, not trusted.
-        let bad = vec![0.0; 5];
-        let sol = BranchBound::new().warm_start(bad).solve(&m).unwrap();
-        assert_eq!(sol.objective.round() as i64, 3);
-        assert_eq!(sol.warm_start, Some(false));
+            // An infeasible warm start is rejected, not trusted.
+            let bad = vec![0.0; 5];
+            let sol = solver.clone().warm_start(bad).solve(&m).unwrap();
+            assert_eq!(sol.objective.round() as i64, 3);
+            assert_eq!(sol.warm_start, Some(false));
 
-        // No warm start ⇒ `None`.
-        let sol = BranchBound::new().solve(&m).unwrap();
-        assert_eq!(sol.warm_start, None);
+            // No warm start ⇒ `None`.
+            let sol = solver.solve(&m).unwrap();
+            assert_eq!(sol.warm_start, None);
+        }
     }
 
     #[test]
@@ -1204,11 +1024,13 @@ pub(crate) mod tests {
         for i in 0..5 {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
         }
-        let sol = BranchBound::new().solve(&m).unwrap();
-        assert!(
-            sol.nodes >= 1,
-            "expected at least one explored node, got {}",
-            sol.nodes
-        );
+        for threads in [1, 4] {
+            let sol = BranchBound::new().threads(threads).solve(&m).unwrap();
+            assert!(
+                sol.nodes >= 1,
+                "expected at least one explored node on {threads} threads, got {}",
+                sol.nodes
+            );
+        }
     }
 }

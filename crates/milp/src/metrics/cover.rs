@@ -256,12 +256,13 @@ mod tests {
     fn matching_and_degree_bounders_find_c5_optimum() {
         let m = c5();
         let prob = CoverProblem::from_model(&m).unwrap();
-        for mut bounder in [
-            Box::new(MatchingCoverBounder::new(prob.clone())) as Box<dyn Bounder>,
-            Box::new(DegreeCoverBounder::new(prob)) as Box<dyn Bounder>,
-        ] {
-            let sol = BranchBound::new().solve_with(&m, bounder.as_mut()).unwrap();
-            assert_eq!(sol.objective.round() as i64, 3);
-        }
+        let matching = BranchBound::new()
+            .solve_with(&m, || MatchingCoverBounder::new(prob.clone()))
+            .unwrap();
+        let degree = BranchBound::new()
+            .solve_with(&m, || DegreeCoverBounder::new(prob.clone()))
+            .unwrap();
+        assert_eq!(matching.objective.round() as i64, 3);
+        assert_eq!(degree.objective.round() as i64, 3);
     }
 }

@@ -118,10 +118,16 @@ mod tests {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
         }
         let prob = CoverProblem::from_model(&m).unwrap();
-        let mut hybrid = HybridBounder::new(MatchingCoverBounder::new(prob));
-        let sol = BranchBound::new().solve_with(&m, &mut hybrid).unwrap();
+        let hybrid = || HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
+        let sol = BranchBound::new().solve_with(&m, hybrid).unwrap();
         assert_eq!(sol.objective.round() as i64, 3);
-        let (solves, skips) = hybrid.lp_stats();
-        assert!(solves + skips > 0);
+        // A cutoff the cheap bound already reaches skips the LP; one it
+        // cannot reach pays for it, and the LP's 2.5 beats matching's 2.
+        let mut bounder = hybrid();
+        let root = vec![None; 5];
+        assert_eq!(bounder.lower_bound(&m, &root, 1.0), 2.0);
+        assert_eq!(bounder.lp_stats(), (0, 1));
+        assert!((bounder.lower_bound(&m, &root, f64::INFINITY) - 2.5).abs() < 1e-9);
+        assert_eq!(bounder.lp_stats(), (1, 1));
     }
 }

@@ -463,7 +463,7 @@ mod tests {
     use super::*;
     use crate::metrics::HybridBounder;
     use crate::model::Sense;
-    use crate::{BranchBound, LpBounder};
+    use crate::BranchBound;
 
     /// Builds the Eq. 4 MIP for a small graph, mirroring the layout the
     /// labeling stage produces: objective `γ·Σ(xv+xh) + (1−γ)·D`.
@@ -552,9 +552,7 @@ mod tests {
                 let (m, layout) = build_vh_model(n, &edges, gamma);
                 let expected = enumerate_optimum(n, &edges, gamma);
 
-                let lp = BranchBound::new()
-                    .solve_with(&m, &mut LpBounder::new())
-                    .unwrap();
+                let lp = BranchBound::new().solve(&m).unwrap();
                 assert!(
                     (lp.objective - expected).abs() < 1e-6,
                     "LP n={n} γ={gamma}: {} vs {}",
@@ -562,8 +560,9 @@ mod tests {
                     expected
                 );
 
-                let mut pure = VhBounder::new(layout.clone());
-                let sol = BranchBound::new().solve_with(&m, &mut pure).unwrap();
+                let sol = BranchBound::new()
+                    .solve_with(&m, || VhBounder::new(layout.clone()))
+                    .unwrap();
                 assert!(
                     (sol.objective - expected).abs() < 1e-6,
                     "VhBounder n={n} γ={gamma}: {} vs {}",
@@ -571,25 +570,18 @@ mod tests {
                     expected
                 );
 
-                let mut hybrid = HybridBounder::new(VhBounder::new(layout.clone()));
-                let sol = BranchBound::new().solve_with(&m, &mut hybrid).unwrap();
-                assert!(
-                    (sol.objective - expected).abs() < 1e-6,
-                    "Hybrid n={n} γ={gamma}: {} vs {}",
-                    sol.objective,
-                    expected
-                );
-
-                let par = BranchBound::new()
-                    .threads(2)
-                    .solve_parallel_with(&m, || HybridBounder::new(VhBounder::new(layout.clone())))
-                    .unwrap();
-                assert!(
-                    (par.objective - expected).abs() < 1e-6,
-                    "parallel n={n} γ={gamma}: {} vs {}",
-                    par.objective,
-                    expected
-                );
+                for threads in [1, 2] {
+                    let sol = BranchBound::new()
+                        .threads(threads)
+                        .solve_with(&m, || HybridBounder::new(VhBounder::new(layout.clone())))
+                        .unwrap();
+                    assert!(
+                        (sol.objective - expected).abs() < 1e-6,
+                        "Hybrid on {threads} threads n={n} γ={gamma}: {} vs {}",
+                        sol.objective,
+                        expected
+                    );
+                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Equivalence suite for the metric-guided branch & bound: on small,
 //! conform-generator-seeded instances, every `Bounder` implementation must
-//! reproduce the exhaustive-enumeration optimum, the parallel driver must
-//! agree with the sequential one, and a warm-started γ sweep must land on
-//! the same optima as cold solves.
+//! reproduce the exhaustive-enumeration optimum, four search threads must
+//! agree with one, and a warm-started γ sweep must land on the same optima
+//! as cold solves.
 
 use std::time::Duration;
 
@@ -13,7 +13,7 @@ use flowc::conform::gen::gen_graph;
 use flowc::conform::Rng;
 use flowc::graph::UGraph;
 use flowc::milp::metrics::{CoverProblem, DegreeCoverBounder, HybridBounder, MatchingCoverBounder};
-use flowc::milp::{Bounder, BranchBound, LpBounder, Model, Sense};
+use flowc::milp::{BranchBound, Model, Sense, Solution};
 
 /// Wraps a bare conform-generated graph as a labeling instance (no BDD
 /// provenance needed: with `align = false` the solver never consults
@@ -131,59 +131,45 @@ fn every_bounder_matches_exhaustive_on_conform_seeded_covers() {
         let m = cover_model(&g);
         let want = enumerate_cover_optimum(&g);
         let solver = BranchBound::new().time_limit(Duration::from_secs(30));
-        let mut bounders: Vec<(&str, Box<dyn Bounder>)> = vec![
-            ("lp", Box::new(LpBounder::new())),
-            (
-                "hybrid-matching",
-                Box::new(HybridBounder::new(MatchingCoverBounder::new(
-                    CoverProblem::from_model(&m).expect("cover shape"),
-                ))),
-            ),
-            (
-                "matching",
-                Box::new(MatchingCoverBounder::new(
-                    CoverProblem::from_model(&m).expect("cover shape"),
-                )),
-            ),
-            (
-                "degree",
-                Box::new(DegreeCoverBounder::new(
-                    CoverProblem::from_model(&m).expect("cover shape"),
-                )),
-            ),
-        ];
-        for (name, bounder) in &mut bounders {
-            let sol = solver.solve_with(&m, bounder.as_mut()).expect("solvable");
+        let prob = CoverProblem::from_model(&m).expect("cover shape");
+        let check = |name: &str, sol: Solution| {
             assert!(
                 (sol.objective - want).abs() < 1e-6,
                 "case {case} bounder {name}: bnb {} vs exhaustive {want}",
                 sol.objective
             );
-        }
+        };
+        check("lp", solver.solve(&m).expect("solvable"));
+        let hybrid = || HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
+        check(
+            "hybrid-matching",
+            solver.solve_with(&m, hybrid).expect("solvable"),
+        );
+        let matching = || MatchingCoverBounder::new(prob.clone());
+        check(
+            "matching",
+            solver.solve_with(&m, matching).expect("solvable"),
+        );
+        let degree = || DegreeCoverBounder::new(prob.clone());
+        check("degree", solver.solve_with(&m, degree).expect("solvable"));
     }
 }
 
 #[test]
-fn parallel_and_sequential_solves_agree_on_conform_seeded_covers() {
+fn one_and_four_thread_solves_agree_on_conform_seeded_covers() {
     let mut rng = Rng::new(0xD15C);
     for case in 0..6u64 {
         let n = 8 + (case as usize % 5); // 8..=12 nodes
         let g = gen_graph(&mut rng, n);
         let m = cover_model(&g);
-        let seq = BranchBound::new()
-            .time_limit(Duration::from_secs(30))
-            .solve(&m)
-            .expect("sequential solve");
-        let par = BranchBound::new()
-            .time_limit(Duration::from_secs(30))
-            .threads(4)
-            .solve(&m)
-            .expect("parallel solve");
+        let solver = BranchBound::new().time_limit(Duration::from_secs(30));
+        let one = solver.clone().threads(1).solve(&m).expect("1-thread solve");
+        let four = solver.threads(4).solve(&m).expect("4-thread solve");
         assert!(
-            (seq.objective - par.objective).abs() < 1e-6,
-            "case {case}: sequential {} vs parallel {}",
-            seq.objective,
-            par.objective
+            (one.objective - four.objective).abs() < 1e-6,
+            "case {case}: 1 thread {} vs 4 threads {}",
+            one.objective,
+            four.objective
         );
     }
 }
