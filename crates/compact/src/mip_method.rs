@@ -333,25 +333,26 @@ pub fn solve(graph: &BddGraph, config: &MipConfig) -> MipOutcome {
 /// and the hill climb all check the budget's deadline and cancellation
 /// token cooperatively.
 pub fn solve_budgeted(graph: &BddGraph, config: &MipConfig, budget: &Budget) -> MipOutcome {
-    if graph.num_nodes() <= config.exact_node_limit {
-        if let Some(out) = solve_exact_budgeted(graph, config, budget) {
-            return out;
-        }
-        // Infeasibility cannot occur (all-VH is always feasible); fall
-        // through to the anytime path defensively.
-    }
-    solve_anytime_budgeted(graph, config, budget)
+    // Above the node limit, or without an incumbent before the budget
+    // ran out (infeasibility cannot occur: all-VH is always feasible),
+    // the anytime path answers.
+    solve_exact_budgeted(graph, config, budget)
+        .unwrap_or_else(|_| solve_anytime_budgeted(graph, config, budget))
 }
 
-/// The exact Eq. 4 MIP path alone. Returns `None` when the graph exceeds
-/// `config.exact_node_limit` or the branch & bound fails to produce any
-/// incumbent before its budget runs out — callers fall back to
+/// The exact Eq. 4 MIP path alone.
+///
+/// # Errors
+///
+/// Says why no labeling came back: the graph exceeds
+/// `config.exact_node_limit`, or the branch & bound found no incumbent
+/// before its budget ran out. Callers fall back to
 /// [`solve_anytime_budgeted`].
 pub fn solve_exact_budgeted(
     graph: &BddGraph,
     config: &MipConfig,
     budget: &Budget,
-) -> Option<MipOutcome> {
+) -> Result<MipOutcome, String> {
     solve_exact_warm(graph, config, budget, None)
 }
 
@@ -359,14 +360,22 @@ pub fn solve_exact_budgeted(
 /// the incumbent of an adjacent γ point in a sweep). The labeling is
 /// re-encoded — and re-costed — under this model's γ; an invalid hint is
 /// ignored by the solver rather than trusted.
+///
+/// # Errors
+///
+/// See [`solve_exact_budgeted`].
 pub fn solve_exact_warm(
     graph: &BddGraph,
     config: &MipConfig,
     budget: &Budget,
     warm: Option<&Labeling>,
-) -> Option<MipOutcome> {
-    if graph.num_nodes() > config.exact_node_limit {
-        return None;
+) -> Result<MipOutcome, String> {
+    let nodes = graph.num_nodes();
+    if nodes > config.exact_node_limit {
+        return Err(format!(
+            "graph has {nodes} nodes, above the exact path's node limit of {}",
+            config.exact_node_limit
+        ));
     }
     let gamma = config.gamma;
     let (model, vars) = build_model(graph, gamma, config.align);
@@ -383,11 +392,11 @@ pub fn solve_exact_warm(
         .solve_with(&model, || {
             HybridBounder::new(VhBounder::new(layout.clone()))
         })
-        .ok()?;
+        .map_err(|_| "branch & bound produced no labeling before its budget ran out")?;
     let labeling = labeling_from_solution(&vars, &sol.values);
     debug_assert!(labeling.is_valid(graph));
     let objective = labeling.stats().objective(gamma);
-    Some(MipOutcome {
+    Ok(MipOutcome {
         labeling,
         optimal: sol.status == SolveStatus::Optimal,
         objective,

@@ -33,7 +33,9 @@ use crate::session::{
     bdd_key, graph_key, label_key, ArtifactKey, CacheOutcome, Claim, LabelArtifact, Session,
     SolveStats, StageKind, StageRecord,
 };
-use crate::supervisor::{panic_message, run_ladder, LadderOutcome, StageAttempt, Trigger};
+use crate::supervisor::{
+    ladder, panic_message, run_ladder, LadderOutcome, Rung, StageAttempt, Trigger,
+};
 use flowc_budget::Stopwatch;
 use flowc_xbar::metrics::CrossbarMetrics;
 
@@ -411,12 +413,12 @@ impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPa
             warm.as_ref(),
             oct_hint.as_deref(),
         )?;
-        // Publish budget-independent outcomes: proven optimal, or a
-        // deterministic heuristic strategy (no solver, no clock).
-        let deterministic = matches!(
-            self.config.strategy,
-            crate::pipeline::VhStrategy::Heuristic { .. } | crate::pipeline::VhStrategy::Staircase
-        );
+        // Publish budget-independent outcomes: proven optimal, or shipped
+        // by a deterministic strategy's own first rung (no solver, no
+        // clock). A rung the ladder fell to is never published: a cache
+        // hit ships as not degraded.
+        let deterministic = matches!(outcome.rung, Rung::HeuristicOct | Rung::AllVh)
+            && outcome.rung == ladder(&self.config.strategy)[0];
         let cacheable = outcome.optimal || deterministic;
         if cacheable {
             session.store_label(

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use flowc_budget::Stopwatch;
+use flowc_budget::{Budget, Stopwatch};
 
 use flowc_bdd::NetworkBdds;
 use flowc_logic::Network;
@@ -13,10 +13,9 @@ use flowc_xbar::metrics::CrossbarMetrics;
 use flowc_xbar::Crossbar;
 
 use crate::labeling::{Labeling, LabelingStats};
-use crate::mapping::{map_to_crossbar, MapError};
-use crate::mip_method::{solve as mip_solve, MipConfig};
-use crate::oct_method::{min_semiperimeter, OctMethodConfig};
+use crate::mapping::MapError;
 use crate::preprocess::BddGraph;
+use crate::supervisor::{run_ladder, Rung};
 
 /// Which VH-labeling solver drives the synthesis.
 #[derive(Debug, Clone)]
@@ -35,7 +34,8 @@ pub enum VhStrategy {
         gamma: f64,
         /// Total wall-clock budget.
         time_limit: Duration,
-        /// Node-count ceiling for the exact MIP path.
+        /// Node-count ceiling for the exact MIP path; 0 skips it, so the
+        /// ladder starts at the anytime rung.
         exact_node_limit: usize,
     },
     /// Fast greedy path (heuristic OCT + balancing), for very large inputs.
@@ -54,10 +54,29 @@ pub enum VhStrategy {
 
 impl Default for VhStrategy {
     fn default() -> Self {
-        VhStrategy::Weighted {
-            gamma: 0.5,
-            time_limit: Duration::from_secs(30),
-            exact_node_limit: 80,
+        Config::default().strategy
+    }
+}
+
+impl VhStrategy {
+    /// The γ of the strategy's objective: 1 for the min-semiperimeter
+    /// objective, the paper's 0.5 for the staircase (which optimizes
+    /// nothing).
+    pub fn gamma(&self) -> f64 {
+        match self {
+            VhStrategy::Weighted { gamma, .. } | VhStrategy::Heuristic { gamma } => *gamma,
+            VhStrategy::MinSemiperimeter { .. } => 1.0,
+            VhStrategy::Staircase => 0.5,
+        }
+    }
+
+    /// The solver's wall-clock limit (zero for the strategies that run
+    /// no solver).
+    pub fn time_limit(&self) -> Duration {
+        match self {
+            VhStrategy::Weighted { time_limit, .. }
+            | VhStrategy::MinSemiperimeter { time_limit } => *time_limit,
+            VhStrategy::Heuristic { .. } | VhStrategy::Staircase => Duration::ZERO,
         }
     }
 }
@@ -92,11 +111,7 @@ impl Config {
     /// experimental setup).
     pub fn gamma(gamma: f64) -> Self {
         Config {
-            strategy: VhStrategy::Weighted {
-                gamma,
-                time_limit: Duration::from_secs(30),
-                exact_node_limit: 80,
-            },
+            strategy: VhStrategy::entering(Rung::ExactMip, gamma, Duration::from_secs(30)),
             align: true,
             var_order: None,
             label_threads: 1,
@@ -165,8 +180,8 @@ pub struct CompactResult {
     /// Wall-clock synthesis time (the paper's one-time initialization).
     pub synthesis_time: Duration,
     /// Supervisor provenance: which ladder rung shipped the design and
-    /// what was attempted along the way. `None` for unsupervised entry
-    /// points ([`synthesize_bdds`], the constrained search).
+    /// what was attempted along the way. `None` for the entry points that
+    /// keep no report (the constrained search).
     pub degradation: Option<crate::supervisor::DegradationReport>,
 }
 
@@ -189,6 +204,9 @@ pub fn synthesize(network: &Network, config: &Config) -> Result<CompactResult, C
 
 /// Runs the labeling and mapping stages on an already-built BDD forest.
 /// Useful for comparing SBDD and per-output ROBDD flows (Table III).
+/// Walks the same degradation ladder as [`synthesize`] under an unlimited
+/// budget; the report records which rung shipped (no BDD stage runs here,
+/// so its wall time is zero).
 ///
 /// # Errors
 ///
@@ -200,73 +218,16 @@ pub fn synthesize_bdds(
 ) -> Result<CompactResult, CompactError> {
     let sw = Stopwatch::unbudgeted();
     let graph = BddGraph::from_bdds(bdds);
-    let (mut labeling, optimal, relative_gap, trace) = run_strategy(&graph, config);
-    // Mapping requires wordlines on all ports even when alignment was not
-    // requested as a constraint.
-    labeling.enforce_alignment(&graph);
-    let stats = labeling.stats();
-    let crossbar = map_to_crossbar(&graph, &labeling, output_names).map_err(CompactError::Map)?;
-    let metrics = CrossbarMetrics::of(&crossbar);
-    Ok(CompactResult {
-        crossbar,
-        stats,
-        metrics,
-        graph_nodes: graph.num_nodes(),
-        graph_edges: graph.num_edges(),
-        labeling,
-        optimal,
-        relative_gap,
-        trace,
-        synthesis_time: sw.elapsed(),
-        degradation: None,
-    })
-}
-
-fn run_strategy(graph: &BddGraph, config: &Config) -> (Labeling, bool, f64, Option<SolveTrace>) {
-    match &config.strategy {
-        VhStrategy::MinSemiperimeter { time_limit } => {
-            let r = min_semiperimeter(
-                graph,
-                &OctMethodConfig {
-                    time_limit: *time_limit,
-                    align: config.align,
-                    ..Default::default()
-                },
-            );
-            let gap = if r.optimal { 0.0 } else { 1.0 };
-            (r.labeling, r.optimal, gap, None)
-        }
-        VhStrategy::Weighted {
-            gamma,
-            time_limit,
-            exact_node_limit,
-        } => {
-            let out = mip_solve(
-                graph,
-                &MipConfig {
-                    gamma: *gamma,
-                    align: config.align,
-                    time_limit: *time_limit,
-                    exact_node_limit: *exact_node_limit,
-                    threads: config.label_threads.max(1),
-                },
-            );
-            (out.labeling, out.optimal, out.relative_gap, Some(out.trace))
-        }
-        VhStrategy::Heuristic { gamma } => {
-            let vh: std::collections::HashSet<usize> = flowc_graph::oct_heuristic(&graph.graph)
-                .into_iter()
-                .collect();
-            let labeling = crate::balance::balanced_labeling(graph, &vh, config.align);
-            let _ = gamma;
-            (labeling, false, 1.0, None)
-        }
-        VhStrategy::Staircase => {
-            let vh: std::collections::HashSet<usize> = (0..graph.num_nodes()).collect();
-            let labeling = crate::balance::balanced_labeling(graph, &vh, config.align);
-            (labeling, false, 1.0, None)
-        }
-    }
+    let out = run_ladder(
+        &graph,
+        config,
+        &Budget::unlimited(),
+        output_names,
+        None,
+        None,
+        None,
+    )?;
+    Ok(out.into_result(&graph, Duration::ZERO, false, sw.elapsed()))
 }
 
 #[cfg(test)]

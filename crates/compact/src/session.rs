@@ -50,7 +50,7 @@ use crate::labeling::{Labeling, VhLabel};
 use crate::pass::{BddBuildPass, GraphExtractPass, LadderPass, NormalizePass, Pass, VerifyPass};
 use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
-use crate::supervisor::{DegradationReport, LadderOutcome, Rung};
+use crate::supervisor::Rung;
 
 /// Content-addressed identity of a cached artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -862,47 +862,7 @@ fn run_staged(
     if let Some(samples) = session.verify_samples() {
         VerifyPass { samples }.run_with_budget(session, (&ladder.crossbar, network), budget)?;
     }
-    let LadderOutcome {
-        crossbar,
-        labeling,
-        metrics,
-        rung,
-        degraded,
-        optimal,
-        relative_gap,
-        trace,
-        attempts,
-        exhausted,
-        solver_nodes,
-        warm_start,
-        from_cache,
-        ..
-    } = ladder;
-    let stats = labeling.stats();
-    Ok(CompactResult {
-        crossbar,
-        stats,
-        metrics,
-        graph_nodes: graph.num_nodes(),
-        graph_edges: graph.num_edges(),
-        labeling,
-        optimal,
-        relative_gap,
-        trace,
-        synthesis_time: sw.elapsed(),
-        degradation: Some(DegradationReport {
-            rung,
-            degraded: degraded || bdd.budget_lifted,
-            attempts,
-            relative_gap,
-            bdd_wall: bdd.wall,
-            bdd_budget_lifted: bdd.budget_lifted,
-            exhausted,
-            solver_nodes,
-            warm_start,
-            label_cached: from_cache,
-        }),
-    })
+    Ok(ladder.into_result(&graph, bdd.wall, bdd.budget_lifted, sw.elapsed()))
 }
 
 /// One unit of work for [`synthesize_batch`].
@@ -959,10 +919,10 @@ pub fn gamma_sweep_tasks(
     ordered
         .iter()
         .map(|&gamma| {
-            let mut config = Config::gamma(gamma);
-            if let VhStrategy::Weighted { time_limit: tl, .. } = &mut config.strategy {
-                *tl = time_limit;
-            }
+            let config = Config {
+                strategy: VhStrategy::entering(Rung::ExactMip, gamma, time_limit),
+                ..Config::gamma(gamma)
+            };
             BatchTask::new(format!("γ={gamma:.3}"), Arc::clone(network), config)
         })
         .collect()

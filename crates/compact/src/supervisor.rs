@@ -40,6 +40,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::str::FromStr;
 use std::time::Duration;
 
 use flowc_budget::{Budget, BudgetExceeded, Stopwatch};
@@ -58,52 +59,90 @@ use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
 use crate::session::Session;
 
-/// A rung of the degradation ladder, ordered from most to least ambitious.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Rung {
-    /// The exact Eq. 4 MIP through the LP-bounded branch & bound.
-    ExactMip,
-    /// The exact Lemma-1 odd-cycle-transversal solve (γ = 1 objective).
-    ExactOct,
-    /// The staged anytime path (greedy OCT → budgeted OCT → hill climb).
-    AnytimeMip,
-    /// Greedy OCT heuristic plus balancing; no solver.
-    HeuristicOct,
-    /// Terminal fallback: every node labeled `VH` (the staircase diagonal).
-    AllVh,
+/// One uniform "unknown name" message: `unknown <kind> \`<got>\`
+/// (<a|b|c>)`. Shared by every name-table parser ([`Rung`], the mapping
+/// backends) so every selection surface rejects with the same shape.
+pub fn unknown_name_error(kind: &str, got: &str, known: &[&str]) -> String {
+    format!("unknown {kind} `{got}` ({})", known.join("|"))
 }
 
-impl Rung {
-    /// The stage name used in reports and in the rung's
-    /// `compact.rung.<name>` failpoint.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rung::ExactMip => "exact-mip",
-            Rung::ExactOct => "exact-oct",
-            Rung::AnytimeMip => "anytime-mip",
-            Rung::HeuristicOct => "heuristic-oct",
-            Rung::AllVh => "all-vh",
+/// Generates [`Rung`] and its one name table: `ALL`/`NAMES` in ladder
+/// order, `name`, `parse` (which also accepts each rung's input
+/// aliases), `Display` and `FromStr`.
+macro_rules! make_rung_enum {
+    ( $( $(#[$meta:meta])* $variant:ident => $name:literal $(| $alias:literal)* ),* $(,)? ) => {
+        /// A rung of the degradation ladder, ordered from most to least
+        /// ambitious. The CLI's and the service's `strategy`, admission,
+        /// the journal, `/metrics` and the degradation report all name
+        /// rungs through this one table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[non_exhaustive]
+        pub enum Rung {
+            $( $(#[$meta])* $variant, )*
         }
-    }
 
-    /// Inverse of [`Rung::name`]; `None` for unknown names (so persisted
-    /// artifacts from a different version are rejected, not misread).
-    pub fn parse(name: &str) -> Option<Rung> {
-        Some(match name {
-            "exact-mip" => Rung::ExactMip,
-            "exact-oct" => Rung::ExactOct,
-            "anytime-mip" => Rung::AnytimeMip,
-            "heuristic-oct" => Rung::HeuristicOct,
-            "all-vh" => Rung::AllVh,
-            _ => return None,
-        })
-    }
+        impl Rung {
+            /// Every rung, most ambitious first.
+            pub const ALL: &'static [Rung] = &[ $( Rung::$variant, )* ];
+
+            /// The canonical names, in [`Rung::ALL`] order.
+            pub const NAMES: &'static [&'static str] = &[ $( $name, )* ];
+
+            /// The canonical name, used in reports, on the wire, in the
+            /// journal, in `/metrics` and in the rung's
+            /// `compact.rung.<name>` failpoint.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Rung::$variant => $name, )*
+                }
+            }
+
+            /// `rung.<name>`, the series the service's `/metrics` records
+            /// this rung's job latencies under.
+            pub fn latency_series(self) -> &'static str {
+                match self {
+                    $( Rung::$variant => concat!("rung.", $name), )*
+                }
+            }
+
+            /// Inverse of [`Rung::name`], also accepting input aliases;
+            /// `None` for unknown names (so persisted artifacts from a
+            /// different version are rejected, not misread).
+            pub fn parse(name: &str) -> Option<Rung> {
+                match name {
+                    $( $name $(| $alias)* => Some(Rung::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
+
+make_rung_enum!(
+    /// The exact Eq. 4 MIP through the LP-bounded branch & bound.
+    ExactMip => "exact-mip",
+    /// The exact Lemma-1 odd-cycle-transversal solve (γ = 1 objective).
+    ExactOct => "exact-oct",
+    /// The staged anytime path (greedy OCT → budgeted OCT → hill climb).
+    AnytimeMip => "anytime-mip",
+    /// Greedy OCT heuristic plus balancing; no solver.
+    HeuristicOct => "heuristic-oct",
+    /// Terminal fallback: every node labeled `VH` (the staircase diagonal).
+    /// `staircase` is accepted as an input alias.
+    AllVh => "all-vh" | "staircase",
+);
 
 impl fmt::Display for Rung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl FromStr for Rung {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Rung, String> {
+        Rung::parse(name).ok_or_else(|| unknown_name_error("strategy", name, Rung::NAMES))
     }
 }
 
@@ -219,24 +258,48 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The ladder a strategy starts on. The first rung is the strategy's own
-/// solver; everything below it is a fallback.
-fn ladder(strategy: &VhStrategy) -> Vec<Rung> {
+/// The ladder a strategy walks, most ambitious rung first. The first rung
+/// is the strategy's own solver; everything below it is a fallback.
+pub fn ladder(strategy: &VhStrategy) -> &'static [Rung] {
+    use Rung::*;
     match strategy {
-        VhStrategy::MinSemiperimeter { .. } => {
-            vec![Rung::ExactOct, Rung::HeuristicOct, Rung::AllVh]
-        }
-        VhStrategy::Weighted { .. } => vec![
-            Rung::ExactMip,
-            Rung::AnytimeMip,
-            Rung::HeuristicOct,
-            Rung::AllVh,
-        ],
-        VhStrategy::Heuristic { .. } => vec![Rung::HeuristicOct, Rung::AllVh],
-        VhStrategy::Staircase => vec![Rung::AllVh],
+        VhStrategy::MinSemiperimeter { .. } => &[ExactOct, HeuristicOct, AllVh],
+        VhStrategy::Weighted {
+            exact_node_limit: 0,
+            ..
+        } => &[AnytimeMip, HeuristicOct, AllVh],
+        VhStrategy::Weighted { .. } => &[ExactMip, AnytimeMip, HeuristicOct, AllVh],
+        VhStrategy::Heuristic { .. } => &[HeuristicOct, AllVh],
+        VhStrategy::Staircase => &[AllVh],
     }
 }
 
+impl VhStrategy {
+    /// The strategy whose [`ladder`] starts at `rung`:
+    /// `ladder(&VhStrategy::entering(r, ..))[0] == r` for every rung.
+    /// `gamma` and `time_limit` reach the rungs that use them.
+    pub fn entering(rung: Rung, gamma: f64, time_limit: Duration) -> VhStrategy {
+        match rung {
+            Rung::ExactMip => VhStrategy::Weighted {
+                gamma,
+                time_limit,
+                exact_node_limit: 80,
+            },
+            Rung::ExactOct => VhStrategy::MinSemiperimeter { time_limit },
+            // A zero node limit skips the exact path: every graph takes
+            // the staged anytime route.
+            Rung::AnytimeMip => VhStrategy::Weighted {
+                gamma,
+                time_limit,
+                exact_node_limit: 0,
+            },
+            Rung::HeuristicOct => VhStrategy::Heuristic { gamma },
+            Rung::AllVh => VhStrategy::Staircase,
+        }
+    }
+}
+
+/// Runs one rung. `Err` says why the rung produced nothing.
 fn run_rung(
     rung: Rung,
     graph: &BddGraph,
@@ -244,35 +307,31 @@ fn run_rung(
     budget: &Budget,
     warm: Option<&Labeling>,
     oct: Option<&OctResult>,
-) -> Option<RungOutput> {
+) -> Result<RungOutput, String> {
     flowc_failpoint::fire(format_args!("compact.rung.{rung}"));
+    let strategy = &config.strategy;
     match rung {
         Rung::ExactMip => {
-            let (gamma, time_limit, exact_node_limit) = match &config.strategy {
+            let exact_node_limit = match strategy {
                 VhStrategy::Weighted {
-                    gamma,
-                    time_limit,
-                    exact_node_limit,
-                } => (*gamma, *time_limit, *exact_node_limit),
-                // The exact-MIP rung is only scheduled for the weighted
-                // strategy; these defaults are never reached in practice.
-                VhStrategy::MinSemiperimeter { time_limit } => (1.0, *time_limit, 80),
-                VhStrategy::Heuristic { gamma } => (*gamma, Duration::from_secs(30), 80),
-                VhStrategy::Staircase => (0.5, Duration::ZERO, 0),
+                    exact_node_limit, ..
+                } => *exact_node_limit,
+                // Only the weighted ladder schedules this rung.
+                _ => 0,
             };
             let out = solve_exact_warm(
                 graph,
                 &MipConfig {
-                    gamma,
+                    gamma: strategy.gamma(),
                     align: config.align,
-                    time_limit,
+                    time_limit: strategy.time_limit(),
                     exact_node_limit,
                     threads: config.label_threads.max(1),
                 },
                 budget,
                 warm,
             )?;
-            Some(RungOutput {
+            Ok(RungOutput {
                 labeling: out.labeling,
                 optimal: out.optimal,
                 relative_gap: out.relative_gap,
@@ -283,14 +342,10 @@ fn run_rung(
             })
         }
         Rung::ExactOct => {
-            let time_limit = match &config.strategy {
-                VhStrategy::MinSemiperimeter { time_limit } => *time_limit,
-                _ => Duration::from_secs(30),
-            };
             let r = min_semiperimeter_budgeted(
                 graph,
                 &OctMethodConfig {
-                    time_limit,
+                    time_limit: strategy.time_limit(),
                     align: config.align,
                     ..Default::default()
                 },
@@ -302,7 +357,7 @@ fn run_rung(
                 let k = r.oct_size.max(1) as f64;
                 ((r.oct_size.saturating_sub(r.oct_lower_bound)) as f64 / k).min(1.0)
             };
-            Some(RungOutput {
+            Ok(RungOutput {
                 labeling: r.labeling,
                 optimal: r.optimal,
                 relative_gap: gap,
@@ -313,27 +368,19 @@ fn run_rung(
             })
         }
         Rung::AnytimeMip => {
-            let (gamma, time_limit) = match &config.strategy {
-                VhStrategy::Weighted {
-                    gamma, time_limit, ..
-                } => (*gamma, *time_limit),
-                VhStrategy::MinSemiperimeter { time_limit } => (1.0, *time_limit),
-                VhStrategy::Heuristic { gamma } => (*gamma, Duration::from_secs(30)),
-                VhStrategy::Staircase => (0.5, Duration::ZERO),
-            };
             let (out, fresh_oct) = solve_anytime_with_oct(
                 graph,
                 &MipConfig {
-                    gamma,
+                    gamma: strategy.gamma(),
                     align: config.align,
-                    time_limit,
+                    time_limit: strategy.time_limit(),
                     exact_node_limit: 0,
                     threads: config.label_threads.max(1),
                 },
                 budget,
                 oct,
             );
-            Some(RungOutput {
+            Ok(RungOutput {
                 labeling: out.labeling,
                 optimal: out.optimal,
                 relative_gap: out.relative_gap,
@@ -345,7 +392,7 @@ fn run_rung(
         }
         Rung::HeuristicOct => {
             let vh: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
-            Some(RungOutput {
+            Ok(RungOutput {
                 labeling: balanced_labeling(graph, &vh, config.align),
                 optimal: false,
                 relative_gap: 1.0,
@@ -357,7 +404,7 @@ fn run_rung(
         }
         Rung::AllVh => {
             let vh: HashSet<usize> = (0..graph.num_nodes()).collect();
-            Some(RungOutput {
+            Ok(RungOutput {
                 labeling: balanced_labeling(graph, &vh, config.align),
                 optimal: false,
                 relative_gap: 1.0,
@@ -415,6 +462,43 @@ pub struct LadderOutcome {
     pub oct: Option<OctResult>,
 }
 
+impl LadderOutcome {
+    /// The [`CompactResult`] this outcome ships over `graph`, its report
+    /// completed with the BDD stage's wall time and lift flag.
+    pub(crate) fn into_result(
+        self,
+        graph: &BddGraph,
+        bdd_wall: Duration,
+        bdd_budget_lifted: bool,
+        synthesis_time: Duration,
+    ) -> CompactResult {
+        CompactResult {
+            stats: self.labeling.stats(),
+            crossbar: self.crossbar,
+            metrics: self.metrics,
+            graph_nodes: graph.num_nodes(),
+            graph_edges: graph.num_edges(),
+            labeling: self.labeling,
+            optimal: self.optimal,
+            relative_gap: self.relative_gap,
+            trace: self.trace,
+            synthesis_time,
+            degradation: Some(DegradationReport {
+                rung: self.rung,
+                degraded: self.degraded || bdd_budget_lifted,
+                attempts: self.attempts,
+                relative_gap: self.relative_gap,
+                bdd_wall,
+                bdd_budget_lifted,
+                exhausted: self.exhausted,
+                solver_nodes: self.solver_nodes,
+                warm_start: self.warm_start,
+                label_cached: self.from_cache,
+            }),
+        }
+    }
+}
+
 /// Walks the degradation ladder over an extracted graph: run a rung,
 /// enforce alignment, map; on panic, empty output, or mapping rejection,
 /// fall to the next rung. `bdd_trigger` (why the budgeted BDD build was
@@ -447,7 +531,7 @@ pub(crate) fn run_ladder(
     }
     let mut label_wall = Duration::ZERO;
     let mut map_wall = Duration::ZERO;
-    for rung in rungs {
+    for &rung in rungs {
         let sw = Stopwatch::unbudgeted();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_rung(rung, graph, config, budget, warm, oct)
@@ -455,14 +539,12 @@ pub(crate) fn run_ladder(
         let wall = sw.elapsed();
         label_wall += wall;
         let output = match outcome {
-            Ok(Some(out)) => out,
-            Ok(None) => {
+            Ok(Ok(out)) => out,
+            Ok(Err(why)) => {
                 attempts.push(StageAttempt {
                     rung,
                     wall,
-                    trigger: Some(Trigger::Failed(
-                        "stage produced no labeling before its budget ran out".into(),
-                    )),
+                    trigger: Some(Trigger::Failed(why)),
                 });
                 continue;
             }
@@ -597,6 +679,30 @@ mod tests {
         assert_eq!(report.rung, Rung::ExactMip);
         assert!(!report.degraded, "{}", report.summary());
         assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
+
+        // Above the exact path's node limit, the exact rung gives up and
+        // says why; the anytime rung ships.
+        let cfg = Config {
+            strategy: VhStrategy::Weighted {
+                gamma: 0.5,
+                time_limit: Duration::from_secs(5),
+                exact_node_limit: 1,
+            },
+            ..Config::default()
+        };
+        let r = synthesize_with_budget(&n, &cfg, &Budget::unlimited()).unwrap();
+        let report = r.degradation.as_ref().unwrap();
+        assert_eq!(report.rung, Rung::AnytimeMip, "{}", report.summary());
+        let first = &report.attempts[0];
+        assert_eq!(first.rung, Rung::ExactMip);
+        let nodes = r.graph_nodes;
+        match &first.trigger {
+            Some(Trigger::Failed(msg)) => assert_eq!(
+                msg,
+                &format!("graph has {nodes} nodes, above the exact path's node limit of 1")
+            ),
+            other => panic!("expected a node-limit failure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -669,17 +775,42 @@ mod tests {
     fn ladder_order_follows_the_strategy() {
         assert_eq!(
             ladder(&VhStrategy::Heuristic { gamma: 0.5 }),
-            vec![Rung::HeuristicOct, Rung::AllVh]
+            [Rung::HeuristicOct, Rung::AllVh]
         );
         assert_eq!(
             ladder(&VhStrategy::Staircase),
-            vec![Rung::AllVh],
+            [Rung::AllVh],
             "staircase goes straight to the terminal rung"
         );
         assert_eq!(
             ladder(&VhStrategy::default())[0],
             Rung::ExactMip,
             "weighted starts exact"
+        );
+        for &rung in Rung::ALL {
+            let strategy = VhStrategy::entering(rung, 0.5, Duration::from_secs(1));
+            assert_eq!(ladder(&strategy)[0], rung, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn rung_names_round_trip() {
+        assert_eq!(Rung::ALL.len(), Rung::NAMES.len());
+        for (&rung, &name) in Rung::ALL.iter().zip(Rung::NAMES) {
+            assert_eq!(rung.name(), name);
+            assert_eq!(rung.to_string(), name);
+            assert_eq!(Rung::parse(name), Some(rung));
+            assert_eq!(name.parse::<Rung>(), Ok(rung));
+            assert_eq!(rung.latency_series(), format!("rung.{name}"));
+        }
+        assert_eq!("staircase".parse::<Rung>(), Ok(Rung::AllVh));
+        assert_eq!(Rung::AllVh.to_string(), "all-vh", "output is canonical");
+        assert_eq!(
+            "warp".parse::<Rung>(),
+            Err(
+                "unknown strategy `warp` (exact-mip|exact-oct|anytime-mip|heuristic-oct|all-vh)"
+                    .to_string()
+            )
         );
     }
 

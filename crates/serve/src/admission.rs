@@ -8,81 +8,50 @@
 
 use std::time::Duration;
 
-use flowc_compact::pipeline::VhStrategy;
+use flowc_compact::supervisor::{self, unknown_name_error, Rung};
+use flowc_compact::VhStrategy;
 
-/// The admission-facing rungs of the supervisor ladder, most to least
-/// ambitious. Each maps to the [`VhStrategy`] that *enters* the internal
-/// ladder at that rung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeRung {
-    /// Exact weighted MIP (falls back internally if the graph is large).
-    ExactMip,
-    /// Staged anytime MIP (exact path disabled).
-    AnytimeMip,
-    /// Greedy OCT heuristic + balancing.
-    HeuristicOct,
-    /// All-VH staircase: no search at all.
-    Staircase,
+/// The rungs the service admits jobs at: the supervisor's default
+/// (weighted) ladder, most ambitious first. A request names where on it
+/// to start; admission only ever moves a job further down.
+pub fn ladder() -> &'static [Rung] {
+    supervisor::ladder(&VhStrategy::default())
 }
 
-/// Ladder order, most ambitious first.
-pub const RUNGS: [ServeRung; 4] = [
-    ServeRung::ExactMip,
-    ServeRung::AnytimeMip,
-    ServeRung::HeuristicOct,
-    ServeRung::Staircase,
-];
-
-impl ServeRung {
-    /// Stable wire/metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeRung::ExactMip => "exact-mip",
-            ServeRung::AnytimeMip => "anytime-mip",
-            ServeRung::HeuristicOct => "heuristic-oct",
-            ServeRung::Staircase => "staircase",
-        }
-    }
-
-    /// Parses a client-requested rung name.
-    pub fn parse(name: &str) -> Option<ServeRung> {
-        RUNGS.into_iter().find(|r| r.name() == name)
-    }
-
-    /// Index into [`RUNGS`] (0 = most ambitious).
-    fn index(self) -> usize {
-        RUNGS.iter().position(|&r| r == self).expect("in ladder")
-    }
-
-    /// The strategy that enters the supervisor ladder at this rung. The
-    /// solver time limit is the job's remaining wall-clock — the budget
-    /// deadline is the real enforcer; this just keeps the solver's own
-    /// pacing consistent with it.
-    pub fn strategy(self, gamma: f64, time_limit: Duration) -> VhStrategy {
-        match self {
-            ServeRung::ExactMip => VhStrategy::Weighted {
-                gamma,
-                time_limit,
-                exact_node_limit: 80,
-            },
-            // exact_node_limit 0 skips the exact path: every graph takes
-            // the staged anytime route.
-            ServeRung::AnytimeMip => VhStrategy::Weighted {
-                gamma,
-                time_limit,
-                exact_node_limit: 0,
-            },
-            ServeRung::HeuristicOct => VhStrategy::Heuristic { gamma },
-            ServeRung::Staircase => VhStrategy::Staircase,
-        }
-    }
+/// Parses a `strategy` name into a rung of [`ladder`]. Any other name,
+/// including a supervisor rung the service does not admit, is rejected
+/// with the shape every name table shares.
+///
+/// # Errors
+///
+/// The unknown-name message listing the admitted rungs.
+pub fn parse_rung(name: &str) -> Result<Rung, String> {
+    Rung::parse(name)
+        .filter(|rung| ladder().contains(rung))
+        .ok_or_else(|| {
+            let names: Vec<&str> = ladder().iter().map(|r| r.name()).collect();
+            unknown_name_error("strategy", name, &names)
+        })
 }
+
+/// Position of `rung` in [`ladder`], the model's slot for it.
+fn slot(rung: Rung) -> usize {
+    ladder()
+        .iter()
+        .position(|&r| r == rung)
+        .expect("jobs are only admitted at rungs of the ladder")
+}
+
+/// Pessimistic latency priors per rung of [`ladder`], microseconds, the
+/// exact rung slowest. They only matter until the first few real samples
+/// arrive.
+const PRIORS_US: [f64; 4] = [2_000_000.0, 500_000.0, 50_000.0, 5_000.0];
 
 /// What admission decided for an accepted job.
 #[derive(Debug, Clone, Copy)]
 pub struct Admission {
     /// The rung the job will run at.
-    pub rung: ServeRung,
+    pub rung: Rung,
     /// Whether that is below the rung the client asked for.
     pub degraded: bool,
     /// The latency estimate that justified the decision.
@@ -103,10 +72,10 @@ pub struct Infeasible {
 /// EWMA per-rung latency model.
 #[derive(Debug)]
 pub struct LatencyModel {
-    /// Current estimate per rung, microseconds.
-    ewma_us: [f64; RUNGS.len()],
+    /// Current estimate per rung (in [`ladder`] order), microseconds.
+    ewma_us: [f64; PRIORS_US.len()],
     /// Samples folded in per rung.
-    samples: [u64; RUNGS.len()],
+    samples: [u64; PRIORS_US.len()],
     /// Smoothing factor for new samples.
     alpha: f64,
     /// Multiplier on the estimate before comparing to the deadline.
@@ -115,11 +84,9 @@ pub struct LatencyModel {
 
 impl Default for LatencyModel {
     fn default() -> Self {
-        // Pessimistic priors, most ambitious slowest. They only matter
-        // until the first few real samples arrive.
         LatencyModel {
-            ewma_us: [2_000_000.0, 500_000.0, 50_000.0, 5_000.0],
-            samples: [0; RUNGS.len()],
+            ewma_us: PRIORS_US,
+            samples: [0; PRIORS_US.len()],
             alpha: 0.3,
             safety: 2.0,
         }
@@ -128,8 +95,8 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Folds one observed service latency for `rung` into the model.
-    pub fn record(&mut self, rung: ServeRung, latency: Duration) {
-        let i = rung.index();
+    pub fn record(&mut self, rung: Rung, latency: Duration) {
+        let i = slot(rung);
         let us = latency.as_micros() as f64;
         if self.samples[i] == 0 {
             self.ewma_us[i] = us;
@@ -140,23 +107,25 @@ impl LatencyModel {
     }
 
     /// The current estimate for `rung`, safety factor *not* applied.
-    pub fn estimate(&self, rung: ServeRung) -> Duration {
-        Duration::from_micros(self.ewma_us[rung.index()] as u64)
+    pub fn estimate(&self, rung: Rung) -> Duration {
+        Duration::from_micros(self.ewma_us[slot(rung)] as u64)
     }
 
-    /// Decides the highest rung (starting at `requested`) whose safety-
-    /// inflated estimate plus the expected queue wait fits `deadline`.
+    /// Decides the highest rung of [`ladder`], from `requested` down,
+    /// whose safety-inflated estimate plus the expected queue wait fits
+    /// `deadline`.
     ///
     /// # Errors
     ///
-    /// [`Infeasible`] when not even the staircase rung fits.
+    /// [`Infeasible`] when not even the ladder's last rung fits.
     pub fn plan(
         &self,
-        requested: ServeRung,
+        requested: Rung,
         deadline: Duration,
         queue_wait: Duration,
     ) -> Result<Admission, Infeasible> {
-        for &rung in &RUNGS[requested.index()..] {
+        let rungs = &ladder()[slot(requested)..];
+        for &rung in rungs {
             let estimate = self.estimate(rung);
             let needed = estimate.mul_f64(self.safety) + queue_wait;
             if needed <= deadline {
@@ -168,7 +137,7 @@ impl LatencyModel {
             }
         }
         Err(Infeasible {
-            estimate: self.estimate(ServeRung::Staircase),
+            estimate: self.estimate(rungs[rungs.len() - 1]),
             retry_after: queue_wait.max(Duration::from_millis(1)),
         })
     }
@@ -183,27 +152,19 @@ mod tests {
         let model = LatencyModel::default();
         // Generous deadline: the requested rung is admitted as-is.
         let adm = model
-            .plan(ServeRung::ExactMip, Duration::from_secs(30), Duration::ZERO)
+            .plan(Rung::ExactMip, Duration::from_secs(30), Duration::ZERO)
             .unwrap();
-        assert_eq!(adm.rung, ServeRung::ExactMip);
+        assert_eq!(adm.rung, Rung::ExactMip);
         assert!(!adm.degraded);
         // 300ms deadline: exact (2s prior × 2) cannot fit, heuristic can.
         let adm = model
-            .plan(
-                ServeRung::ExactMip,
-                Duration::from_millis(300),
-                Duration::ZERO,
-            )
+            .plan(Rung::ExactMip, Duration::from_millis(300), Duration::ZERO)
             .unwrap();
-        assert_eq!(adm.rung, ServeRung::HeuristicOct);
+        assert_eq!(adm.rung, Rung::HeuristicOct);
         assert!(adm.degraded);
-        // 1ms deadline: not even the staircase (5ms prior × 2) fits.
+        // 1ms deadline: not even all-vh (5ms prior × 2) fits.
         let rej = model
-            .plan(
-                ServeRung::ExactMip,
-                Duration::from_millis(1),
-                Duration::ZERO,
-            )
+            .plan(Rung::ExactMip, Duration::from_millis(1), Duration::ZERO)
             .unwrap_err();
         assert!(rej.estimate >= Duration::from_millis(1));
         assert!(rej.retry_after > Duration::ZERO);
@@ -215,35 +176,58 @@ mod tests {
         // Alone, heuristic (50ms × 2) fits a 150ms deadline...
         let adm = model
             .plan(
-                ServeRung::HeuristicOct,
+                Rung::HeuristicOct,
                 Duration::from_millis(150),
                 Duration::ZERO,
             )
             .unwrap();
-        assert_eq!(adm.rung, ServeRung::HeuristicOct);
-        // ...but a 100ms expected queue wait forces the staircase.
+        assert_eq!(adm.rung, Rung::HeuristicOct);
+        // ...but a 100ms expected queue wait forces all-vh.
         let adm = model
             .plan(
-                ServeRung::HeuristicOct,
+                Rung::HeuristicOct,
                 Duration::from_millis(150),
                 Duration::from_millis(100),
             )
             .unwrap();
-        assert_eq!(adm.rung, ServeRung::Staircase);
+        assert_eq!(adm.rung, Rung::AllVh);
+    }
+
+    #[test]
+    fn admission_walks_the_supervisor_ladder() {
+        assert_eq!(ladder(), supervisor::ladder(&VhStrategy::default()));
+        assert_eq!(ladder().len(), PRIORS_US.len());
+        // From every admitted rung, admission degrades along the ladder
+        // the supervisor itself walks when entered at that rung.
+        for (i, &rung) in ladder().iter().enumerate() {
+            let entered = VhStrategy::entering(rung, 0.5, Duration::ZERO);
+            assert_eq!(&ladder()[i..], supervisor::ladder(&entered));
+        }
+    }
+
+    #[test]
+    fn only_rungs_of_the_ladder_are_admitted() {
+        for &rung in ladder() {
+            assert_eq!(parse_rung(rung.name()), Ok(rung));
+        }
+        assert_eq!(parse_rung("staircase"), Ok(Rung::AllVh));
+        // The min-semiperimeter rung is a supervisor rung, but not one
+        // the service plans for.
+        assert_eq!(
+            parse_rung("exact-oct").unwrap_err(),
+            "unknown strategy `exact-oct` (exact-mip|anytime-mip|heuristic-oct|all-vh)"
+        );
     }
 
     #[test]
     fn ewma_follows_observations() {
         let mut model = LatencyModel::default();
         // First sample replaces the prior outright.
-        model.record(ServeRung::Staircase, Duration::from_millis(40));
-        assert_eq!(
-            model.estimate(ServeRung::Staircase),
-            Duration::from_millis(40)
-        );
+        model.record(Rung::AllVh, Duration::from_millis(40));
+        assert_eq!(model.estimate(Rung::AllVh), Duration::from_millis(40));
         // Subsequent samples move the estimate smoothly.
-        model.record(ServeRung::Staircase, Duration::from_millis(80));
-        let e = model.estimate(ServeRung::Staircase);
+        model.record(Rung::AllVh, Duration::from_millis(80));
+        let e = model.estimate(Rung::AllVh);
         assert!(e > Duration::from_millis(40) && e < Duration::from_millis(80));
     }
 }

@@ -19,7 +19,6 @@ use flowc_budget::{Budget, CancelHandle};
 use flowc_logic::Network;
 use flowc_report::Json;
 
-use crate::admission::ServeRung;
 use crate::protocol::SubmitSpec;
 
 /// Lifecycle of one job.
@@ -82,11 +81,10 @@ pub struct JobEntry {
     /// Display label (kept outside the spec so terminal jobs restored
     /// from the journal — which have no spec — still report it).
     pub label: String,
-    /// The validated submission. `None` only for terminal jobs restored
-    /// from the journal: their circuit is gone, their outcome remains.
+    /// The validated submission, its `rung` the one admission assigned.
+    /// `None` only for terminal jobs restored from the journal: their
+    /// circuit is gone, their outcome remains.
     pub spec: Option<SubmitSpec>,
-    /// The rung admission assigned (≤ the requested rung).
-    pub rung: ServeRung,
     /// Whether admission degraded the requested rung.
     pub admission_degraded: bool,
     /// The job budget: deadline fixed at submission, shared cancel flag.
@@ -182,7 +180,7 @@ impl JobTable {
     /// Claims `id` for a worker: flips `Queued` → `Running` and hands the
     /// worker what it needs. `None` when the job is gone, was cancelled
     /// while queued, or has no spec (the worker just skips it).
-    pub fn claim_for_run(&self, id: u64) -> Option<(SubmitSpec, ServeRung, bool, Budget)> {
+    pub fn claim_for_run(&self, id: u64) -> Option<(SubmitSpec, bool, Budget)> {
         let mut inner = self.lock();
         let entry = inner.jobs.get_mut(&id)?;
         if entry.state != JobState::Queued || entry.cancel_requested {
@@ -190,12 +188,7 @@ impl JobTable {
         }
         let spec = entry.spec.clone()?;
         entry.state = JobState::Running;
-        Some((
-            spec,
-            entry.rung,
-            entry.admission_degraded,
-            entry.budget.clone(),
-        ))
+        Some((spec, entry.admission_degraded, entry.budget.clone()))
     }
 
     /// Moves a job to a terminal state with its outcome body. Returns
@@ -296,6 +289,7 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowc_compact::Rung;
     use std::time::Duration;
 
     fn entry(id: u64) -> JobEntry {
@@ -305,14 +299,14 @@ mod tests {
     fn keyed_entry(id: u64, key: Option<&str>) -> JobEntry {
         let budget = Budget::unlimited().with_deadline(Duration::from_secs(30));
         let cancel = budget.cancel_handle();
-        let spec =
+        let mut spec =
             crate::protocol::parse_submit(r#"{"circuit": "dec", "format": "bench"}"#).unwrap();
+        spec.rung = Rung::HeuristicOct;
         JobEntry {
             id,
             job_key: key.map(str::to_string),
             label: spec.label.clone(),
             spec: Some(spec),
-            rung: ServeRung::HeuristicOct,
             admission_degraded: false,
             budget,
             cancel,
@@ -329,7 +323,7 @@ mod tests {
         assert_eq!(t.insert(entry(1)), Insert::Inserted);
         assert_eq!(t.status(1).unwrap().0, JobState::Queued);
         let claim = t.claim_for_run(1).unwrap();
-        assert_eq!(claim.1, ServeRung::HeuristicOct);
+        assert_eq!(claim.0.rung, Rung::HeuristicOct);
         assert_eq!(t.status(1).unwrap().0, JobState::Running);
         assert!(t.outcome(1).is_none());
         assert!(t.finish(1, JobState::Done, Json::Obj(vec![])));
@@ -358,7 +352,7 @@ mod tests {
     fn running_cancel_fires_the_budget() {
         let t = JobTable::new(8);
         t.insert(entry(1));
-        let (_, _, _, budget) = t.claim_for_run(1).unwrap();
+        let (_, _, budget) = t.claim_for_run(1).unwrap();
         assert_eq!(t.cancel(1), Some((JobState::Running, false)));
         assert!(budget.is_cancelled());
         assert!(t.cancel_requested(1));
@@ -417,7 +411,6 @@ mod tests {
             job_key: Some("k-9".into()),
             label: "restored".into(),
             spec: None,
-            rung: ServeRung::ExactMip,
             admission_degraded: false,
             budget,
             cancel,

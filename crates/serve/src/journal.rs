@@ -345,10 +345,11 @@ fn job_from_json(json: &Json) -> Option<JobRecord> {
             .and_then(Json::as_str)
             .unwrap_or("")
             .to_string(),
+        // Validated on replay: a missing or unknown rung fails the job.
         rung: json
             .get("rung")
             .and_then(Json::as_str)
-            .unwrap_or("exact-mip")
+            .unwrap_or("")
             .to_string(),
         degraded: json
             .get("degraded")

@@ -46,7 +46,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use admission::{Admission, Infeasible, LatencyModel, ServeRung};
+pub use admission::{Admission, Infeasible, LatencyModel};
 pub use breaker::{Breaker, BreakerConfig, BreakerState};
 pub use jobs::JobState;
 pub use journal::{Journal, JournalConfig, JournalStats};

@@ -68,7 +68,8 @@ OPTIONS:
 ENDPOINTS:
     POST /submit   {\"circuit\", \"format\": blif|pla|verilog|bench,
                     \"gamma\"?, \"strategy\"?: exact-mip|anytime-mip|
-                    heuristic-oct|staircase, \"deadline_ms\"?, \"priority\"?}
+                    heuristic-oct|all-vh (alias staircase),
+                    \"deadline_ms\"?, \"priority\"?}
     POST /patch    {\"base_key\", \"job_key\", \"edits\": [\"add t and a b\", ...],
                     \"gamma\"?, \"strategy\"?, \"deadline_ms\"?, \"priority\"?}
                    incremental re-synthesis: applies the edit stream to the

@@ -8,12 +8,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use flowc_baselines::{partitioned_with_tile, unknown_name_error, Backend, MappingBackend};
-use flowc_compact::{parse_edit, NetlistEdit};
+use flowc_baselines::{partitioned_with_tile, Backend, MappingBackend};
+use flowc_compact::{parse_edit, NetlistEdit, Rung};
 use flowc_logic::{bench_suite, blif, pla, verilog, Network};
 use flowc_report::Json;
 
-use crate::admission::{ServeRung, RUNGS};
+use crate::admission;
 
 /// How the submitted circuit text is to be interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,9 @@ pub struct SubmitSpec {
     pub label: String,
     /// Trade-off weight γ for the weighted objective.
     pub gamma: f64,
-    /// The most ambitious rung the client wants.
-    pub rung: ServeRung,
+    /// The most ambitious rung the client wants; admission lowers it to
+    /// the rung the job runs at.
+    pub rung: Rung,
     /// Wall-clock deadline, measured from submission.
     pub deadline: Duration,
     /// Priority 0–9, higher first.
@@ -95,7 +96,7 @@ pub struct PatchRequest {
     /// Trade-off weight γ for the weighted objective.
     pub gamma: f64,
     /// The most ambitious rung the client wants.
-    pub rung: ServeRung,
+    pub rung: Rung,
     /// Wall-clock deadline, measured from submission.
     pub deadline: Duration,
     /// Priority 0–9, higher first.
@@ -104,21 +105,51 @@ pub struct PatchRequest {
     pub label: Option<String>,
 }
 
-/// Parses the optional `strategy` field into an admission rung. Both
-/// submit and patch bodies share this, and the unknown-name message comes
-/// from the same [`unknown_name_error`] helper the [`Backend`] parser
-/// uses, so every selection surface rejects with one shape.
-fn parse_rung_field(json: &Json) -> Result<ServeRung, String> {
-    match json.get("strategy") {
-        None => Ok(ServeRung::ExactMip),
+/// The optional fields `/submit` and `/patch` bodies share, defaults
+/// applied.
+struct JobFields {
+    gamma: f64,
+    rung: Rung,
+    deadline: Duration,
+    priority: u8,
+    label: Option<String>,
+}
+
+fn parse_job_fields(json: &Json) -> Result<JobFields, String> {
+    let gamma = match json.get("gamma") {
+        None => 0.5,
         Some(v) => {
-            let name = v.as_str().ok_or("`strategy` must be a string")?;
-            ServeRung::parse(name).ok_or_else(|| {
-                let names: Vec<&str> = RUNGS.iter().map(|r| r.name()).collect();
-                unknown_name_error("strategy", name, &names)
-            })
+            let g = v.as_f64().ok_or("`gamma` must be a number")?;
+            if !(0.0..=1.0).contains(&g) {
+                return Err(format!("`gamma` must be in [0, 1], got {g}"));
+            }
+            g
         }
-    }
+    };
+    let rung = match json.get("strategy") {
+        None => Rung::ExactMip,
+        Some(v) => admission::parse_rung(v.as_str().ok_or("`strategy` must be a string")?)?,
+    };
+    let deadline_ms = match json.get("deadline_ms") {
+        None => 30_000,
+        Some(v) => v
+            .as_u64()
+            .ok_or("`deadline_ms` must be a non-negative number")?,
+    };
+    let priority = match json.get("priority") {
+        None => 0,
+        Some(v) => {
+            let p = v.as_u64().ok_or("`priority` must be a number in 0..=9")?;
+            u8::try_from(p.min(9)).expect("capped at 9")
+        }
+    };
+    Ok(JobFields {
+        gamma,
+        rung,
+        deadline: Duration::from_millis(deadline_ms),
+        priority,
+        label: json.get("label").and_then(Json::as_str).map(str::to_string),
+    })
 }
 
 /// Parses the optional `backend` field (plus the partitioned backend's
@@ -162,15 +193,18 @@ fn parse_backend_field(json: &Json) -> Result<Backend, String> {
     }
 }
 
-fn parse_key(json: &Json, field: &str) -> Result<String, String> {
-    let key = json
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field `{field}`"))?;
+/// An optional 1..=128-byte key field (`null` counts as absent).
+fn parse_key(json: &Json, field: &str) -> Result<Option<String>, String> {
+    let key = match json.get(field) {
+        None | Some(Json::Null) => return Ok(None),
+        Some(v) => v
+            .as_str()
+            .ok_or_else(|| format!("`{field}` must be a string"))?,
+    };
     if key.is_empty() || key.len() > 128 {
         return Err(format!("`{field}` must be 1..=128 bytes"));
     }
-    Ok(key.to_string())
+    Ok(Some(key.to_string()))
 }
 
 /// Parses and validates a `POST /patch` body: an edit stream against the
@@ -182,8 +216,11 @@ fn parse_key(json: &Json, field: &str) -> Result<String, String> {
 /// `400` with it).
 pub fn parse_patch(body: &str) -> Result<PatchRequest, String> {
     let json = Json::parse(body).map_err(|e| format!("body is not valid JSON: {e}"))?;
-    let base_key = parse_key(&json, "base_key")?;
-    let job_key = parse_key(&json, "job_key")?;
+    let required = |field: &str| {
+        parse_key(&json, field)?.ok_or_else(|| format!("missing string field `{field}`"))
+    };
+    let base_key = required("base_key")?;
+    let job_key = required("job_key")?;
     if job_key == base_key {
         return Err("`job_key` must differ from `base_key` (it names the patched state)".into());
     }
@@ -202,41 +239,16 @@ pub fn parse_patch(body: &str) -> Result<PatchRequest, String> {
         edits.push(parse_edit(text).map_err(|e| format!("`edits[{i}]`: {e}"))?);
     }
 
-    let gamma = match json.get("gamma") {
-        None => 0.5,
-        Some(v) => {
-            let g = v.as_f64().ok_or("`gamma` must be a number")?;
-            if !(0.0..=1.0).contains(&g) {
-                return Err(format!("`gamma` must be in [0, 1], got {g}"));
-            }
-            g
-        }
-    };
-    let rung = parse_rung_field(&json)?;
-    let deadline_ms = match json.get("deadline_ms") {
-        None => 30_000,
-        Some(v) => v
-            .as_u64()
-            .ok_or("`deadline_ms` must be a non-negative number")?,
-    };
-    let priority = match json.get("priority") {
-        None => 0,
-        Some(v) => {
-            let p = v.as_u64().ok_or("`priority` must be a number in 0..=9")?;
-            u8::try_from(p.min(9)).expect("capped at 9")
-        }
-    };
-    let label = json.get("label").and_then(Json::as_str).map(str::to_string);
-
+    let fields = parse_job_fields(&json)?;
     Ok(PatchRequest {
         base_key,
         job_key,
         edits,
-        gamma,
-        rung,
-        deadline: Duration::from_millis(deadline_ms),
-        priority,
-        label,
+        gamma: fields.gamma,
+        rung: fields.rung,
+        deadline: fields.deadline,
+        priority: fields.priority,
+        label: fields.label,
     })
 }
 
@@ -269,55 +281,16 @@ pub fn parse_submit(body: &str) -> Result<SubmitSpec, String> {
             .map_err(|e| format!("benchmark `{circuit}`: {e}"))?,
     };
 
-    let gamma = match json.get("gamma") {
-        None => 0.5,
-        Some(v) => {
-            let g = v.as_f64().ok_or("`gamma` must be a number")?;
-            if !(0.0..=1.0).contains(&g) {
-                return Err(format!("`gamma` must be in [0, 1], got {g}"));
-            }
-            g
-        }
-    };
-    let rung = parse_rung_field(&json)?;
-    let deadline_ms = match json.get("deadline_ms") {
-        None => 30_000,
-        Some(v) => v
-            .as_u64()
-            .ok_or("`deadline_ms` must be a non-negative number")?,
-    };
-    let priority = match json.get("priority") {
-        None => 0,
-        Some(v) => {
-            let p = v.as_u64().ok_or("`priority` must be a number in 0..=9")?;
-            u8::try_from(p.min(9)).expect("capped at 9")
-        }
-    };
-    let job_key = match json.get("job_key") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            let key = v.as_str().ok_or("`job_key` must be a string")?;
-            if key.is_empty() || key.len() > 128 {
-                return Err("`job_key` must be 1..=128 bytes".into());
-            }
-            Some(key.to_string())
-        }
-    };
-    let label = json
-        .get("label")
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| network.name().to_string());
-
+    let fields = parse_job_fields(&json)?;
     Ok(SubmitSpec {
+        label: fields.label.unwrap_or_else(|| network.name().to_string()),
         network: Arc::new(network),
-        label,
-        gamma,
-        rung,
+        gamma: fields.gamma,
+        rung: fields.rung,
         backend: parse_backend_field(&json)?,
-        deadline: Duration::from_millis(deadline_ms),
-        priority,
-        job_key,
+        deadline: fields.deadline,
+        priority: fields.priority,
+        job_key: parse_key(&json, "job_key")?,
         patch: None,
     })
 }
@@ -344,7 +317,7 @@ mod tests {
     #[test]
     fn parses_a_bench_submission_with_defaults() {
         let spec = parse_submit(r#"{"circuit": "dec", "format": "bench"}"#).unwrap();
-        assert_eq!(spec.rung, ServeRung::ExactMip);
+        assert_eq!(spec.rung, Rung::ExactMip);
         assert_eq!(spec.deadline, Duration::from_secs(30));
         assert_eq!(spec.priority, 0);
         assert!((spec.gamma - 0.5).abs() < 1e-9);
@@ -376,7 +349,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            "unknown strategy `warp` (exact-mip|anytime-mip|heuristic-oct|staircase)"
+            "unknown strategy `warp` (exact-mip|anytime-mip|heuristic-oct|all-vh)"
         );
     }
 
@@ -431,7 +404,7 @@ mod tests {
             "label": "and2"
         }"#;
         let spec = parse_submit(body).unwrap();
-        assert_eq!(spec.rung, ServeRung::HeuristicOct);
+        assert_eq!(spec.rung, Rung::HeuristicOct);
         assert_eq!(spec.deadline, Duration::from_millis(1500));
         assert_eq!(spec.priority, 7);
         assert_eq!(spec.label, "and2");
@@ -477,7 +450,7 @@ mod tests {
         assert_eq!(req.base_key, "run-7");
         assert_eq!(req.job_key, "run-8");
         assert_eq!(req.edits.len(), 2);
-        assert_eq!(req.rung, ServeRung::Staircase);
+        assert_eq!(req.rung, Rung::AllVh);
         assert_eq!(req.deadline, Duration::from_millis(1500));
         assert_eq!(req.priority, 3);
         assert!((req.gamma - 0.25).abs() < 1e-9);

@@ -30,12 +30,12 @@ use flowc_compact::pipeline::Config;
 use flowc_compact::session::bdd_key;
 use flowc_compact::{
     synthesize_in_budgeted, CompactError, CompactResult, EditSession, EditSessionConfig,
-    EditableNetlist, Session, SessionConfig, StageKind,
+    EditableNetlist, Rung, Session, SessionConfig, StageKind, VhStrategy,
 };
 use flowc_logic::blif;
 use flowc_report::Json;
 
-use crate::admission::{LatencyModel, ServeRung};
+use crate::admission::{self, LatencyModel};
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::http::{read_request, write_response, Request};
 use crate::jobs::{Insert, JobEntry, JobState, JobTable};
@@ -110,7 +110,7 @@ struct WorkerSlot {
 struct LineageEntry {
     cone_key: u64,
     gamma_bits: u64,
-    rung: ServeRung,
+    rung: Rung,
     session: EditSession,
 }
 
@@ -141,7 +141,7 @@ impl EditRegistry {
         key: &str,
         cone_key: u64,
         gamma_bits: u64,
-        rung: ServeRung,
+        rung: Rung,
     ) -> Option<EditSession> {
         match self.entries.get(key) {
             Some(e) if e.cone_key == cone_key && e.gamma_bits == gamma_bits && e.rung == rung => {}
@@ -374,7 +374,6 @@ fn restore_job(
     summary: &mut Recovery,
 ) {
     let id = job.id;
-    let rung = ServeRung::parse(&job.rung).unwrap_or(ServeRung::ExactMip);
     if job.is_terminal() {
         let budget = Budget::unlimited();
         let cancel = budget.cancel_handle();
@@ -383,7 +382,6 @@ fn restore_job(
             job_key: job.key,
             label: job.label,
             spec: None,
-            rung,
             admission_degraded: job.degraded,
             budget,
             cancel,
@@ -395,12 +393,19 @@ fn restore_job(
         summary.restored_terminal += 1;
         return;
     }
-    let spec = match parse_submit(&job.body) {
+    // The job re-runs at the rung it was admitted at. A body or rung that
+    // no longer parses (only possible through corruption or a wire-format
+    // change) fails the job typed rather than dropping the id on the
+    // floor or guessing a rung.
+    let parsed = parse_submit(&job.body)
+        .map_err(|msg| format!("journaled submit body no longer parses: {msg}"))
+        .and_then(|spec| match admission::parse_rung(&job.rung) {
+            Ok(rung) => Ok(SubmitSpec { rung, ..spec }),
+            Err(msg) => Err(format!("journaled rung: {msg}")),
+        });
+    let spec = match parsed {
         Ok(spec) => spec,
         Err(msg) => {
-            // The body journaled at admission no longer parses — only
-            // possible through corruption or a wire-format change. Fail
-            // it typed rather than dropping the id on the floor.
             let budget = Budget::unlimited();
             let cancel = budget.cancel_handle();
             jobs.insert(JobEntry {
@@ -408,7 +413,6 @@ fn restore_job(
                 job_key: job.key,
                 label: job.label,
                 spec: None,
-                rung,
                 admission_degraded: job.degraded,
                 budget,
                 cancel,
@@ -417,11 +421,7 @@ fn restore_job(
                 submitted: Instant::now(),
                 outcome: None,
             });
-            let outcome = error_json(
-                "replay_failed",
-                &format!("journaled submit body no longer parses: {msg}"),
-                None,
-            );
+            let outcome = error_json("replay_failed", &msg, None);
             jobs.finish(id, JobState::Failed, outcome.clone());
             journal.append(&Record::Terminal {
                 id,
@@ -440,7 +440,6 @@ fn restore_job(
         job_key: job.key,
         label: job.label,
         spec: Some(spec),
-        rung,
         admission_degraded: job.degraded,
         budget,
         cancel,
@@ -728,7 +727,7 @@ fn patch(inner: &Arc<ServerInner>, body: &str) -> (u16, Json) {
 /// plain `/submit` body, even for patches.
 fn admit_and_enqueue(
     inner: &Arc<ServerInner>,
-    spec: SubmitSpec,
+    mut spec: SubmitSpec,
     now: Instant,
     journal_body: String,
     extra_fields: Vec<(String, Json)>,
@@ -783,6 +782,7 @@ fn admit_and_enqueue(
     let cancel = budget.cancel_handle();
     let priority = spec.priority;
     let requested = spec.rung;
+    spec.rung = admission.rung;
     let job_key = spec.job_key.clone();
     let label = spec.label.clone();
     match inner.jobs.insert(JobEntry {
@@ -790,7 +790,6 @@ fn admit_and_enqueue(
         job_key: job_key.clone(),
         label: label.clone(),
         spec: Some(spec),
-        rung: admission.rung,
         admission_degraded: admission.degraded,
         budget,
         cancel,
@@ -1123,10 +1122,10 @@ fn metrics_json(inner: &Arc<ServerInner>) -> Json {
 /// supervisor attributes the in-flight job and respawns.
 fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
     while let Some(queued) = inner.queue.pop_blocking() {
-        let Some((spec, rung, admission_degraded, budget)) = inner.jobs.claim_for_run(queued.id)
-        else {
+        let Some((spec, admission_degraded, budget)) = inner.jobs.claim_for_run(queued.id) else {
             continue; // cancelled while queued, or evicted
         };
+        let rung = spec.rung;
         *inner.slots[slot]
             .current
             .lock()
@@ -1144,7 +1143,7 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
         let start = Instant::now();
         let remaining = budget.remaining_or(Duration::from_secs(3600));
         let config = Config {
-            strategy: rung.strategy(spec.gamma, remaining),
+            strategy: VhStrategy::entering(rung, spec.gamma, remaining),
             align: true,
             var_order: None,
             label_threads: 1,
@@ -1295,7 +1294,7 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
                 {
                     let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
                     metrics.observe("job", wall);
-                    metrics.observe(rung_latency_name(rung), wall);
+                    metrics.observe(rung.latency_series(), wall);
                     metrics.observe(backend_latency_name(&spec.backend), wall);
                     if let Some(d) = degradation {
                         metrics.observe("stage.bdd-build", d.bdd_wall);
@@ -1491,15 +1490,6 @@ fn run_patch_job(
     (outcome, Some(summary))
 }
 
-fn rung_latency_name(rung: ServeRung) -> &'static str {
-    match rung {
-        ServeRung::ExactMip => "rung.exact-mip",
-        ServeRung::AnytimeMip => "rung.anytime-mip",
-        ServeRung::HeuristicOct => "rung.heuristic-oct",
-        ServeRung::Staircase => "rung.staircase",
-    }
-}
-
 /// Per-backend latency histogram name, so `/metrics` surfaces which
 /// mapping backend served each job (all five [`Backend`] variants get a
 /// stable `backend.*` series).
@@ -1623,4 +1613,53 @@ fn spawn_worker(inner: &Arc<ServerInner>, slot: usize) -> JoinHandle<()> {
         .name(format!("serve-worker-{slot}"))
         .spawn(move || worker_loop(&inner, slot))
         .expect("spawn worker")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::JobRecord;
+
+    #[test]
+    fn replay_fails_a_job_whose_journaled_rung_does_not_parse() {
+        let dir =
+            std::env::temp_dir().join(format!("flowc-serve-replay-rung-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let (jobs, queue) = (JobTable::new(8), JobQueue::new(8));
+        let mut summary = Recovery::default();
+        let record = |id: u64, rung: &str| JobRecord {
+            id,
+            key: None,
+            body: r#"{"circuit": "dec", "format": "bench"}"#.into(),
+            label: format!("job-{id}"),
+            rung: rung.into(),
+            degraded: false,
+            priority: 0,
+            state: "queued".into(),
+            outcome: None,
+        };
+        for (id, rung) in [(1, "warp"), (2, "staircase"), (3, "exact-oct")] {
+            restore_job(&jobs, &queue, &journal, record(id, rung), &mut summary);
+        }
+
+        // An unknown rung, or one admission never plans for, is failed
+        // typed, never re-run on a guessed rung.
+        assert_eq!(summary.failed_replay, 2);
+        for id in [1, 3] {
+            let (state, outcome) = jobs.outcome(id).unwrap();
+            assert_eq!(state, JobState::Failed);
+            assert_eq!(
+                outcome.get("error").and_then(Json::as_str),
+                Some("replay_failed")
+            );
+        }
+        // A known rung (here through its alias) re-runs where admitted.
+        assert_eq!(summary.requeued, 1);
+        assert_eq!(queue.depth(), 1);
+        let (spec, _, _) = jobs.claim_for_run(2).unwrap();
+        assert_eq!(spec.rung, Rung::AllVh);
+        drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

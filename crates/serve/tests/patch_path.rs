@@ -199,3 +199,52 @@ fn patch_failure_modes_answer_typed_errors() {
     let (s, _) = call(addr, "GET", "/patch", "");
     assert_eq!(s, 405);
 }
+
+#[test]
+fn a_lineage_is_resumed_only_at_the_rung_it_was_admitted_at() {
+    let server = ServerProc::spawn(&["--workers", "1"], &[]);
+    let addr = server.addr;
+    let (s, json) = submit(addr, &base_job("rung-0"));
+    assert_eq!(s, 200, "{}", json.to_compact());
+    let base_id = json.get("id").and_then(Json::as_u64).unwrap();
+    assert_eq!(
+        await_terminal(addr, base_id, Duration::from_secs(30)),
+        "done"
+    );
+
+    // Both patches request the default exact-mip rung. The first one's
+    // 300 ms deadline cannot fit the exact-mip prior (2 s × 2), so
+    // admission places it, and its edit session, on heuristic-oct.
+    let patch = |base_key: &str, job_key: &str, edit: &str, deadline_ms: u64| {
+        let body = format!(
+            r#"{{"base_key": "{base_key}", "job_key": "{job_key}",
+                "edits": ["{edit}"], "deadline_ms": {deadline_ms}}}"#
+        );
+        let (s, json) = call(addr, "POST", "/patch", &body);
+        assert_eq!(s, 200, "{}", json.to_compact());
+        let id = json.get("id").and_then(Json::as_u64).unwrap();
+        assert_eq!(await_terminal(addr, id, Duration::from_secs(30)), "done");
+        outcome_of(addr, id)
+    };
+    let first = patch("rung-0", "rung-1", "add dead and a c", 300);
+    assert_eq!(
+        first.get("admission_rung").and_then(Json::as_str),
+        Some("heuristic-oct"),
+        "{}",
+        first.to_compact()
+    );
+
+    // The second is admitted at exact-mip, so it must not resume the
+    // heuristic-oct session.
+    let second = patch("rung-1", "rung-2", "remove dead", 60_000);
+    assert_eq!(
+        second.get("admission_rung").and_then(Json::as_str),
+        Some("exact-mip")
+    );
+    assert_eq!(
+        second.get("shipped_rung").and_then(Json::as_str),
+        Some("exact-mip"),
+        "{}",
+        second.to_compact()
+    );
+}

@@ -19,7 +19,10 @@
 //!                         shared session (the BDD and graph are built
 //!                         once) and print each design's shape plus the
 //!                         per-stage trace and cache statistics
-//!   --strategy <weighted|min-s|heuristic|staircase>
+//!   --strategy <rung>     degradation-ladder rung to start on: exact-mip
+//!                         (default; the Eq. 4 MIP), exact-oct (minimal S),
+//!                         anytime-mip, heuristic-oct, or all-vh
+//!                         (`staircase` is accepted for all-vh)
 //!   --label-threads <n>   worker threads for the labeling branch & bound
 //!                         (default 1; the optimum is identical at any
 //!                         thread count)
@@ -60,7 +63,7 @@ use std::time::Duration;
 use flowc::baselines::{Backend, DesignArtifact, MappingBackend, SynthesisCtx};
 use flowc::budget::Budget;
 use flowc::compact::pipeline::{Config, VhStrategy};
-use flowc::compact::supervisor::synthesize_with_budget;
+use flowc::compact::supervisor::{synthesize_with_budget, Rung};
 use flowc::compact::{repair_with_resynthesis, RepairConfig, RepairError, RepairStrategy};
 use flowc::logic::{blif, pla, verilog, Network};
 use flowc::xbar::fault::{inject, DefectMap, DefectRates};
@@ -102,7 +105,7 @@ fn save(network: &Network, path: &str) -> Result<(), String> {
 struct Options {
     gamma: f64,
     gamma_sweep: Option<usize>,
-    strategy: String,
+    strategy: Rung,
     time_limit: Duration,
     align: bool,
     render: bool,
@@ -128,7 +131,7 @@ impl Options {
         let mut opts = Options {
             gamma: 0.5,
             gamma_sweep: None,
-            strategy: "weighted".to_string(),
+            strategy: Rung::ExactMip,
             time_limit: Duration::from_secs(30),
             align: true,
             render: false,
@@ -173,7 +176,7 @@ impl Options {
                     }
                     opts.gamma_sweep = Some(steps);
                 }
-                "--strategy" => opts.strategy = value("--strategy")?,
+                "--strategy" => opts.strategy = value("--strategy")?.parse()?,
                 "--time-limit" => {
                     opts.time_limit = Duration::from_secs(
                         value("--time-limit")?
@@ -264,26 +267,13 @@ impl Options {
         Ok(opts)
     }
 
-    fn config(&self) -> Result<Config, String> {
-        let strategy = match self.strategy.as_str() {
-            "weighted" => VhStrategy::Weighted {
-                gamma: self.gamma,
-                time_limit: self.time_limit,
-                exact_node_limit: 80,
-            },
-            "min-s" => VhStrategy::MinSemiperimeter {
-                time_limit: self.time_limit,
-            },
-            "heuristic" => VhStrategy::Heuristic { gamma: self.gamma },
-            "staircase" => VhStrategy::Staircase,
-            other => return Err(format!("unknown strategy `{other}`")),
-        };
-        Ok(Config {
-            strategy,
+    fn config(&self) -> Config {
+        Config {
+            strategy: VhStrategy::entering(self.strategy, self.gamma, self.time_limit),
             align: self.align,
             var_order: None,
             label_threads: self.label_threads,
-        })
+        }
     }
 
     fn budget(&self) -> Budget {
@@ -375,11 +365,10 @@ fn gamma_sweep(network: &Network, steps: usize, opts: &Options) -> Result<bool, 
         }
     }
     rows.sort_by(|a, b| {
-        let gamma = |t: &flowc::compact::BatchTask| match &t.config.strategy {
-            VhStrategy::Weighted { gamma, .. } => *gamma,
-            _ => f64::NAN,
-        };
-        gamma(a.0).total_cmp(&gamma(b.0))
+        a.0.config
+            .strategy
+            .gamma()
+            .total_cmp(&b.0.config.strategy.gamma())
     });
     for (task, r) in rows {
         let report = r.degradation.as_ref();
@@ -432,7 +421,7 @@ fn edit_stream(network: &Network, script: &str, opts: &Options) -> Result<bool, 
     let text = std::fs::read_to_string(script).map_err(|e| format!("{script}: {e}"))?;
     let edits = parse_edit_script(&text).map_err(|e| format!("{script}: {e}"))?;
     let config = EditSessionConfig {
-        synthesis: opts.config()?,
+        synthesis: opts.config(),
         ..EditSessionConfig::default()
     };
     let mut session =
@@ -504,7 +493,7 @@ fn synth_backend(network: &Network, backend: &Backend, opts: &Options) -> Result
             "defect repair needs `--backend compact` (got `{name}`)"
         ));
     }
-    let ctx = SynthesisCtx::new(opts.config()?).with_budget(opts.budget());
+    let ctx = SynthesisCtx::new(opts.config()).with_budget(opts.budget());
     let design = backend
         .synthesize(network, &ctx)
         .map_err(|e| e.to_string())?;
@@ -575,7 +564,7 @@ fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
     if let Some(script) = &opts.edit_stream {
         return edit_stream(network, script, opts);
     }
-    let cfg = opts.config()?;
+    let cfg = opts.config();
     let result =
         synthesize_with_budget(network, &cfg, &opts.budget()).map_err(|e| e.to_string())?;
     println!("circuit    : {}", network.name());
@@ -716,7 +705,9 @@ SYNTHESIS OPTIONS (synth/bench):
     --tile-backend <name>  backend mapping each tile (default compact)
     --gamma <0..1>         trade-off weight (default 0.5)
     --gamma-sweep <n>      n γ points through one shared session
-    --strategy <weighted|min-s|heuristic|staircase>
+    --strategy <rung>      ladder rung to start on: exact-mip (default),
+                           exact-oct, anytime-mip, heuristic-oct, all-vh
+                           (alias staircase); lower rungs are fallbacks
     --label-threads <n>    labeling branch & bound workers (default 1;
                            same optimum at any thread count)
     --edit-stream <file>   apply a netlist edit script incrementally

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use flowc::budget::Budget;
 use flowc::compact::supervisor::{synthesize_with_budget, DegradationReport, Rung, Trigger};
-use flowc::compact::{synthesize, Config};
+use flowc::compact::{synthesize, synthesize_in, Config, Session, VhStrategy};
 use flowc::conform::fixtures::{fig2_network, fig2_pair, two_output_network};
 use flowc::logic::bench_suite;
 use flowc::xbar::verify::verify_functional;
@@ -218,6 +218,62 @@ fn injected_solver_panics_degrade_but_never_abort() {
         vec![Rung::ExactMip, Rung::AnytimeMip]
     );
     assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
+}
+
+#[test]
+fn a_fallback_rung_is_never_cached_for_the_rung_that_failed() {
+    // The heuristic rung panics once and all-VH ships; caching that
+    // labeling under the heuristic key would serve it to every later call
+    // as a clean heuristic result.
+    let n = fig2_network();
+    let session = Session::default();
+    let config = Config {
+        strategy: VhStrategy::Heuristic { gamma: 0.5 },
+        ..Config::default()
+    };
+    let _fp = flowc_failpoint::scoped("compact.rung.heuristic-oct=panic@1");
+    let first = synthesize_in(&session, &n, &config).unwrap();
+    let report = first.degradation.as_ref().unwrap();
+    assert_eq!(report.rung, Rung::AllVh, "{}", report.summary());
+    let second = synthesize_in(&session, &n, &config).unwrap();
+    let report = second.degradation.as_ref().unwrap();
+    assert_eq!(report.rung, Rung::HeuristicOct, "{}", report.summary());
+    assert!(!report.degraded);
+    assert!(verify_functional(&second.crossbar, &n, 64)
+        .unwrap()
+        .is_valid());
+}
+
+#[test]
+fn the_per_output_flow_reports_which_rung_shipped_each_block() {
+    // Table III's per-output ROBDD flow walks the same ladder; a block
+    // whose exact rung panics ships from a fallback, and says so.
+    let n = two_output_network();
+    let config = Config::default();
+    let _fp = flowc_failpoint::scoped("compact.rung.exact-mip=panic@1");
+    let diag = flowc::baselines::robdd_diagonal::compact_per_output(&n, &config).unwrap();
+    let reports: Vec<&DegradationReport> = diag
+        .per_output
+        .iter()
+        .map(|r| {
+            r.degradation
+                .as_ref()
+                .expect("every block keeps its report")
+        })
+        .collect();
+    let fell = reports[0];
+    assert_eq!(fell.rung, Rung::AnytimeMip, "{}", fell.summary());
+    assert!(fell.degraded);
+    assert!(matches!(
+        fell.attempts[0].trigger,
+        Some(Trigger::Panicked(_))
+    ));
+    let clean = reports[1];
+    assert_eq!(clean.rung, Rung::ExactMip, "{}", clean.summary());
+    assert!(!clean.degraded);
+    assert!(verify_functional(&diag.crossbar, &n, 64)
+        .unwrap()
+        .is_valid());
 }
 
 #[test]
