@@ -20,6 +20,7 @@
 //! time steps of the schedule.
 
 use flowc_logic::{GateKind, Network};
+use flowc_xbar::XbarError;
 
 /// Configuration of the MAGIC array (the paper's CONTRA settings).
 #[derive(Debug, Clone, Copy)]
@@ -246,27 +247,35 @@ impl NorBuilder {
 }
 
 impl NorNetlist {
-    /// Evaluates the NOR netlist (for equivalence testing).
+    /// Evaluates the NOR netlist on 64 assignments at once, in the lane
+    /// layout of [`flowc_xbar::Crossbar::evaluate64`]: each gate ORs its
+    /// operand words and complements the result.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `inputs` has the wrong length.
-    pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.num_inputs);
+    /// [`XbarError::InputLen`] when `input_words` has the wrong length.
+    pub fn eval64(&self, input_words: &[u64]) -> flowc_xbar::Result<Vec<u64>> {
+        if input_words.len() != self.num_inputs {
+            return Err(XbarError::InputLen {
+                got: input_words.len(),
+                expected: self.num_inputs,
+            });
+        }
         let mut values = Vec::with_capacity(self.num_inputs + self.gates.len());
-        values.extend_from_slice(inputs);
+        values.extend_from_slice(input_words);
         for ops in &self.gates {
-            let v = !ops.iter().any(|&s| values[s]);
+            let v = !ops.iter().fold(0, |acc, &s| acc | values[s]);
             values.push(v);
         }
-        self.outputs
+        Ok(self
+            .outputs
             .iter()
             .map(|&s| match s {
-                CONST0 => false,
-                CONST1 => true,
+                CONST0 => 0,
+                CONST1 => u64::MAX,
                 _ => values[s],
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -368,22 +377,24 @@ mod tests {
     use flowc_logic::bench_suite;
     use flowc_logic::{GateKind, Network};
 
-    fn check_equiv(network: &Network, samples: usize) {
+    /// Compares the NOR netlist with 64-lane simulation on `batches`
+    /// words of seeded random lanes.
+    fn check_equiv(network: &Network, batches: usize) {
         let nor = NorNetlist::from_network(network);
         let mut seed = 0xABCD_EF01_2345_6789u64;
-        for _ in 0..samples {
-            let vals: Vec<bool> = (0..network.num_inputs())
+        for _ in 0..batches {
+            let words: Vec<u64> = (0..network.num_inputs())
                 .map(|_| {
                     seed ^= seed << 13;
                     seed ^= seed >> 7;
                     seed ^= seed << 17;
-                    seed & 1 == 1
+                    seed
                 })
                 .collect();
             assert_eq!(
-                nor.eval(&vals),
-                network.simulate(&vals).unwrap(),
-                "NOR decomposition mismatch on {vals:?}"
+                nor.eval64(&words).unwrap(),
+                network.simulate64(&words).unwrap(),
+                "NOR decomposition mismatch on {words:x?}"
             );
         }
     }
@@ -412,7 +423,7 @@ mod tests {
         let mm = n.add_gate(GateKind::Mux, &[a, b, c], "g_mux").unwrap();
         n.mark_output(mm);
         n.mark_output(n.find_net("g_and").unwrap());
-        check_equiv(&n, 64);
+        check_equiv(&n, 4);
     }
 
     #[test]
@@ -424,7 +435,7 @@ mod tests {
         n.mark_output(z);
         n.mark_output(o);
         let nor = NorNetlist::from_network(&n);
-        assert_eq!(nor.eval(&[true]), vec![false, true]);
+        assert_eq!(nor.eval64(&[u64::MAX]).unwrap(), vec![0, u64::MAX]);
         assert_eq!(nor.num_gates(), 0);
     }
 
@@ -433,7 +444,7 @@ mod tests {
         for name in ["ctrl", "int2float", "cavlc"] {
             let b = bench_suite::by_name(name).unwrap();
             let n = b.network().unwrap();
-            check_equiv(&n, 50);
+            check_equiv(&n, 4);
         }
     }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 use flowc_compact::{synthesize_constrained, ConstraintError, SizeLimits};
 use flowc_logic::{NetId, Network};
 use flowc_xbar::metrics::CrossbarMetrics;
-use flowc_xbar::Crossbar;
+use flowc_xbar::{Crossbar, XbarError};
 
 use crate::backend::{
     Backend, BackendError, DesignArtifact, MappedDesign, MappingBackend, SynthesisCtx,
@@ -58,27 +58,28 @@ pub struct TileSchedule {
 }
 
 impl TileSchedule {
-    /// Evaluates the schedule: runs every tile on its slice of the
-    /// inputs and scatters tile outputs into global output order.
+    /// Evaluates the schedule on 64 assignments at once, in the lane
+    /// layout of [`Crossbar::evaluate64`]: gathers each tile's input words
+    /// through `input_map`, runs the tile, and scatters its output words by
+    /// `output_slots` into global output order.
     ///
     /// # Errors
     ///
-    /// A message when `inputs` has the wrong arity or a tile rejects its
-    /// slice.
-    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, String> {
-        if inputs.len() != self.num_inputs {
-            return Err(format!(
-                "expected {} inputs, got {}",
-                self.num_inputs,
-                inputs.len()
-            ));
+    /// [`XbarError::InputLen`] when `input_words` has the wrong length, and
+    /// any error a tile's crossbar returns.
+    pub fn evaluate64(&self, input_words: &[u64]) -> flowc_xbar::Result<Vec<u64>> {
+        if input_words.len() != self.num_inputs {
+            return Err(XbarError::InputLen {
+                got: input_words.len(),
+                expected: self.num_inputs,
+            });
         }
-        let mut out = vec![false; self.num_outputs];
+        let mut out = vec![0u64; self.num_outputs];
         for tile in &self.tiles {
-            let local: Vec<bool> = tile.input_map.iter().map(|&i| inputs[i]).collect();
-            let vals = tile.crossbar.evaluate(&local).map_err(|e| e.to_string())?;
-            for (&slot, &v) in tile.output_slots.iter().zip(&vals) {
-                out[slot] = v;
+            let local: Vec<u64> = tile.input_map.iter().map(|&i| input_words[i]).collect();
+            let words = tile.crossbar.evaluate64(&local)?;
+            for (&slot, &w) in tile.output_slots.iter().zip(&words) {
+                out[slot] = w;
             }
         }
         Ok(out)
@@ -514,7 +515,7 @@ mod tests {
             per_tile_time: Duration::from_secs(2),
         };
         let design = backend.synthesize(&n, &SynthesisCtx::default()).unwrap();
-        backend.verify(&design, &n, 64).unwrap();
+        assert!(design.verify(&n, 64).unwrap().is_valid());
     }
 
     #[test]
@@ -526,6 +527,6 @@ mod tests {
         let backend = tiny_tile(12, 12);
         let design = backend.synthesize(&n, &SynthesisCtx::default()).unwrap();
         assert!(design.metrics.tiles > 1, "12x12 must force partitioning");
-        backend.verify(&design, &n, 128).unwrap();
+        assert!(design.verify(&n, 128).unwrap().is_valid());
     }
 }

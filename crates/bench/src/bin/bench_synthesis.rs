@@ -346,8 +346,12 @@ fn backend_comparison(opts: &Options, budget: Duration) -> (Json, bool) {
                 }
             };
             let wall = sw.elapsed();
-            if let Err(e) = backend.verify(&design, &network, 64) {
-                eprintln!("{bench} via {}: verification failed: {e}", backend.name());
+            let verdict = design.verify(&network, 64);
+            if !verdict.as_ref().is_ok_and(|report| report.is_valid()) {
+                eprintln!(
+                    "{bench} via {}: verification failed: {verdict:?}",
+                    backend.name()
+                );
                 failed = true;
                 continue;
             }

@@ -33,16 +33,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use flowc_baselines::{
-    partitioned_with_tile, Backend, DesignArtifact, MappingBackend, SynthesisCtx,
-};
+use flowc_baselines::{partitioned_with_tile, Backend, MappingBackend, SynthesisCtx};
 use flowc_bdd::build_sbdd;
 use flowc_budget::Budget;
 use flowc_compact::{
     synthesize, synthesize_in, verify_symbolic, Config, Session, SessionConfig, VhStrategy,
 };
 use flowc_logic::Network;
-use flowc_xbar::Crossbar;
+use flowc_xbar::verify::pack_lanes;
 
 use crate::rng::splitmix64;
 
@@ -61,20 +59,17 @@ pub trait Oracle {
     fn table(&self, network: &Network, assignments: &[Vec<bool>]) -> Result<Table, String>;
 }
 
-/// Evaluates a crossbar over the assignment set 64 lanes at a time.
-fn crossbar_table(xbar: &Crossbar, assignments: &[Vec<bool>]) -> Result<Table, String> {
-    let k = xbar.num_inputs();
+/// Tabulates a 64-lane evaluator of `network`'s function over the
+/// assignment set, one [`pack_lanes`] chunk per call.
+fn lane_table(
+    network: &Network,
+    assignments: &[Vec<bool>],
+    mut evaluate: impl FnMut(&[u64]) -> flowc_xbar::Result<Vec<u64>>,
+) -> Result<Table, String> {
+    let k = network.num_inputs();
     let mut table = Vec::with_capacity(assignments.len());
     for chunk in assignments.chunks(64) {
-        let mut words = vec![0u64; k];
-        for (lane, a) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate() {
-                if a[i] {
-                    *w |= 1 << lane;
-                }
-            }
-        }
-        let wide = xbar.evaluate64(&words).map_err(|e| e.to_string())?;
+        let wide = evaluate(&pack_lanes(k, chunk)).map_err(|e| e.to_string())?;
         for lane in 0..chunk.len() {
             table.push(wide.iter().map(|w| w >> lane & 1 == 1).collect());
         }
@@ -156,7 +151,7 @@ impl Oracle for CompactOracle {
             None => synthesize(network, &self.config),
         }
         .map_err(|e| e.to_string())?;
-        crossbar_table(&r.crossbar, assignments)
+        lane_table(network, assignments, |words| r.crossbar.evaluate64(words))
     }
 }
 
@@ -213,11 +208,7 @@ impl Oracle for BackendOracle {
             .backend
             .synthesize(network, &ctx)
             .map_err(|e| e.to_string())?;
-        match &design.artifact {
-            // Monolithic crossbars batch 64 lanes at a time.
-            DesignArtifact::Monolithic(xbar) => crossbar_table(xbar, assignments),
-            _ => assignments.iter().map(|a| design.evaluate(a)).collect(),
-        }
+        lane_table(network, assignments, |words| design.evaluate64(words))
     }
 }
 

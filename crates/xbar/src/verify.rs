@@ -55,21 +55,46 @@ impl VerifyReport {
 }
 
 fn assignments(num_inputs: usize, samples: usize) -> Vec<Vec<bool>> {
-    if num_inputs <= 16 && (1usize << num_inputs) <= samples.max(1 << num_inputs.min(16)) {
+    if num_inputs <= 16 {
         // Exhaustive when feasible.
         (0..1usize << num_inputs)
             .map(|v| (0..num_inputs).map(|i| v >> i & 1 == 1).collect())
             .collect()
     } else {
+        // At least one draw: a zero sample count must not certify a design
+        // it never evaluated.
         let mut rng = crate::rng::XorShift64::new(0x005E_ED0F_F10C_u64 ^ (num_inputs as u64) << 32);
-        (0..samples)
+        (0..samples.max(1))
             .map(|_| (0..num_inputs).map(|_| rng.next_u64() & 1 == 1).collect())
             .collect()
     }
 }
 
+/// Packs up to 64 assignments into lane words: bit `lane` of word `i` is
+/// input `i` of `chunk[lane]`, the layout of [`Crossbar::evaluate64`].
+pub fn pack_lanes(num_inputs: usize, chunk: &[Vec<bool>]) -> Vec<u64> {
+    let mut words = vec![0u64; num_inputs];
+    for (lane, a) in chunk.iter().enumerate() {
+        for (w, &bit) in words.iter_mut().zip(a) {
+            *w |= u64::from(bit) << lane;
+        }
+    }
+    words
+}
+
+fn check_inputs(xbar: &Crossbar, reference: &Network) -> Result<()> {
+    if reference.num_inputs() == xbar.num_inputs() {
+        return Ok(());
+    }
+    Err(XbarError::ReferenceInputMismatch {
+        reference: reference.num_inputs(),
+        crossbar: xbar.num_inputs(),
+    })
+}
+
 /// Checks the crossbar's flow-based evaluation against network simulation:
-/// exhaustive for up to 16 inputs, otherwise `samples` random assignments.
+/// exhaustive for up to 16 inputs, otherwise `samples` random assignments
+/// (at least one).
 ///
 /// # Errors
 ///
@@ -99,54 +124,52 @@ pub fn verify_functional_budgeted(
     samples: usize,
     budget: &Budget,
 ) -> Result<VerifyReport> {
-    if reference.num_inputs() != xbar.num_inputs() {
-        return Err(XbarError::ReferenceInputMismatch {
-            reference: reference.num_inputs(),
-            crossbar: xbar.num_inputs(),
-        });
-    }
+    check_inputs(xbar, reference)?;
+    verify_with(reference, samples, budget, |words| xbar.evaluate64(words))
+}
+
+/// The one functional verifier: checks a 64-lane evaluator of
+/// `reference`'s inputs against network simulation on
+/// [`verify_functional`]'s assignments, 64 per call. An output row of the
+/// wrong length mismatches on every lane.
+///
+/// # Errors
+///
+/// [`XbarError::Budget`] when the budget runs out between chunks, and
+/// `evaluate`'s errors (an evaluator of another arity answers
+/// [`XbarError::InputLen`]).
+pub fn verify_with(
+    reference: &Network,
+    samples: usize,
+    budget: &Budget,
+    mut evaluate: impl FnMut(&[u64]) -> Result<Vec<u64>>,
+) -> Result<VerifyReport> {
+    let k = reference.num_inputs();
+    let assigns = assignments(k, samples);
     let mut mismatches = Vec::new();
-    let assigns = assignments(xbar.num_inputs(), samples);
-    let checked = assigns.len();
-    let k = xbar.num_inputs();
-    // Both sides support 64-wide evaluation; batch the assignments.
-    'outer: for chunk in assigns.chunks(64) {
+    for chunk in assigns.chunks(64) {
         budget.check()?;
-        let mut words = vec![0u64; k];
-        for (lane, a) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate() {
-                if a[i] {
-                    *w |= 1 << lane;
-                }
-            }
+        let words = pack_lanes(k, chunk);
+        let got = evaluate(&words)?;
+        let want = reference.simulate64(&words).expect("packed at its arity");
+        let mut diff = got.iter().zip(&want).fold(0, |acc, (g, w)| acc | (g ^ w));
+        if got.len() != want.len() {
+            diff = u64::MAX;
         }
-        let got = xbar.evaluate64(&words)?;
-        let want = reference
-            .simulate64(&words)
-            .expect("input count checked above");
-        let lane_mask = if chunk.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
-        for (g, w) in got.iter().zip(&want) {
-            let diff = (g ^ w) & lane_mask;
-            if diff != 0 {
-                for (lane, assignment) in chunk.iter().enumerate() {
-                    if diff >> lane & 1 == 1 {
-                        mismatches.push(assignment.clone());
-                        if mismatches.len() >= 10 {
-                            break 'outer; // enough evidence
-                        }
-                    }
-                }
-            }
+        mismatches.extend(
+            (0..chunk.len())
+                .filter(|&lane| diff >> lane & 1 == 1)
+                .map(|lane| chunk[lane].clone()),
+        );
+        if mismatches.len() >= 10 {
+            mismatches.truncate(10); // enough evidence
+            break;
         }
     }
     mismatches.sort_unstable();
     mismatches.dedup();
     Ok(VerifyReport {
-        checked,
+        checked: assigns.len(),
         mismatches,
         electrical_margin: None,
     })
@@ -169,12 +192,7 @@ pub fn verify_electrical(
     model: &ElectricalModel,
     samples: usize,
 ) -> Result<VerifyReport> {
-    if reference.num_inputs() != xbar.num_inputs() {
-        return Err(XbarError::ReferenceInputMismatch {
-            reference: reference.num_inputs(),
-            crossbar: xbar.num_inputs(),
-        });
-    }
+    check_inputs(xbar, reference)?;
     let assigns = assignments(xbar.num_inputs(), samples);
     let checked = assigns.len();
     let mut min_on = f64::INFINITY;
@@ -392,5 +410,15 @@ mod tests {
         let r = verify_functional(&x, &n, 200).unwrap();
         assert_eq!(r.checked, 200);
         assert!(!r.is_valid());
+        // Zero samples still check one assignment, never a vacuous pass.
+        let r = verify_functional(&x, &n, 0).unwrap();
+        assert!(r.checked >= 1);
+        assert!(!r.is_valid(), "the single draw must expose the mismatch");
+        for a in &r.mismatches {
+            assert!(
+                !a[0] && a[1..].iter().any(|&b| b),
+                "unexpected mismatch {a:?}"
+            );
+        }
     }
 }

@@ -67,7 +67,7 @@ use flowc::compact::supervisor::{synthesize_with_budget, Rung};
 use flowc::compact::{repair_with_resynthesis, RepairConfig, RepairError, RepairStrategy};
 use flowc::logic::{blif, pla, verilog, Network};
 use flowc::xbar::fault::{inject, DefectMap, DefectRates};
-use flowc::xbar::verify::verify_functional;
+use flowc::xbar::verify::{verify_functional, VerifyReport};
 
 fn load(path: &str) -> Result<Network, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -545,12 +545,22 @@ fn synth_backend(network: &Network, backend: &Backend, opts: &Options) -> Result
         }
     }
     if let Some(samples) = opts.validate {
-        backend
-            .verify(&design, network, samples)
+        let report = design
+            .verify(network, samples)
             .map_err(|e| format!("validation: {e}"))?;
-        println!("validation : {samples} assignments, all match");
+        print_validation(&report)?;
     }
     Ok(false)
+}
+
+/// Prints the `validation` line; a mismatching design fails the run.
+fn print_validation(report: &VerifyReport) -> Result<(), String> {
+    if report.is_valid() {
+        println!("validation : {} assignments, all match", report.checked);
+        return Ok(());
+    }
+    println!("validation : {} assignments, MISMATCH", report.checked);
+    Err("design mismatches the source circuit".into())
 }
 
 fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
@@ -621,18 +631,7 @@ fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
     if let Some(samples) = opts.validate {
         let report =
             verify_functional(&result.crossbar, network, samples).map_err(|e| e.to_string())?;
-        println!(
-            "validation : {} assignments, {}",
-            report.checked,
-            if report.is_valid() {
-                "all match"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if !report.is_valid() {
-            return Err("design mismatches the source circuit".into());
-        }
+        print_validation(&report)?;
     }
     let mut outcome = degraded;
     if opts.defect_map.is_some() || opts.defect_rate.is_some() {

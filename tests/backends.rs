@@ -1,6 +1,7 @@
 //! Backend-matrix integration tests: every [`Backend`] variant maps the
 //! same fixed circuits through the one enum-dispatched `MappingBackend`
-//! trait, each design sample-verifies against simulation, and the
+//! trait, each design's 64-lane evaluation matches simulation and its
+//! sampled check is exhaustive and valid, and the
 //! partitioned backend's tile schedule is differentially checked against
 //! the monolithic COMPACT design. The CI backend-matrix smoke job runs
 //! exactly this suite.
@@ -8,12 +9,15 @@
 use std::time::Duration;
 
 use flowc::baselines::{
-    partitioned_with_tile, Backend, BackendError, DesignArtifact, MappingBackend, SynthesisCtx,
+    partitioned_with_tile, Backend, BackendError, DesignArtifact, MappedDesign, MappingBackend,
+    SynthesisCtx,
 };
 use flowc::budget::Budget;
 use flowc::compact::constrained::{synthesize_constrained, ConstraintError, SizeLimits};
 use flowc::conform::oracle::{differential_check, BackendOracle, DiffConfig, Oracle};
+use flowc::conform::Rng;
 use flowc::logic::{bench_suite, blif, Network};
+use flowc::xbar::DeviceAssignment;
 
 /// A circuit small enough to fit a 16x16 tile monolithically.
 fn small_circuit() -> Network {
@@ -45,10 +49,30 @@ fn every_backend_maps_the_small_circuit() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(design.backend, *name);
         assert!(design.metrics.rows > 0, "{name}: empty design");
-        backend
-            .verify(&design, &network, 256)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        check_design(name, &design, &network, 256);
     }
+}
+
+/// Seeded random lanes: the design's 64-lane evaluation equals the
+/// network's; and the sampled check is valid and exhaustive (`2^k`
+/// assignments, above `samples` when `k` is small).
+fn check_design(name: &str, design: &MappedDesign, network: &Network, samples: usize) {
+    let mut rng = Rng::new(0x64_1A4E5);
+    for _ in 0..4 {
+        let words: Vec<u64> = (0..network.num_inputs()).map(|_| rng.next()).collect();
+        assert_eq!(
+            design
+                .evaluate64(&words)
+                .unwrap_or_else(|e| panic!("{name}: {e}")),
+            network.simulate64(&words).expect("arity matches"),
+            "{name}: 64-lane evaluation disagrees with simulation"
+        );
+    }
+    let report = design
+        .verify(network, samples)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(report.is_valid(), "{name}: {report:?}");
+    assert_eq!(report.checked, 1 << network.num_inputs(), "{name}");
 }
 
 /// Every backend maps the oversized circuit too; the partitioned backend
@@ -65,9 +89,7 @@ fn every_backend_maps_the_circuit_that_overflows_a_tile() {
         let design = backend
             .synthesize(&network, &ctx())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        backend
-            .verify(&design, &network, 128)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        check_design(name, &design, &network, 128);
         if let DesignArtifact::Tiled(schedule) = &design.artifact {
             assert!(
                 schedule.tiles.len() > 1,
@@ -83,6 +105,38 @@ fn every_backend_maps_the_circuit_that_overflows_a_tile() {
                 "shared inputs re-broadcast"
             );
         }
+    }
+}
+
+/// The sampled check sees through tiling: one tile of a partitioned
+/// adder4 design with a cut input wordline computes constant 0, and
+/// `MappedDesign::verify` reports the design invalid, naming assignments
+/// on which it really differs from the circuit.
+#[test]
+fn a_broken_tile_fails_the_sampled_check() {
+    let network = small_circuit();
+    let mut design = partitioned_with_tile(16, 16)
+        .synthesize(&network, &ctx())
+        .expect("16x16 tiles fit adder4 cones");
+    let DesignArtifact::Tiled(schedule) = &mut design.artifact else {
+        panic!("partitioned backend must produce a tile schedule");
+    };
+    let tile = &mut schedule.tiles[0];
+    let input_row = tile.crossbar.input_row().expect("tiles have an input port");
+    for col in 0..tile.crossbar.cols() {
+        tile.crossbar
+            .set(input_row, col, DeviceAssignment::Off)
+            .expect("in range");
+    }
+    let report = design.verify(&network, 256).expect("evaluable");
+    assert!(!report.is_valid(), "a dead tile must be caught");
+    assert_eq!(report.checked, 512);
+    for witness in &report.mismatches {
+        assert_ne!(
+            design.evaluate(witness).expect("evaluable"),
+            network.simulate(witness).expect("simulates"),
+            "reported mismatch {witness:?} is not one"
+        );
     }
 }
 

@@ -186,13 +186,14 @@ fn nor_decomposition_is_equivalent() {
         &NetworkGen::new(5, 12),
         |network, _rng| {
             let nor = flowc::baselines::magic::NorNetlist::from_network(network);
-            for bits in 0..1usize << 5 {
-                let assignment: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
-                assert_eq!(
-                    nor.eval(&assignment),
-                    network.simulate(&assignment).expect("simulates")
-                );
-            }
+            // All 32 assignments in lanes 0..32 of one 64-lane call.
+            let words: Vec<u64> = (0..5)
+                .map(|i| (0..32u64).fold(0, |w, bits| w | (bits >> i & 1) << bits))
+                .collect();
+            assert_eq!(
+                nor.eval64(&words).expect("arity matches"),
+                network.simulate64(&words).expect("simulates")
+            );
         },
     );
 }
