@@ -408,6 +408,26 @@ pub fn solve_exact_warm(
     })
 }
 
+/// A proven lower bound on `γ·S + (1−γ)·D` over every valid labeling of an
+/// `n`-node graph whose minimum odd cycle transversal has at least `oct_lb`
+/// vertices: `S ≥ n + oct_lb`, and `D ≥ ⌈S/2⌉` because R and C each count
+/// every VH node and `max(R, C) ≥ S/2`.
+pub(crate) fn weighted_bound(n: usize, oct_lb: usize, gamma: f64) -> f64 {
+    let s_lb = (n + oct_lb) as f64;
+    gamma * s_lb + (1.0 - gamma) * (s_lb / 2.0).ceil()
+}
+
+/// Whether `objective` meets the proven `bound`, i.e. is optimal.
+pub(crate) fn meets_bound(objective: f64, bound: f64) -> bool {
+    (objective - bound).abs() < 1e-6
+}
+
+/// CPLEX-style relative gap between an incumbent `objective` and a proven
+/// `bound`, capped at 1.
+pub(crate) fn relative_gap(objective: f64, bound: f64) -> f64 {
+    ((objective - bound).abs() / objective.abs().max(1e-10)).min(1.0)
+}
+
 /// The staged anytime path alone: greedy OCT incumbent → budgeted exact
 /// OCT (bound + incumbent) → VH-addition hill climbing. Always returns a
 /// valid labeling, even on an already-exhausted budget.
@@ -435,11 +455,10 @@ pub fn solve_anytime_with_oct(
 
     // Stage 1: greedy OCT incumbent.
     let mut trace = SolveTrace::new();
-    let trivial_bound = gamma * n as f64 + (1.0 - gamma) * (n as f64 / 2.0).ceil();
     let greedy_vh: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
     let mut best = balanced_labeling(graph, &greedy_vh, config.align);
     let mut best_obj = best.stats().objective(gamma);
-    let mut best_bound = trivial_bound;
+    let mut best_bound = weighted_bound(n, usize::from(!greedy_vh.is_empty()), gamma);
     trace.push(TracePoint {
         elapsed: start.elapsed(),
         best_integer: Some(best_obj),
@@ -471,10 +490,7 @@ pub fn solve_anytime_with_oct(
         best = cand;
         best_obj = cand_obj;
     }
-    // Bound: S ≥ n + oct_lb, D ≥ ⌈S/2⌉ (R and C each count every VH node,
-    // and max(R,C) ≥ S/2).
-    let s_lb = (n + oct.lower_bound) as f64;
-    best_bound = best_bound.max(gamma * s_lb + (1.0 - gamma) * (s_lb / 2.0).ceil());
+    best_bound = best_bound.max(weighted_bound(n, oct.lower_bound, gamma));
     trace.push(TracePoint {
         elapsed: start.elapsed(),
         best_integer: Some(best_obj),
@@ -508,9 +524,8 @@ pub fn solve_anytime_with_oct(
 
     // Optimality: proven only when the OCT was exact and the incumbent
     // meets the bound.
-    let optimal = oct.optimal && (best_obj - best_bound).abs() < 1e-6;
-    let denom = best_obj.abs().max(1e-10);
-    let relative_gap = ((best_obj - best_bound).abs() / denom).min(1.0);
+    let optimal = oct.optimal && meets_bound(best_obj, best_bound);
+    let relative_gap = relative_gap(best_obj, best_bound);
     trace.push(TracePoint {
         elapsed: start.elapsed(),
         best_integer: Some(best_obj),

@@ -75,7 +75,9 @@ pub fn min_semiperimeter_budgeted(
         (r.transversal, r.optimal, r.lower_bound)
     } else {
         let t = oct_heuristic(&graph.graph);
-        (t, false, 0)
+        // A non-empty greedy transversal means an odd cycle exists.
+        let lower_bound = usize::from(!t.is_empty());
+        (t, false, lower_bound)
     };
     let oct_size = transversal.len();
     let vh: HashSet<usize> = transversal.into_iter().collect();

@@ -44,7 +44,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use flowc_budget::{Budget, BudgetExceeded, Stopwatch};
-use flowc_graph::{oct_heuristic, OctResult};
+use flowc_graph::{oct_heuristic, two_color, ColorResult, OctResult};
 use flowc_logic::Network;
 use flowc_milp::SolveTrace;
 use flowc_xbar::metrics::CrossbarMetrics;
@@ -53,7 +53,9 @@ use flowc_xbar::Crossbar;
 use crate::balance::balanced_labeling;
 use crate::labeling::Labeling;
 use crate::mapping::map_to_crossbar;
-use crate::mip_method::{solve_anytime_with_oct, solve_exact_warm, MipConfig};
+use crate::mip_method::{
+    meets_bound, relative_gap, solve_anytime_with_oct, solve_exact_warm, weighted_bound, MipConfig,
+};
 use crate::oct_method::{min_semiperimeter_budgeted, OctMethodConfig};
 use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
@@ -392,28 +394,38 @@ fn run_rung(
         }
         Rung::HeuristicOct => {
             let vh: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
-            Ok(RungOutput {
-                labeling: balanced_labeling(graph, &vh, config.align),
-                optimal: false,
-                relative_gap: 1.0,
-                trace: None,
-                nodes: 0,
-                warm_start: None,
-                oct: None,
-            })
+            let oct_lb = usize::from(!vh.is_empty());
+            Ok(bounded_output(graph, &vh, oct_lb, config))
         }
         Rung::AllVh => {
             let vh: HashSet<usize> = (0..graph.num_nodes()).collect();
-            Ok(RungOutput {
-                labeling: balanced_labeling(graph, &vh, config.align),
-                optimal: false,
-                relative_gap: 1.0,
-                trace: None,
-                nodes: 0,
-                warm_start: None,
-                oct: None,
-            })
+            let oct_lb = usize::from(matches!(two_color(&graph.graph), ColorResult::OddCycle(_)));
+            Ok(bounded_output(graph, &vh, oct_lb, config))
         }
+    }
+}
+
+/// A solver-free rung's output: the balanced labeling over `vh`, measured
+/// against the weighted bound that `oct_lb` (1 for a non-bipartite graph,
+/// else 0) proves. Optimal iff the objective meets that bound.
+fn bounded_output(
+    graph: &BddGraph,
+    vh: &HashSet<usize>,
+    oct_lb: usize,
+    config: &Config,
+) -> RungOutput {
+    let gamma = config.strategy.gamma();
+    let labeling = balanced_labeling(graph, vh, config.align);
+    let objective = labeling.stats().objective(gamma);
+    let bound = weighted_bound(graph.num_nodes(), oct_lb, gamma);
+    RungOutput {
+        labeling,
+        optimal: meets_bound(objective, bound),
+        relative_gap: relative_gap(objective, bound),
+        trace: None,
+        nodes: 0,
+        warm_start: None,
+        oct: None,
     }
 }
 
@@ -669,6 +681,36 @@ mod tests {
         let f = n.add_gate(GateKind::Or, &[ab, c], "f").unwrap();
         n.mark_output(f);
         n
+    }
+
+    #[test]
+    fn the_heuristic_rung_reports_a_bound_below_the_exact_optimum() {
+        let ctrl = flowc_logic::bench_suite::by_name("ctrl")
+            .unwrap()
+            .network()
+            .unwrap();
+        for n in [fig2_network(), ctrl] {
+            for gamma in [0.5, 1.0] {
+                let cfg = Config {
+                    strategy: VhStrategy::Heuristic { gamma },
+                    ..Config::default()
+                };
+                let r = synthesize_with_budget(&n, &cfg, &Budget::unlimited()).unwrap();
+                assert!(r.relative_gap < 1.0, "{} γ={gamma}", n.name());
+                // The gap is (objective − bound) / objective.
+                let objective = r.stats.objective(gamma);
+                let bound = objective * (1.0 - r.relative_gap);
+                let exact = synthesize_with_budget(&n, &Config::gamma(gamma), &Budget::unlimited())
+                    .unwrap();
+                assert!(exact.optimal, "{} γ={gamma}", n.name());
+                let optimum = exact.stats.objective(gamma);
+                assert!(
+                    bound <= optimum + 1e-9,
+                    "{} γ={gamma}: bound {bound} above optimum {optimum}",
+                    n.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn two_color(g: &UGraph) -> ColorResult {
 
 /// Reconstructs an odd cycle from the BFS tree given the conflict edge
 /// `{u, w}` (both endpoints share a color).
-fn extract_cycle(parent: &[usize], u: usize, w: usize) -> Vec<usize> {
+pub(crate) fn extract_cycle(parent: &[usize], u: usize, w: usize) -> Vec<usize> {
     // Walk both vertices to the root, find the lowest common ancestor.
     let path_to_root = |mut v: usize| -> Vec<usize> {
         let mut path = vec![v];

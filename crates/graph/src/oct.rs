@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use flowc_budget::Budget;
 
+use crate::bipartite::extract_cycle;
 use crate::product::cartesian_with_k2;
 use crate::vertex_cover::{minimum_vertex_cover_seeded, VcConfig};
 use crate::{two_color, ColorResult, UGraph};
@@ -144,34 +145,145 @@ fn product_cover_from_transversal(g: &UGraph, t: &[usize], n: usize) -> Option<V
 /// Fast greedy OCT: repeatedly 2-color; on each odd-cycle certificate remove
 /// the cycle vertex of maximum degree; finally try to re-insert removed
 /// vertices that no longer break bipartiteness.
+///
+/// The 2-coloring is one BFS over `g` that skips removed vertices. Adjacency
+/// lists keep edge-insertion order, as induced subgraphs do, so it visits
+/// vertices exactly as a fresh [`two_color`] of `g − removed` would. A
+/// conflict resets only the current component and recolors it from the same
+/// start: earlier components are finished, bipartite and not adjacent to the
+/// victim. Re-insertion tests each removed vertex, in ascending order,
+/// against its kept neighbours in a parity union-find, which gives the same
+/// answer as recoloring the whole graph.
 pub fn oct_heuristic(g: &UGraph) -> Vec<usize> {
     let n = g.num_vertices();
     let mut removed = vec![false; n];
-    loop {
-        let (sub, back) = g.induced_subgraph(&removed.iter().map(|&r| !r).collect::<Vec<_>>());
-        match two_color(&sub) {
-            ColorResult::Bipartite(_) => break,
-            ColorResult::OddCycle(cycle) => {
-                let victim = cycle
-                    .iter()
-                    .map(|&v| back[v])
-                    .max_by_key(|&v| g.degree(v))
-                    .expect("cycle is nonempty");
-                removed[victim] = true;
+    let mut color = vec![u8::MAX; n];
+    let mut parent = vec![usize::MAX; n];
+    let mut forest = ParityForest::new(n);
+    // The current component's BFS queue, which is also its visited list.
+    let mut queue = Vec::new();
+    for start in 0..n {
+        'component: while !removed[start] && color[start] == u8::MAX {
+            color[start] = 0;
+            queue.clear();
+            queue.push(start);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &w in g.neighbors(u) {
+                    if removed[w] {
+                        continue;
+                    }
+                    if color[w] == u8::MAX {
+                        color[w] = 1 - color[u];
+                        parent[w] = u;
+                        queue.push(w);
+                    } else if color[w] == color[u] {
+                        let victim = extract_cycle(&parent, u, w)
+                            .into_iter()
+                            .max_by_key(|&v| g.degree(v))
+                            .expect("cycle is nonempty");
+                        removed[victim] = true;
+                        for &v in &queue {
+                            color[v] = u8::MAX;
+                            parent[v] = usize::MAX;
+                        }
+                        continue 'component;
+                    }
+                }
             }
+            forest.adopt(start, &queue, &color);
         }
     }
-    // Re-insertion pass: keep the transversal minimal.
-    let order: Vec<usize> = (0..n).filter(|&v| removed[v]).collect();
-    for v in order {
+    // Re-insertion pass: keep the transversal minimal. `v` may rejoin iff
+    // no two of its kept neighbours in one component demand opposite sides.
+    let mut demands: Vec<(usize, u8)> = Vec::new();
+    for v in 0..n {
+        if !removed[v] {
+            continue;
+        }
+        demands.clear();
+        for &w in g.neighbors(v) {
+            if !removed[w] {
+                let (root, side) = forest.find(w);
+                demands.push((root, 1 - side));
+            }
+        }
+        demands.sort_unstable();
+        demands.dedup();
+        if demands.windows(2).any(|d| d[0].0 == d[1].0) {
+            continue;
+        }
         removed[v] = false;
-        let keep: Vec<bool> = removed.iter().map(|&r| !r).collect();
-        let (sub, _) = g.induced_subgraph(&keep);
-        if matches!(two_color(&sub), ColorResult::OddCycle(_)) {
-            removed[v] = true;
+        for &(root, side) in &demands {
+            forest.union(v, root, side);
         }
     }
     (0..n).filter(|&v| removed[v]).collect()
+}
+
+/// A union-find over the kept vertices whose entries carry their 2-coloring
+/// side relative to their set's root.
+struct ParityForest {
+    parent: Vec<usize>,
+    /// Side of `v` relative to `parent[v]`.
+    parity: Vec<u8>,
+    size: Vec<usize>,
+}
+
+impl ParityForest {
+    fn new(n: usize) -> Self {
+        ParityForest {
+            parent: (0..n).collect(),
+            parity: vec![0; n],
+            size: vec![1; n],
+        }
+    }
+
+    /// Makes the 2-colored component `members` (rooted at `root`, colored
+    /// 0) one set.
+    fn adopt(&mut self, root: usize, members: &[usize], color: &[u8]) {
+        for &v in members {
+            self.parent[v] = root;
+            self.parity[v] = color[v];
+        }
+        self.size[root] = members.len();
+    }
+
+    /// The root of `v`'s set and `v`'s side relative to it.
+    fn find(&mut self, v: usize) -> (usize, u8) {
+        let (mut root, mut side) = (v, 0);
+        while self.parent[root] != root {
+            side ^= self.parity[root];
+            root = self.parent[root];
+        }
+        // Path compression: point every vertex on the path at the root.
+        let (mut x, mut x_side) = (v, side);
+        while x != root {
+            let (next, next_side) = (self.parent[x], x_side ^ self.parity[x]);
+            self.parent[x] = root;
+            self.parity[x] = x_side;
+            (x, x_side) = (next, next_side);
+        }
+        (root, side)
+    }
+
+    /// Merges `v`'s set with the set rooted at `root`, putting `v` on side
+    /// `side` relative to `root`.
+    fn union(&mut self, v: usize, root: usize, side: u8) {
+        let (v_root, v_side) = self.find(v);
+        debug_assert_ne!(v_root, root, "a re-inserted vertex joins each set once");
+        // Side of `v_root` relative to `root`.
+        let link = v_side ^ side;
+        let (child, parent) = if self.size[v_root] < self.size[root] {
+            (v_root, root)
+        } else {
+            (root, v_root)
+        };
+        self.parent[child] = parent;
+        self.parity[child] = link;
+        self.size[parent] += self.size[child];
+    }
 }
 
 /// Checks that removing `transversal` leaves a bipartite graph.
@@ -297,6 +409,73 @@ mod tests {
                 assert!(is_valid_oct(&g, &r.transversal));
             }
         }
+    }
+
+    fn graph(n: usize, edges: &[(usize, usize)]) -> UGraph {
+        let mut g = UGraph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
+    #[test]
+    fn heuristic_resumes_after_a_finished_bipartite_component() {
+        // Path 0-1-2 is colored and finished before triangle 3-4-5 conflicts;
+        // the cycle is [4, 3, 5] and the last maximum-degree vertex goes.
+        let g = graph(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]);
+        assert_eq!(oct_heuristic(&g), vec![5]);
+    }
+
+    #[test]
+    fn heuristic_victim_can_be_the_component_start() {
+        // Cycle [4, 0, 1] drops 1, then cycle [4, 0, 3] drops the BFS
+        // start 0 itself; coloring resumes at the next uncolored vertex.
+        // Re-inserting 1 then succeeds, so only 0 remains.
+        let g = graph(5, &[(0, 4), (0, 1), (1, 4), (1, 2), (0, 3), (3, 4)]);
+        let t = oct_heuristic(&g);
+        assert_eq!(t, vec![0]);
+        assert!(is_valid_oct(&g, &t));
+    }
+
+    #[test]
+    fn reinsertion_merges_components_with_opposite_sides() {
+        // The re-insertion of 1 in `heuristic_victim_can_be_the_component_start`:
+        // its kept neighbours are 2 (root of {2}, side 0) and 4 (side 1
+        // under root 3 of {3, 4}). They demand opposite sides of different
+        // sets, so 1 rejoins and merges them.
+        let mut forest = ParityForest::new(5);
+        forest.adopt(2, &[2], &[0, 0, 0, 0, 0]);
+        forest.adopt(3, &[3, 4], &[0, 0, 0, 0, 1]);
+        let (r2, s2) = forest.find(2);
+        let (r4, s4) = forest.find(4);
+        forest.union(1, r2, 1 - s2);
+        forest.union(1, r4, 1 - s4);
+        let (root, s1) = forest.find(1);
+        assert_eq!(forest.find(2), (root, 1 - s1));
+        assert_eq!(forest.find(4), (root, 1 - s1));
+        assert_eq!(forest.find(3), (root, s1));
+    }
+
+    #[test]
+    fn reinsertion_rejects_an_odd_cycle_within_a_component() {
+        // 0 goes first (cycle [1, 0, 2]), then 1 (cycle [5, 1, 6]).
+        // Re-inserting 0 merges {2}, {3}, {4}; re-inserting 1 would then
+        // close triangle 0-1-2 inside that one set, so 1 stays removed.
+        let g = graph(
+            7,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (0, 3),
+                (0, 4),
+                (1, 5),
+                (1, 6),
+                (5, 6),
+            ],
+        );
+        assert_eq!(oct_heuristic(&g), vec![1]);
     }
 
     #[test]

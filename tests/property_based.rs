@@ -19,7 +19,9 @@ use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
 use flowc::compact::BddGraph;
 use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
-use flowc::graph::{odd_cycle_transversal, two_color, ColorResult, OctConfig, UGraph};
+use flowc::graph::{
+    oct_heuristic, odd_cycle_transversal, two_color, ColorResult, OctConfig, UGraph,
+};
 use flowc::logic::Network;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -138,6 +140,87 @@ fn oct_makes_random_graphs_bipartite() {
         assert!(matches!(two_color(&sub), ColorResult::Bipartite(_)));
         assert!(r.lower_bound <= r.transversal.len().max(1));
     });
+}
+
+/// The greedy transversal recomputed the slow way: a fresh 2-coloring of
+/// the induced subgraph after every removal and at every re-insertion test.
+/// `oct_heuristic` must return exactly this vector.
+fn reference_oct_heuristic(g: &UGraph) -> Vec<usize> {
+    let n = g.num_vertices();
+    let mut removed = vec![false; n];
+    loop {
+        let (sub, back) = g.induced_subgraph(&removed.iter().map(|&r| !r).collect::<Vec<_>>());
+        match two_color(&sub) {
+            ColorResult::Bipartite(_) => break,
+            ColorResult::OddCycle(cycle) => {
+                let victim = cycle
+                    .iter()
+                    .map(|&v| back[v])
+                    .max_by_key(|&v| g.degree(v))
+                    .expect("cycle is nonempty");
+                removed[victim] = true;
+            }
+        }
+    }
+    let order: Vec<usize> = (0..n).filter(|&v| removed[v]).collect();
+    for v in order {
+        removed[v] = false;
+        let keep: Vec<bool> = removed.iter().map(|&r| !r).collect();
+        let (sub, _) = g.induced_subgraph(&keep);
+        if matches!(two_color(&sub), ColorResult::OddCycle(_)) {
+            removed[v] = true;
+        }
+    }
+    (0..n).filter(|&v| removed[v]).collect()
+}
+
+fn is_bipartite_without(g: &UGraph, transversal: &[usize]) -> bool {
+    let mut keep = vec![true; g.num_vertices()];
+    for &v in transversal {
+        keep[v] = false;
+    }
+    matches!(
+        two_color(&g.induced_subgraph(&keep).0),
+        ColorResult::Bipartite(_)
+    )
+}
+
+#[test]
+fn oct_heuristic_matches_the_recoloring_reference() {
+    harness("oct_heuristic_matches_the_recoloring_reference").check(|rng| {
+        let n = 1 + rng.below(60);
+        let mut g = gen_small_graph(rng, n);
+        // Every third case appends a second random graph as further
+        // components, so coloring must resume past finished ones.
+        if rng.below(3) == 0 {
+            let m = 1 + rng.below(30);
+            let h = gen_small_graph(rng, m);
+            let offset = g.num_vertices();
+            for _ in 0..h.num_vertices() {
+                g.add_vertex();
+            }
+            for &(u, v) in h.edges() {
+                g.add_edge(u + offset, v + offset);
+            }
+        }
+        let t = oct_heuristic(&g);
+        assert_eq!(t, reference_oct_heuristic(&g));
+        assert!(is_bipartite_without(&g, &t));
+    });
+}
+
+#[test]
+fn oct_heuristic_sizes_on_registry_circuits_are_pinned() {
+    for (name, k) in [("c432", 71), ("c2670", 189), ("c3540", 304)] {
+        let network = flowc::logic::bench_suite::by_name(name)
+            .unwrap()
+            .network()
+            .unwrap();
+        let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None));
+        let t = oct_heuristic(&graph.graph);
+        assert_eq!(t.len(), k, "{name}");
+        assert!(is_bipartite_without(&graph.graph, &t), "{name}");
+    }
 }
 
 #[test]
