@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use flowc_bdd::{build_sbdd, dfs_fanin_order};
 use flowc_bench::timing::bench;
+use flowc_budget::Budget;
 use flowc_compact::mip_method::hill_climb;
 use flowc_compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc_compact::BddGraph;
@@ -93,6 +94,8 @@ fn bench_hill_climb() {
             0.5,
             true,
             Instant::now() + Duration::from_secs(2),
+            &Budget::unlimited(),
+            |_| {},
         );
         black_box(improved.stats().max_dimension)
     });
@@ -103,6 +106,8 @@ fn bench_hill_climb() {
         0.5,
         true,
         Instant::now() + Duration::from_secs(2),
+        &Budget::unlimited(),
+        |_| {},
     );
     eprintln!(
         "[ablation] int2float hill climb: D {} -> {} with {} accepted moves",

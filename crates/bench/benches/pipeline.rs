@@ -15,17 +15,13 @@ use flowc_bench::timing::bench;
 use flowc_compact::mapping::map_to_crossbar;
 use flowc_compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc_compact::pipeline::{synthesize, Config, VhStrategy};
-use flowc_compact::BddGraph;
+use flowc_compact::{BddGraph, Rung};
 use flowc_logic::bench_suite;
 use flowc_xbar::circuit::ElectricalModel;
 
 fn quick_config() -> Config {
     Config {
-        strategy: VhStrategy::Weighted {
-            gamma: 0.5,
-            time_limit: Duration::from_secs(2),
-            exact_node_limit: 0, // anytime path: deterministic work profile
-        },
+        strategy: VhStrategy::entering(Rung::ExactMip, 0.5, Duration::from_secs(2)),
         ..Config::default()
     }
 }

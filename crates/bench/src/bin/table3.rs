@@ -5,8 +5,9 @@
 use std::time::Instant;
 
 use flowc_baselines::robdd_diagonal::compact_per_output;
-use flowc_bench::{build_network, geomean, run_compact, secs, time_limit, EXACT_SET};
-use flowc_compact::pipeline::{Config, VhStrategy};
+use flowc_bench::{
+    build_network, compact_config, geomean, run_compact, secs, time_limit, EXACT_SET,
+};
 use flowc_logic::bench_suite;
 use flowc_xbar::metrics::CrossbarMetrics;
 
@@ -27,16 +28,7 @@ fn main() {
         let n = build_network(&b);
         // Multiple ROBDDs, each through COMPACT, merged diagonally. The
         // per-output pieces are small, so each gets a slice of the budget.
-        let cfg = Config {
-            strategy: VhStrategy::Weighted {
-                gamma: 0.5,
-                time_limit: budget.min(std::time::Duration::from_secs(5)),
-                exact_node_limit: 60,
-            },
-            align: true,
-            var_order: None,
-            label_threads: 1,
-        };
+        let cfg = compact_config(0.5, budget.min(std::time::Duration::from_secs(5)));
         let t0 = Instant::now();
         let multi = compact_per_output(&n, &cfg).expect("per-output synthesis");
         let multi_time = t0.elapsed();

@@ -28,7 +28,7 @@
 use std::time::Duration;
 
 use flowc_compact::pipeline::{synthesize, CompactResult, Config, VhStrategy};
-use flowc_compact::{synthesize_in, Session};
+use flowc_compact::{synthesize_in, Rung, Session};
 use flowc_logic::bench_suite::Benchmark;
 use flowc_logic::Network;
 
@@ -94,14 +94,8 @@ pub fn run_compact_in(
 /// The harness-standard weighted configuration at `gamma`.
 pub fn compact_config(gamma: f64, budget: Duration) -> Config {
     Config {
-        strategy: VhStrategy::Weighted {
-            gamma,
-            time_limit: budget,
-            exact_node_limit: 60,
-        },
-        align: true,
-        var_order: None,
-        label_threads: 1,
+        strategy: VhStrategy::entering(Rung::ExactMip, gamma, budget),
+        ..Config::gamma(gamma)
     }
 }
 

@@ -1,18 +1,19 @@
 //! Weighted-objective VH-labeling (Section VI-B): minimize
-//! `γ·S + (1−γ)·D` over the labeling.
+//! `γ·S + (1−γ)·D` over the labeling. [`solve`] runs the paper's Method B
+//! along one of two paths that share the MIP *formulation* of Eq. 4:
 //!
-//! Two solution paths share the MIP *formulation* of Eq. 4:
-//!
-//! - **Exact**: the model is handed to the [`flowc_milp`] branch & bound
-//!   with LP bounding. This path proves optimality but the dense LP limits
-//!   it to small graphs (the paper's CPLEX runs hit the same wall at larger
-//!   sizes — three hours without closing the gap, Figure 11).
-//! - **Anytime**: a staged optimizer seeded by the Section VI-A transversal:
-//!   greedy OCT incumbent → exact (or time-limited) OCT with its lower
-//!   bound → `VH`-addition hill climbing that trades semiperimeter for
-//!   maximum dimension (the paper's Figure 7 case). Every stage is recorded
-//!   in a [`SolveTrace`], reproducing the incumbent/bound/gap trajectories
-//!   of Figures 10 and 11.
+//! - **Exact**: on small graphs the model is handed to the [`flowc_milp`]
+//!   branch & bound with LP bounding. This path proves optimality but the
+//!   dense LP limits it to small graphs (the paper's CPLEX runs hit the
+//!   same wall at larger sizes — three hours without closing the gap,
+//!   Figure 11).
+//! - **Anytime**: on larger graphs, or when the search found no incumbent,
+//!   a staged optimizer seeded by the Section VI-A transversal: greedy OCT
+//!   incumbent → exact (or time-limited) OCT with its lower bound →
+//!   `VH`-addition hill climbing that trades semiperimeter for maximum
+//!   dimension (the paper's Figure 7 case). Every stage is recorded in a
+//!   [`SolveTrace`], reproducing the incumbent/bound/gap trajectories of
+//!   Figures 10 and 11.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -36,8 +37,6 @@ pub struct MipConfig {
     pub align: bool,
     /// Total wall-clock budget.
     pub time_limit: Duration,
-    /// Maximum node count for the exact LP-based MIP path.
-    pub exact_node_limit: usize,
     /// Search threads for the exact branch & bound (1 = plain best-first
     /// search on the calling thread).
     pub threads: usize,
@@ -49,7 +48,6 @@ impl Default for MipConfig {
             gamma: 0.5,
             align: true,
             time_limit: Duration::from_secs(30),
-            exact_node_limit: 80,
             threads: 1,
         }
     }
@@ -83,7 +81,8 @@ pub struct MipOutcome {
     pub relative_gap: f64,
     /// Incumbent/bound/gap trajectory (Figures 10/11).
     pub trace: SolveTrace,
-    /// Branch & bound nodes explored (0 on the anytime path).
+    /// Branch & bound nodes explored (on the anytime path, the OCT
+    /// search's; 0 when a cached OCT was reused).
     pub nodes: u64,
     /// Warm-start outcome: `None` when no warm start was offered,
     /// `Some(accepted)` otherwise.
@@ -250,30 +249,13 @@ fn labeling_from_solution(vars: &MipVars, values: &[f64]) -> Labeling {
 
 /// `VH`-addition hill climbing (the paper's Figure 7 move): repeatedly try
 /// upgrading a node to `VH`, re-balance, and keep the move when the weighted
-/// objective improves. Returns the improved labeling and the number of
-/// accepted moves.
+/// objective improves. `deadline` and the cooperative `budget` (deadline
+/// and cancellation) are checked per candidate move; `on_improve` sees
+/// every accepted move (used to record solver convergence traces).
+/// Returns the improved labeling and the number of accepted moves. Tests
+/// arm the `compact.hill_climb` failpoint at entry to prove a call was
+/// skipped.
 pub fn hill_climb(
-    graph: &BddGraph,
-    start: &Labeling,
-    gamma: f64,
-    align: bool,
-    deadline: Instant,
-) -> (Labeling, usize) {
-    hill_climb_traced(
-        graph,
-        start,
-        gamma,
-        align,
-        deadline,
-        &Budget::unlimited(),
-        |_| {},
-    )
-}
-
-/// [`hill_climb`] with a cooperative [`Budget`] (cancellation and deadline
-/// checked per candidate move) and an observer invoked on every accepted
-/// move (used to record solver convergence traces).
-pub fn hill_climb_traced(
     graph: &BddGraph,
     start: &Labeling,
     gamma: f64,
@@ -282,6 +264,7 @@ pub fn hill_climb_traced(
     budget: &Budget,
     mut on_improve: impl FnMut(&Labeling),
 ) -> (Labeling, usize) {
+    flowc_failpoint::fire("compact.hill_climb");
     let n = graph.num_nodes();
     let mut vh: HashSet<usize> = (0..n)
         .filter(|&v| matches!(start.label(v), VhLabel::Vh))
@@ -321,62 +304,54 @@ pub fn hill_climb_traced(
     }
 }
 
-/// Solves the weighted VH-labeling problem. Small graphs (at most
-/// `exact_node_limit` nodes) go through the exact Eq. 4 MIP; larger graphs
-/// use the staged anytime path. Either way the returned trace records the
-/// incumbent/bound/gap trajectory.
-pub fn solve(graph: &BddGraph, config: &MipConfig) -> MipOutcome {
-    solve_budgeted(graph, config, &Budget::unlimited())
-}
+/// Graphs of at most this many nodes get the LP-bounded branch & bound;
+/// larger ones go straight to the anytime path. The limit exists because
+/// `HybridBounder`'s dense `lp::Simplex` checks no deadline: on int2float
+/// (250 nodes, 986 columns) the root LP alone did not finish in 120 s, so
+/// above this size the search could not honor its budget.
+const EXACT_NODE_LIMIT: usize = 80;
 
-/// [`solve`] under a shared [`Budget`]: the branch & bound, the OCT stage,
-/// and the hill climb all check the budget's deadline and cancellation
-/// token cooperatively.
-pub fn solve_budgeted(graph: &BddGraph, config: &MipConfig, budget: &Budget) -> MipOutcome {
-    // Above the node limit, or without an incumbent before the budget
-    // ran out (infeasibility cannot occur: all-VH is always feasible),
-    // the anytime path answers.
-    solve_exact_budgeted(graph, config, budget)
-        .unwrap_or_else(|_| solve_anytime_budgeted(graph, config, budget))
-}
-
-/// The exact Eq. 4 MIP path alone.
+/// Solves the weighted VH-labeling problem (the paper's Method B, Eq. 4)
+/// under `budget`, which every stage checks cooperatively.
 ///
-/// # Errors
+/// Graphs of at most [`EXACT_NODE_LIMIT`] nodes go through the LP-bounded
+/// branch & bound, warm-started from `warm` (typically the incumbent of an
+/// adjacent γ point; it is re-costed under this γ, and an invalid hint is
+/// ignored rather than trusted). When that search returns no incumbent,
+/// or the graph is larger, the staged anytime path answers, seeded with
+/// `oct_hint` in place of its OCT stage. Either way the outcome's trace
+/// records the incumbent/bound/gap trajectory.
 ///
-/// Says why no labeling came back: the graph exceeds
-/// `config.exact_node_limit`, or the branch & bound found no incumbent
-/// before its budget ran out. Callers fall back to
-/// [`solve_anytime_budgeted`].
-pub fn solve_exact_budgeted(
-    graph: &BddGraph,
-    config: &MipConfig,
-    budget: &Budget,
-) -> Result<MipOutcome, String> {
-    solve_exact_warm(graph, config, budget, None)
-}
-
-/// [`solve_exact_budgeted`] with an optional warm-start labeling (typically
-/// the incumbent of an adjacent γ point in a sweep). The labeling is
-/// re-encoded — and re-costed — under this model's γ; an invalid hint is
-/// ignored by the solver rather than trusted.
-///
-/// # Errors
-///
-/// See [`solve_exact_budgeted`].
-pub fn solve_exact_warm(
+/// The second return value is a freshly computed, proven-optimal odd
+/// cycle transversal for the caller to cache: it is γ-independent, and
+/// it dominates the anytime path's wall time. It is `None` when the hint
+/// was used, the branch & bound answered, or the OCT solve timed out (a
+/// timed-out transversal depends on the budget and must not be reused).
+pub fn solve(
     graph: &BddGraph,
     config: &MipConfig,
     budget: &Budget,
     warm: Option<&Labeling>,
-) -> Result<MipOutcome, String> {
-    let nodes = graph.num_nodes();
-    if nodes > config.exact_node_limit {
-        return Err(format!(
-            "graph has {nodes} nodes, above the exact path's node limit of {}",
-            config.exact_node_limit
-        ));
+    oct_hint: Option<&OctResult>,
+) -> (MipOutcome, Option<OctResult>) {
+    if graph.num_nodes() <= EXACT_NODE_LIMIT {
+        // Infeasibility cannot occur (all-VH is always feasible), so the
+        // search only comes back empty when the budget ran out first.
+        if let Some(out) = branch_and_bound(graph, config, budget, warm) {
+            return (out, None);
+        }
     }
+    anytime(graph, config, budget, oct_hint)
+}
+
+/// The exact path: the Eq. 4 model through the LP-bounded branch & bound.
+/// `None` when no incumbent was found before the budget ran out.
+fn branch_and_bound(
+    graph: &BddGraph,
+    config: &MipConfig,
+    budget: &Budget,
+    warm: Option<&Labeling>,
+) -> Option<MipOutcome> {
     let gamma = config.gamma;
     let (model, vars) = build_model(graph, gamma, config.align);
     let mut solver = BranchBound::new()
@@ -392,11 +367,11 @@ pub fn solve_exact_warm(
         .solve_with(&model, || {
             HybridBounder::new(VhBounder::new(layout.clone()))
         })
-        .map_err(|_| "branch & bound produced no labeling before its budget ran out")?;
+        .ok()?;
     let labeling = labeling_from_solution(&vars, &sol.values);
     debug_assert!(labeling.is_valid(graph));
     let objective = labeling.stats().objective(gamma);
-    Ok(MipOutcome {
+    Some(MipOutcome {
         labeling,
         optimal: sol.status == SolveStatus::Optimal,
         objective,
@@ -428,21 +403,12 @@ pub(crate) fn relative_gap(objective: f64, bound: f64) -> f64 {
     ((objective - bound).abs() / objective.abs().max(1e-10)).min(1.0)
 }
 
-/// The staged anytime path alone: greedy OCT incumbent → budgeted exact
-/// OCT (bound + incumbent) → VH-addition hill climbing. Always returns a
-/// valid labeling, even on an already-exhausted budget.
-pub fn solve_anytime_budgeted(graph: &BddGraph, config: &MipConfig, budget: &Budget) -> MipOutcome {
-    solve_anytime_with_oct(graph, config, budget, None).0
-}
-
-/// [`solve_anytime_budgeted`] with an optional precomputed odd cycle
-/// transversal. The OCT stage dominates the anytime wall and is
-/// γ-independent, so sweep drivers cache it per graph: a `hint` replaces
-/// the stage-2 solve outright. The second return value is a freshly
-/// computed, proven-optimal OCT for the caller to cache (`None` when the
-/// hint was used or the solve timed out — a timed-out transversal depends
-/// on the budget and must not be reused).
-pub fn solve_anytime_with_oct(
+/// The staged anytime path: greedy OCT incumbent → budgeted exact OCT
+/// (bound + incumbent; replaced outright by `hint`) → VH-addition hill
+/// climbing, skipped once the incumbent is proven optimal. Always returns
+/// a valid labeling, even on an already-exhausted budget. The second
+/// return value is as for [`solve`].
+fn anytime(
     graph: &BddGraph,
     config: &MipConfig,
     budget: &Budget,
@@ -498,33 +464,37 @@ pub fn solve_anytime_with_oct(
         open_nodes: 1,
     });
 
-    // Stage 3: hill climbing on VH additions (only helps when γ < 1); each
-    // accepted move is an incumbent improvement worth a trace point.
-    let (improved, _) = hill_climb_traced(
-        graph,
-        &best,
-        gamma,
-        config.align,
-        deadline,
-        budget,
-        |labeling| {
-            trace.push(TracePoint {
-                elapsed: start.elapsed(),
-                best_integer: Some(labeling.stats().objective(gamma)),
-                best_bound,
-                open_nodes: 1,
-            });
-        },
-    );
-    let improved_obj = improved.stats().objective(gamma);
-    if improved_obj < best_obj {
-        best = improved;
-        best_obj = improved_obj;
-    }
-
     // Optimality: proven only when the OCT was exact and the incumbent
     // meets the bound.
-    let optimal = oct.optimal && meets_bound(best_obj, best_bound);
+    let proven = |objective: f64| oct.optimal && meets_bound(objective, best_bound);
+    // Stage 3: hill climbing on VH additions (only helps when γ < 1, and
+    // never below a bound the incumbent already meets); each accepted move
+    // is an incumbent improvement worth a trace point.
+    if !proven(best_obj) {
+        let (improved, _) = hill_climb(
+            graph,
+            &best,
+            gamma,
+            config.align,
+            deadline,
+            budget,
+            |labeling| {
+                trace.push(TracePoint {
+                    elapsed: start.elapsed(),
+                    best_integer: Some(labeling.stats().objective(gamma)),
+                    best_bound,
+                    open_nodes: 1,
+                });
+            },
+        );
+        let improved_obj = improved.stats().objective(gamma);
+        if improved_obj < best_obj {
+            best = improved;
+            best_obj = improved_obj;
+        }
+    }
+
+    let optimal = proven(best_obj);
     let relative_gap = relative_gap(best_obj, best_bound);
     trace.push(TracePoint {
         elapsed: start.elapsed(),
@@ -568,10 +538,20 @@ mod tests {
         BddGraph::from_bdds(&build_sbdd(&n, None))
     }
 
+    /// [`solve`] cold: unlimited budget, no warm start, no OCT hint.
+    fn solve_cold(g: &BddGraph, config: &MipConfig) -> MipOutcome {
+        solve(g, config, &Budget::unlimited(), None, None).0
+    }
+
+    /// The anytime path alone, whatever the graph's size.
+    fn solve_anytime(g: &BddGraph, config: &MipConfig) -> MipOutcome {
+        anytime(g, config, &Budget::unlimited(), None).0
+    }
+
     #[test]
     fn exact_mip_matches_oct_on_gamma_one() {
         let g = fig2();
-        let out = solve(
+        let out = solve_cold(
             &g,
             &MipConfig {
                 gamma: 1.0,
@@ -589,7 +569,7 @@ mod tests {
     #[test]
     fn exact_mip_respects_alignment() {
         let g = fig2();
-        let out = solve(&g, &MipConfig::default());
+        let out = solve_cold(&g, &MipConfig::default());
         assert!(out.labeling.is_valid(&g));
         assert!(out.labeling.is_aligned(&g));
     }
@@ -597,7 +577,7 @@ mod tests {
     #[test]
     fn gamma_zero_prefers_balanced_designs() {
         let g = fig2();
-        let balanced = solve(
+        let balanced = solve_cold(
             &g,
             &MipConfig {
                 gamma: 0.0,
@@ -605,7 +585,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let min_s = solve(
+        let min_s = solve_cold(
             &g,
             &MipConfig {
                 gamma: 1.0,
@@ -622,13 +602,7 @@ mod tests {
     #[test]
     fn anytime_path_produces_trace_and_valid_labeling() {
         let g = fig2();
-        let out = solve(
-            &g,
-            &MipConfig {
-                exact_node_limit: 0, // force the anytime path
-                ..Default::default()
-            },
-        );
+        let out = solve_anytime(&g, &MipConfig::default());
         assert!(out.labeling.is_valid(&g));
         assert!(out.labeling.is_aligned(&g));
         assert!(out.trace.points().len() >= 2);
@@ -644,7 +618,7 @@ mod tests {
     #[test]
     fn anytime_agrees_with_exact_on_small_instance() {
         let g = fig2();
-        let exact = solve(
+        let exact = solve_cold(
             &g,
             &MipConfig {
                 gamma: 0.5,
@@ -652,12 +626,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        let anytime = solve(
+        let anytime = solve_anytime(
             &g,
             &MipConfig {
                 gamma: 0.5,
                 align: true,
-                exact_node_limit: 0,
                 ..Default::default()
             },
         );
@@ -710,6 +683,8 @@ mod tests {
                 gamma,
                 true,
                 Instant::now() + Duration::from_secs(5),
+                &Budget::unlimited(),
+                |_| {},
             );
             assert!(improved.is_valid(&g));
             assert!(

@@ -6,6 +6,7 @@ use flowc_logic::Network;
 
 use crate::pipeline::{Config, VhStrategy};
 use crate::session::{synthesize_in, Session};
+use crate::supervisor::Rung;
 
 /// One point of the sweep: the γ that produced it and the design's shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +45,8 @@ pub fn gamma_sweep_in(
         .filter_map(|i| {
             let gamma = i as f64 / (steps - 1) as f64;
             let cfg = Config {
-                strategy: VhStrategy::Weighted {
-                    gamma,
-                    time_limit,
-                    exact_node_limit: 80,
-                },
-                align: true,
-                var_order: None,
-                label_threads: 1,
+                strategy: VhStrategy::entering(Rung::ExactMip, gamma, time_limit),
+                ..Config::gamma(gamma)
             };
             // The supervised pipeline only errs on internal bugs; a failed
             // γ point degrades the sweep's resolution, not the caller.

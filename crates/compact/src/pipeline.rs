@@ -34,9 +34,6 @@ pub enum VhStrategy {
         gamma: f64,
         /// Total wall-clock budget.
         time_limit: Duration,
-        /// Node-count ceiling for the exact MIP path; 0 skips it, so the
-        /// ladder starts at the anytime rung.
-        exact_node_limit: usize,
     },
     /// Fast greedy path (heuristic OCT + balancing), for very large inputs.
     Heuristic {
@@ -265,11 +262,7 @@ mod tests {
             VhStrategy::MinSemiperimeter {
                 time_limit: Duration::from_secs(5),
             },
-            VhStrategy::Weighted {
-                gamma: 0.5,
-                time_limit: Duration::from_secs(5),
-                exact_node_limit: 80,
-            },
+            VhStrategy::entering(Rung::ExactMip, 0.5, Duration::from_secs(5)),
             VhStrategy::Heuristic { gamma: 0.5 },
             VhStrategy::Staircase,
         ] {

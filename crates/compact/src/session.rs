@@ -107,14 +107,9 @@ pub fn graph_key(bdd: ArtifactKey) -> ArtifactKey {
 pub fn label_key(graph: ArtifactKey, config: &Config) -> ArtifactKey {
     let mut parts = vec![TAG_LABEL, graph.0, u64::from(config.align)];
     match &config.strategy {
-        VhStrategy::Weighted {
-            gamma,
-            exact_node_limit,
-            ..
-        } => {
+        VhStrategy::Weighted { gamma, .. } => {
             parts.push(1);
             parts.push(gamma.to_bits());
-            parts.push(*exact_node_limit as u64);
         }
         VhStrategy::MinSemiperimeter { .. } => parts.push(2),
         VhStrategy::Heuristic { gamma } => {
@@ -1156,13 +1151,13 @@ mod tests {
             labeling: Labeling::new(vec![VhLabel::H, VhLabel::V, VhLabel::Vh]),
             optimal: false,
             relative_gap: 0.25,
-            rung: Rung::AnytimeMip,
+            rung: Rung::HeuristicOct,
         };
         let back = label_from_json(&label_to_json(&artifact)).unwrap();
         assert_eq!(back.labeling.labels(), artifact.labeling.labels());
         assert!(!back.optimal);
         assert_eq!(back.relative_gap, 0.25);
-        assert_eq!(back.rung, Rung::AnytimeMip);
+        assert_eq!(back.rung, Rung::HeuristicOct);
 
         let mut bad = label_to_json(&artifact);
         if let Json::Obj(fields) = &mut bad {

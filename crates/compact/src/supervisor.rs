@@ -4,22 +4,21 @@
 //! graceful-degradation ladder:
 //!
 //! 1. **Exact** — the Eq. 4 MIP (weighted strategy) or the exact Lemma-1
-//!    OCT (min-semiperimeter strategy), proven optimal when it closes.
-//! 2. **Anytime MIP** — the staged greedy-OCT → exact-OCT → hill-climb
-//!    path, which improves an always-valid incumbent until the budget runs
-//!    out.
-//! 3. **Heuristic OCT** — the greedy transversal plus balancing, no solver
+//!    OCT (min-semiperimeter strategy), proven optimal when it closes. The
+//!    MIP rung runs the branch & bound on small graphs and the staged
+//!    greedy-OCT → exact-OCT → hill-climb path otherwise
+//!    ([`crate::mip_method::solve`]), so it always returns an incumbent.
+//! 2. **Heuristic OCT** — the greedy transversal plus balancing, no solver
 //!    involved.
-//! 4. **All-VH** — the terminal rung: label every node `VH`. This is the
+//! 3. **All-VH** — the terminal rung: label every node `VH`. This is the
 //!    staircase-shaped diagonal assignment (every node occupies one row and
 //!    one column, `S = 2n`), which is valid for *any* graph and needs no
 //!    search at all. It cannot fail and cannot be budgeted away.
 //!
-//! A rung is abandoned (and the next one tried) when it panics, returns
-//! nothing, or produces a labeling that cannot be mapped. Budget exhaustion
-//! *inside* a rung degrades gracefully where the rung supports it (the
-//! solvers all return their incumbent); only a rung with no incumbent at
-//! all falls through. Every attempt is recorded in a [`DegradationReport`]
+//! A rung is abandoned (and the next one tried) when it panics or produces
+//! a labeling that cannot be mapped. Budget exhaustion *inside* a rung
+//! degrades gracefully: every rung returns an incumbent, however little
+//! budget it had. Every attempt is recorded in a [`DegradationReport`]
 //! attached to the result.
 //!
 //! Since PR 4 the supervisor is staged through [`crate::session`]:
@@ -53,9 +52,7 @@ use flowc_xbar::Crossbar;
 use crate::balance::balanced_labeling;
 use crate::labeling::Labeling;
 use crate::mapping::map_to_crossbar;
-use crate::mip_method::{
-    meets_bound, relative_gap, solve_anytime_with_oct, solve_exact_warm, weighted_bound, MipConfig,
-};
+use crate::mip_method::{self, meets_bound, relative_gap, weighted_bound, MipConfig};
 use crate::oct_method::{min_semiperimeter_budgeted, OctMethodConfig};
 use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
@@ -121,12 +118,12 @@ macro_rules! make_rung_enum {
 }
 
 make_rung_enum!(
-    /// The exact Eq. 4 MIP through the LP-bounded branch & bound.
-    ExactMip => "exact-mip",
+    /// The Eq. 4 MIP (Method B): the LP-bounded branch & bound on small
+    /// graphs, the staged anytime path (greedy OCT → budgeted OCT → hill
+    /// climb) otherwise. `anytime-mip` is accepted as an input alias.
+    ExactMip => "exact-mip" | "anytime-mip",
     /// The exact Lemma-1 odd-cycle-transversal solve (γ = 1 objective).
     ExactOct => "exact-oct",
-    /// The staged anytime path (greedy OCT → budgeted OCT → hill climb).
-    AnytimeMip => "anytime-mip",
     /// Greedy OCT heuristic plus balancing; no solver.
     HeuristicOct => "heuristic-oct",
     /// Terminal fallback: every node labeled `VH` (the staircase diagonal).
@@ -156,9 +153,8 @@ pub enum Trigger {
     Budget(BudgetExceeded),
     /// The stage panicked; the payload message is preserved.
     Panicked(String),
-    /// The stage completed but produced nothing usable (e.g. the graph
-    /// exceeds the exact path's node limit, or mapping rejected the
-    /// labeling).
+    /// The stage completed but produced nothing usable (e.g. mapping
+    /// rejected the labeling).
     Failed(String),
 }
 
@@ -243,10 +239,10 @@ struct RungOutput {
     trace: Option<SolveTrace>,
     /// Branch & bound nodes explored (0 for non-MIP rungs).
     nodes: u64,
-    /// Warm-start outcome of the exact MIP rung, when one was offered.
+    /// Warm-start outcome of the MIP rung, when one was offered.
     warm_start: Option<bool>,
-    /// Freshly proven-optimal OCT from the anytime rung, for the caller
-    /// to cache (γ-independent, budget-independent).
+    /// Freshly proven-optimal OCT from the MIP rung's anytime path, for
+    /// the caller to cache (γ-independent, budget-independent).
     oct: Option<OctResult>,
 }
 
@@ -266,11 +262,7 @@ pub fn ladder(strategy: &VhStrategy) -> &'static [Rung] {
     use Rung::*;
     match strategy {
         VhStrategy::MinSemiperimeter { .. } => &[ExactOct, HeuristicOct, AllVh],
-        VhStrategy::Weighted {
-            exact_node_limit: 0,
-            ..
-        } => &[AnytimeMip, HeuristicOct, AllVh],
-        VhStrategy::Weighted { .. } => &[ExactMip, AnytimeMip, HeuristicOct, AllVh],
+        VhStrategy::Weighted { .. } => &[ExactMip, HeuristicOct, AllVh],
         VhStrategy::Heuristic { .. } => &[HeuristicOct, AllVh],
         VhStrategy::Staircase => &[AllVh],
     }
@@ -282,26 +274,16 @@ impl VhStrategy {
     /// `gamma` and `time_limit` reach the rungs that use them.
     pub fn entering(rung: Rung, gamma: f64, time_limit: Duration) -> VhStrategy {
         match rung {
-            Rung::ExactMip => VhStrategy::Weighted {
-                gamma,
-                time_limit,
-                exact_node_limit: 80,
-            },
+            Rung::ExactMip => VhStrategy::Weighted { gamma, time_limit },
             Rung::ExactOct => VhStrategy::MinSemiperimeter { time_limit },
-            // A zero node limit skips the exact path: every graph takes
-            // the staged anytime route.
-            Rung::AnytimeMip => VhStrategy::Weighted {
-                gamma,
-                time_limit,
-                exact_node_limit: 0,
-            },
             Rung::HeuristicOct => VhStrategy::Heuristic { gamma },
             Rung::AllVh => VhStrategy::Staircase,
         }
     }
 }
 
-/// Runs one rung. `Err` says why the rung produced nothing.
+/// Runs one rung. Every rung returns a labeling; only a panic (caught
+/// by [`run_ladder`]) or a mapping rejection moves the ladder down.
 fn run_rung(
     rung: Rung,
     graph: &BddGraph,
@@ -309,39 +291,32 @@ fn run_rung(
     budget: &Budget,
     warm: Option<&Labeling>,
     oct: Option<&OctResult>,
-) -> Result<RungOutput, String> {
+) -> RungOutput {
     flowc_failpoint::fire(format_args!("compact.rung.{rung}"));
     let strategy = &config.strategy;
     match rung {
         Rung::ExactMip => {
-            let exact_node_limit = match strategy {
-                VhStrategy::Weighted {
-                    exact_node_limit, ..
-                } => *exact_node_limit,
-                // Only the weighted ladder schedules this rung.
-                _ => 0,
-            };
-            let out = solve_exact_warm(
+            let (out, fresh_oct) = mip_method::solve(
                 graph,
                 &MipConfig {
                     gamma: strategy.gamma(),
                     align: config.align,
                     time_limit: strategy.time_limit(),
-                    exact_node_limit,
                     threads: config.label_threads.max(1),
                 },
                 budget,
                 warm,
-            )?;
-            Ok(RungOutput {
+                oct,
+            );
+            RungOutput {
                 labeling: out.labeling,
                 optimal: out.optimal,
                 relative_gap: out.relative_gap,
                 trace: Some(out.trace),
                 nodes: out.nodes,
                 warm_start: out.warm_start,
-                oct: None,
-            })
+                oct: fresh_oct,
+            }
         }
         Rung::ExactOct => {
             let r = min_semiperimeter_budgeted(
@@ -353,69 +328,35 @@ fn run_rung(
                 },
                 budget,
             );
-            let gap = if r.optimal {
-                0.0
-            } else {
-                let k = r.oct_size.max(1) as f64;
-                ((r.oct_size.saturating_sub(r.oct_lower_bound)) as f64 / k).min(1.0)
-            };
-            Ok(RungOutput {
-                labeling: r.labeling,
-                optimal: r.optimal,
-                relative_gap: gap,
-                trace: None,
-                nodes: 0,
-                warm_start: None,
-                oct: None,
-            })
-        }
-        Rung::AnytimeMip => {
-            let (out, fresh_oct) = solve_anytime_with_oct(
-                graph,
-                &MipConfig {
-                    gamma: strategy.gamma(),
-                    align: config.align,
-                    time_limit: strategy.time_limit(),
-                    exact_node_limit: 0,
-                    threads: config.label_threads.max(1),
-                },
-                budget,
-                oct,
-            );
-            Ok(RungOutput {
-                labeling: out.labeling,
-                optimal: out.optimal,
-                relative_gap: out.relative_gap,
-                trace: Some(out.trace),
-                nodes: out.nodes,
-                warm_start: out.warm_start,
-                oct: fresh_oct,
-            })
+            // Alignment upgrades can lift S above `n + k`, so a minimum
+            // transversal alone proves nothing about the shipped labeling.
+            bounded_output(graph, r.labeling, r.oct_lower_bound, config)
         }
         Rung::HeuristicOct => {
             let vh: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
             let oct_lb = usize::from(!vh.is_empty());
-            Ok(bounded_output(graph, &vh, oct_lb, config))
+            let labeling = balanced_labeling(graph, &vh, config.align);
+            bounded_output(graph, labeling, oct_lb, config)
         }
         Rung::AllVh => {
             let vh: HashSet<usize> = (0..graph.num_nodes()).collect();
             let oct_lb = usize::from(matches!(two_color(&graph.graph), ColorResult::OddCycle(_)));
-            Ok(bounded_output(graph, &vh, oct_lb, config))
+            let labeling = balanced_labeling(graph, &vh, config.align);
+            bounded_output(graph, labeling, oct_lb, config)
         }
     }
 }
 
-/// A solver-free rung's output: the balanced labeling over `vh`, measured
-/// against the weighted bound that `oct_lb` (1 for a non-bipartite graph,
-/// else 0) proves. Optimal iff the objective meets that bound.
+/// A non-MIP rung's output: `labeling` measured against the weighted
+/// bound that `oct_lb` (a proven lower bound on the minimum transversal)
+/// proves under the strategy's γ. Optimal iff the objective meets it.
 fn bounded_output(
     graph: &BddGraph,
-    vh: &HashSet<usize>,
+    labeling: Labeling,
     oct_lb: usize,
     config: &Config,
 ) -> RungOutput {
     let gamma = config.strategy.gamma();
-    let labeling = balanced_labeling(graph, vh, config.align);
     let objective = labeling.stats().objective(gamma);
     let bound = weighted_bound(graph.num_nodes(), oct_lb, gamma);
     RungOutput {
@@ -469,8 +410,8 @@ pub struct LadderOutcome {
     /// Whether the labeling was served from the session's artifact cache
     /// (set by [`crate::pass::LadderPass`], never by [`run_ladder`]).
     pub from_cache: bool,
-    /// Freshly proven-optimal OCT from the anytime rung (γ-independent),
-    /// for the session to cache across sweep points.
+    /// Freshly proven-optimal OCT from the MIP rung's anytime path
+    /// (γ-independent), for the session to cache across sweep points.
     pub oct: Option<OctResult>,
 }
 
@@ -512,8 +453,8 @@ impl LadderOutcome {
 }
 
 /// Walks the degradation ladder over an extracted graph: run a rung,
-/// enforce alignment, map; on panic, empty output, or mapping rejection,
-/// fall to the next rung. `bdd_trigger` (why the budgeted BDD build was
+/// enforce alignment, map; on panic or mapping rejection, fall to the
+/// next rung. `bdd_trigger` (why the budgeted BDD build was
 /// abandoned upstream, if it was) is recorded ahead of the ladder so the
 /// report tells the full story in order.
 ///
@@ -551,15 +492,7 @@ pub(crate) fn run_ladder(
         let wall = sw.elapsed();
         label_wall += wall;
         let output = match outcome {
-            Ok(Ok(out)) => out,
-            Ok(Err(why)) => {
-                attempts.push(StageAttempt {
-                    rung,
-                    wall,
-                    trigger: Some(Trigger::Failed(why)),
-                });
-                continue;
-            }
+            Ok(out) => out,
             Err(p) => {
                 attempts.push(StageAttempt {
                     rung,
@@ -684,31 +617,46 @@ mod tests {
     }
 
     #[test]
-    fn the_heuristic_rung_reports_a_bound_below_the_exact_optimum() {
+    fn non_mip_rungs_report_a_bound_below_the_exact_optimum() {
         let ctrl = flowc_logic::bench_suite::by_name("ctrl")
             .unwrap()
             .network()
             .unwrap();
         for n in [fig2_network(), ctrl] {
             for gamma in [0.5, 1.0] {
-                let cfg = Config {
-                    strategy: VhStrategy::Heuristic { gamma },
-                    ..Config::default()
-                };
-                let r = synthesize_with_budget(&n, &cfg, &Budget::unlimited()).unwrap();
-                assert!(r.relative_gap < 1.0, "{} γ={gamma}", n.name());
-                // The gap is (objective − bound) / objective.
-                let objective = r.stats.objective(gamma);
-                let bound = objective * (1.0 - r.relative_gap);
                 let exact = synthesize_with_budget(&n, &Config::gamma(gamma), &Budget::unlimited())
                     .unwrap();
                 assert!(exact.optimal, "{} γ={gamma}", n.name());
                 let optimum = exact.stats.objective(gamma);
-                assert!(
-                    bound <= optimum + 1e-9,
-                    "{} γ={gamma}: bound {bound} above optimum {optimum}",
-                    n.name()
-                );
+                // exact-oct optimizes the γ = 1 objective only.
+                let rungs: &[Rung] = if gamma == 1.0 {
+                    &[Rung::HeuristicOct, Rung::ExactOct]
+                } else {
+                    &[Rung::HeuristicOct]
+                };
+                for &rung in rungs {
+                    let cfg = Config {
+                        strategy: VhStrategy::entering(rung, gamma, Duration::from_secs(30)),
+                        ..Config::default()
+                    };
+                    let r = synthesize_with_budget(&n, &cfg, &Budget::unlimited()).unwrap();
+                    let ctx = format!("{} {rung} γ={gamma}", n.name());
+                    assert!(r.relative_gap < 1.0, "{ctx}");
+                    // The gap is (objective − bound) / objective.
+                    let objective = r.stats.objective(gamma);
+                    let bound = objective * (1.0 - r.relative_gap);
+                    assert!(
+                        bound <= optimum + 1e-9,
+                        "{ctx}: bound {bound} above optimum {optimum}"
+                    );
+                    // ctrl's minimum transversal needs alignment upgrades
+                    // on top, so exact-oct's S is above `n + k` and above
+                    // the joint MIP's proven optimum: not optimal.
+                    assert!(
+                        !r.optimal || objective <= optimum + 1e-9,
+                        "{ctx}: claims {objective} optimal, the MIP proves {optimum}"
+                    );
+                }
             }
         }
     }
@@ -722,29 +670,22 @@ mod tests {
         assert!(!report.degraded, "{}", report.summary());
         assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
 
-        // Above the exact path's node limit, the exact rung gives up and
-        // says why; the anytime rung ships.
-        let cfg = Config {
-            strategy: VhStrategy::Weighted {
-                gamma: 0.5,
-                time_limit: Duration::from_secs(5),
-                exact_node_limit: 1,
-            },
-            ..Config::default()
-        };
-        let r = synthesize_with_budget(&n, &cfg, &Budget::unlimited()).unwrap();
+        // A graph too large for the branch & bound is answered inside the
+        // same rung by the anytime path: one attempt, not degraded.
+        let int2float = flowc_logic::bench_suite::by_name("int2float")
+            .unwrap()
+            .network()
+            .unwrap();
+        let r =
+            synthesize_with_budget(&int2float, &Config::default(), &Budget::unlimited()).unwrap();
+        assert!(r.graph_nodes > 80, "int2float must exceed the B&B limit");
         let report = r.degradation.as_ref().unwrap();
-        assert_eq!(report.rung, Rung::AnytimeMip, "{}", report.summary());
-        let first = &report.attempts[0];
-        assert_eq!(first.rung, Rung::ExactMip);
-        let nodes = r.graph_nodes;
-        match &first.trigger {
-            Some(Trigger::Failed(msg)) => assert_eq!(
-                msg,
-                &format!("graph has {nodes} nodes, above the exact path's node limit of 1")
-            ),
-            other => panic!("expected a node-limit failure, got {other:?}"),
-        }
+        assert_eq!(report.rung, Rung::ExactMip, "{}", report.summary());
+        assert_eq!(report.attempts.len(), 1, "{}", report.summary());
+        assert!(!report.degraded, "{}", report.summary());
+        assert!(verify_functional(&r.crossbar, &int2float, 64)
+            .unwrap()
+            .is_valid());
     }
 
     #[test]
@@ -789,11 +730,7 @@ mod tests {
             VhStrategy::MinSemiperimeter {
                 time_limit: Duration::from_secs(5),
             },
-            VhStrategy::Weighted {
-                gamma: 0.5,
-                time_limit: Duration::from_secs(5),
-                exact_node_limit: 80,
-            },
+            VhStrategy::entering(Rung::ExactMip, 0.5, Duration::from_secs(5)),
             VhStrategy::Heuristic { gamma: 0.5 },
             VhStrategy::Staircase,
         ] {
@@ -847,12 +784,11 @@ mod tests {
         }
         assert_eq!("staircase".parse::<Rung>(), Ok(Rung::AllVh));
         assert_eq!(Rung::AllVh.to_string(), "all-vh", "output is canonical");
+        assert_eq!("anytime-mip".parse::<Rung>(), Ok(Rung::ExactMip));
+        assert_eq!(Rung::ExactMip.to_string(), "exact-mip");
         assert_eq!(
             "warp".parse::<Rung>(),
-            Err(
-                "unknown strategy `warp` (exact-mip|exact-oct|anytime-mip|heuristic-oct|all-vh)"
-                    .to_string()
-            )
+            Err("unknown strategy `warp` (exact-mip|exact-oct|heuristic-oct|all-vh)".to_string())
         );
     }
 

@@ -67,8 +67,8 @@ OPTIONS:
 
 ENDPOINTS:
     POST /submit   {\"circuit\", \"format\": blif|pla|verilog|bench,
-                    \"gamma\"?, \"strategy\"?: exact-mip|anytime-mip|
-                    heuristic-oct|all-vh (alias staircase),
+                    \"gamma\"?, \"strategy\"?: exact-mip (alias
+                    anytime-mip)|heuristic-oct|all-vh (alias staircase),
                     \"deadline_ms\"?, \"priority\"?}
     POST /patch    {\"base_key\", \"job_key\", \"edits\": [\"add t and a b\", ...],
                     \"gamma\"?, \"strategy\"?, \"deadline_ms\"?, \"priority\"?}

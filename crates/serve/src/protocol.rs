@@ -349,7 +349,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            "unknown strategy `warp` (exact-mip|anytime-mip|heuristic-oct|all-vh)"
+            "unknown strategy `warp` (exact-mip|heuristic-oct|all-vh)"
         );
     }
 

@@ -1639,7 +1639,12 @@ mod tests {
             state: "queued".into(),
             outcome: None,
         };
-        for (id, rung) in [(1, "warp"), (2, "staircase"), (3, "exact-oct")] {
+        for (id, rung) in [
+            (1, "warp"),
+            (2, "staircase"),
+            (3, "exact-oct"),
+            (4, "anytime-mip"),
+        ] {
             restore_job(&jobs, &queue, &journal, record(id, rung), &mut summary);
         }
 
@@ -1654,11 +1659,14 @@ mod tests {
                 Some("replay_failed")
             );
         }
-        // A known rung (here through its alias) re-runs where admitted.
-        assert_eq!(summary.requeued, 1);
-        assert_eq!(queue.depth(), 1);
+        // A known rung (here through its aliases) re-runs where admitted;
+        // the retired `anytime-mip` rung runs as `exact-mip`.
+        assert_eq!(summary.requeued, 2);
+        assert_eq!(queue.depth(), 2);
         let (spec, _, _) = jobs.claim_for_run(2).unwrap();
         assert_eq!(spec.rung, Rung::AllVh);
+        let (spec, _, _) = jobs.claim_for_run(4).unwrap();
+        assert_eq!(spec.rung, Rung::ExactMip);
         drop(journal);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -20,9 +20,11 @@
 //!                         once) and print each design's shape plus the
 //!                         per-stage trace and cache statistics
 //!   --strategy <rung>     degradation-ladder rung to start on: exact-mip
-//!                         (default; the Eq. 4 MIP), exact-oct (minimal S),
-//!                         anytime-mip, heuristic-oct, or all-vh
-//!                         (`staircase` is accepted for all-vh)
+//!                         (default; the Eq. 4 MIP, branch & bound on
+//!                         graphs of at most 80 nodes, the anytime path
+//!                         above), exact-oct (minimal S), heuristic-oct,
+//!                         or all-vh (`anytime-mip` is accepted for
+//!                         exact-mip, `staircase` for all-vh)
 //!   --label-threads <n>   worker threads for the labeling branch & bound
 //!                         (default 1; the optimum is identical at any
 //!                         thread count)
@@ -604,9 +606,9 @@ fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
     println!("synth time : {:.2}s", result.synthesis_time.as_secs_f64());
     let degraded = result.degradation.as_ref().is_some_and(|d| d.degraded);
     if let Some(report) = &result.degradation {
-        println!("rung       : {}", report.rung);
+        println!("rung       : {}", report.summary());
         if report.degraded {
-            println!("degraded   : {}", report.summary());
+            println!("degraded   : yes");
             for attempt in &report.attempts {
                 if let Some(trigger) = &attempt.trigger {
                     println!(
@@ -704,9 +706,10 @@ SYNTHESIS OPTIONS (synth/bench):
     --tile-backend <name>  backend mapping each tile (default compact)
     --gamma <0..1>         trade-off weight (default 0.5)
     --gamma-sweep <n>      n γ points through one shared session
-    --strategy <rung>      ladder rung to start on: exact-mip (default),
-                           exact-oct, anytime-mip, heuristic-oct, all-vh
-                           (alias staircase); lower rungs are fallbacks
+    --strategy <rung>      ladder rung to start on: exact-mip (default;
+                           alias anytime-mip), exact-oct, heuristic-oct,
+                           all-vh (alias staircase); lower rungs are
+                           fallbacks
     --label-threads <n>    labeling branch & bound workers (default 1;
                            same optimum at any thread count)
     --edit-stream <file>   apply a netlist edit script incrementally

@@ -9,7 +9,7 @@ use flowc::baselines::robdd_diagonal::{compact_per_output, staircase_per_output}
 use flowc::baselines::staircase::staircase_map;
 use flowc::bdd::build_sbdd;
 use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
-use flowc::compact::BddGraph;
+use flowc::compact::{BddGraph, Rung};
 use flowc::logic::bench_suite;
 use flowc::xbar::metrics::CrossbarMetrics;
 use flowc::xbar::verify::verify_functional;
@@ -19,14 +19,8 @@ const FAST: &[&str] = &["ctrl", "int2float", "cavlc", "dec", "c432", "priority"]
 
 fn quick_config(gamma: f64) -> Config {
     Config {
-        strategy: VhStrategy::Weighted {
-            gamma,
-            time_limit: Duration::from_secs(5),
-            exact_node_limit: 60,
-        },
-        align: true,
-        var_order: None,
-        label_threads: 1,
+        strategy: VhStrategy::entering(Rung::ExactMip, gamma, Duration::from_secs(5)),
+        ..Config::gamma(gamma)
     }
 }
 

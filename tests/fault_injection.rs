@@ -200,23 +200,20 @@ fn panicked_rungs(report: &DegradationReport) -> Vec<Rung> {
         .collect()
 }
 
-const PANIC_BOTH_MIP_RUNGS: &str = "compact.rung.exact-mip=panic,compact.rung.anytime-mip=panic";
+const PANIC_THE_MIP_RUNG: &str = "compact.rung.exact-mip=panic";
 
 #[test]
 fn injected_solver_panics_degrade_but_never_abort() {
     // The scoped failpoints arm this thread only, so tests synthesizing
     // on other threads never see these panics.
     let n = fig2_network();
-    let _fp = flowc_failpoint::scoped(PANIC_BOTH_MIP_RUNGS);
+    let _fp = flowc_failpoint::scoped(PANIC_THE_MIP_RUNG);
     let r = synthesize_with_budget(&n, &Config::default(), &Budget::unlimited())
         .expect("degradation must produce a design");
     let report = r.degradation.as_ref().unwrap();
     assert_eq!(report.rung, Rung::HeuristicOct, "{}", report.summary());
     assert!(report.degraded);
-    assert_eq!(
-        panicked_rungs(report),
-        vec![Rung::ExactMip, Rung::AnytimeMip]
-    );
+    assert_eq!(panicked_rungs(report), vec![Rung::ExactMip]);
     assert!(verify_functional(&r.crossbar, &n, 64).unwrap().is_valid());
 }
 
@@ -245,6 +242,42 @@ fn a_fallback_rung_is_never_cached_for_the_rung_that_failed() {
 }
 
 #[test]
+fn a_proven_anytime_incumbent_ships_without_hill_climbing() {
+    // priority is far above the branch & bound's node limit, and its
+    // OCT-balanced labeling already meets the proven bound at every γ, so
+    // the anytime path must stop there: with hill climbing armed to
+    // panic, the MIP rung still ships, proven optimal.
+    let _fp = flowc_failpoint::scoped("compact.hill_climb=panic");
+    let priority = bench_suite::by_name("priority").unwrap().network().unwrap();
+    for gamma in [0.0, 0.5] {
+        let r =
+            synthesize_with_budget(&priority, &Config::gamma(gamma), &Budget::unlimited()).unwrap();
+        let report = r.degradation.as_ref().unwrap();
+        assert_eq!(
+            report.rung,
+            Rung::ExactMip,
+            "γ={gamma}: {}",
+            report.summary()
+        );
+        assert!(
+            r.optimal && !report.degraded,
+            "γ={gamma}: {}",
+            report.summary()
+        );
+    }
+    // The failpoint is live: where the incumbent is short of its bound,
+    // the climb runs, panics, and the ladder falls to the heuristic rung.
+    let int2float = bench_suite::by_name("int2float")
+        .unwrap()
+        .network()
+        .unwrap();
+    let r = synthesize_with_budget(&int2float, &Config::gamma(0.5), &Budget::unlimited()).unwrap();
+    let report = r.degradation.as_ref().unwrap();
+    assert_eq!(report.rung, Rung::HeuristicOct, "{}", report.summary());
+    assert_eq!(panicked_rungs(report), vec![Rung::ExactMip]);
+}
+
+#[test]
 fn the_per_output_flow_reports_which_rung_shipped_each_block() {
     // Table III's per-output ROBDD flow walks the same ladder; a block
     // whose exact rung panics ships from a fallback, and says so.
@@ -262,7 +295,7 @@ fn the_per_output_flow_reports_which_rung_shipped_each_block() {
         })
         .collect();
     let fell = reports[0];
-    assert_eq!(fell.rung, Rung::AnytimeMip, "{}", fell.summary());
+    assert_eq!(fell.rung, Rung::HeuristicOct, "{}", fell.summary());
     assert!(fell.degraded);
     assert!(matches!(
         fell.attempts[0].trigger,
@@ -297,7 +330,7 @@ fn scoped_panics_never_leak_into_concurrent_syntheses() {
         for t in 0..8 {
             let n = &n;
             s.spawn(move || {
-                let _fp = (t % 2 == 0).then(|| flowc_failpoint::scoped(PANIC_BOTH_MIP_RUNGS));
+                let _fp = (t % 2 == 0).then(|| flowc_failpoint::scoped(PANIC_THE_MIP_RUNG));
                 for i in 0..25 {
                     let r = synthesize_with_budget(n, &Config::default(), &Budget::unlimited())
                         .expect("degradation must produce a design");
@@ -305,11 +338,7 @@ fn scoped_panics_never_leak_into_concurrent_syntheses() {
                     let ctx = format!("thread {t}, iteration {i}: {}", report.summary());
                     if t % 2 == 0 {
                         assert_eq!(report.rung, Rung::HeuristicOct, "{ctx}");
-                        assert_eq!(
-                            panicked_rungs(report),
-                            vec![Rung::ExactMip, Rung::AnytimeMip],
-                            "{ctx}"
-                        );
+                        assert_eq!(panicked_rungs(report), vec![Rung::ExactMip], "{ctx}");
                     } else {
                         assert_eq!(report.rung, Rung::ExactMip, "{ctx}");
                         assert!(panicked_rungs(report).is_empty(), "{ctx}");

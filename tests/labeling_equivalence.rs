@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use flowc::budget::Budget;
-use flowc::compact::mip_method::{solve as mip_solve, solve_exact_warm, MipConfig};
+use flowc::compact::mip_method::{solve as mip_solve, MipConfig};
 use flowc::compact::BddGraph;
 use flowc::conform::gen::gen_graph;
 use flowc::conform::Rng;
@@ -76,15 +76,17 @@ fn conform_seeded_labelings_match_exhaustive_enumeration() {
         let graph = instance(g);
         for gamma in [0.0, 0.5, 1.0] {
             let want = enumerate_vh_optimum(&graph.graph, gamma);
-            let got = mip_solve(
+            let (got, _) = mip_solve(
                 &graph,
                 &MipConfig {
                     gamma,
                     align: false,
                     time_limit: Duration::from_secs(30),
-                    exact_node_limit: 80,
                     threads: 1,
                 },
+                &Budget::unlimited(),
+                None,
+                None,
             );
             assert!(got.optimal, "case {case} γ={gamma} must close");
             assert!(
@@ -190,11 +192,11 @@ fn warm_started_sweep_lands_on_the_cold_optima() {
             gamma,
             align: true,
             time_limit: Duration::from_secs(60),
-            exact_node_limit: 80,
             threads: 1,
         };
-        let cold = solve_exact_warm(&graph, &config, &budget, None).expect("cold solve");
-        let warmed = solve_exact_warm(&graph, &config, &budget, warm.as_ref()).expect("warm solve");
+        let (cold, _) = mip_solve(&graph, &config, &budget, None, None);
+        let (warmed, _) = mip_solve(&graph, &config, &budget, warm.as_ref(), None);
+        assert_eq!(warmed.warm_start.is_some(), warm.is_some(), "γ={gamma}");
         assert!(cold.optimal && warmed.optimal, "γ={gamma} must close");
         assert!(
             (cold.objective - warmed.objective).abs() < 1e-6,

@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use flowc::bdd::build_sbdd;
+use flowc::budget::Budget;
 use flowc::compact::mip_method::{solve as mip_solve, MipConfig};
 use flowc::compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc::compact::BddGraph;
@@ -42,15 +43,17 @@ fn mip_and_oct_are_consistent_on_ctrl_at_gamma_one() {
     // bound for the aligned optimum — upgrades are not jointly optimized).
     let oct_aligned = min_semiperimeter(&graph, &OctMethodConfig::default());
     // Aligned exact MIP: the jointly-optimal aligned solution.
-    let mip = mip_solve(
+    let (mip, _) = mip_solve(
         &graph,
         &MipConfig {
             gamma: 1.0,
             align: true,
             time_limit: Duration::from_secs(60),
-            exact_node_limit: 80,
             threads: 1,
         },
+        &Budget::unlimited(),
+        None,
+        None,
     );
     assert!(mip.optimal, "ctrl at γ=1 with alignment must close");
     let n = graph.num_nodes();
@@ -101,15 +104,17 @@ fn mip_and_oct_agree_on_random_functions_at_gamma_one() {
                 ..Default::default()
             },
         );
-        let mip = mip_solve(
+        let (mip, _) = mip_solve(
             &graph,
             &MipConfig {
                 gamma: 1.0,
                 align: false,
                 time_limit: Duration::from_secs(30),
-                exact_node_limit: 60,
                 threads: 1,
             },
+            &Budget::unlimited(),
+            None,
+            None,
         );
         assert!(oct.optimal, "trial {trial}");
         if mip.optimal {
