@@ -244,14 +244,7 @@ impl PartitionedBackend {
                 .per_tile_time
                 .min(ctx.budget.remaining_or(self.per_tile_time));
             match synthesize_constrained(cone, self.tile, slice) {
-                Ok(result) => {
-                    return Ok(Fit::Fits(Box::new(MappedDesign {
-                        backend: "compact",
-                        metrics: result.metrics,
-                        artifact: DesignArtifact::Monolithic(result.crossbar.clone()),
-                        compact: Some(Box::new(result)),
-                    })))
-                }
+                Ok(result) => return Ok(Fit::Fits(Box::new(result.into()))),
                 Err(e @ ConstraintError::Infeasible { .. }) => return Ok(Fit::Impossible(e)),
                 Err(_) => {}
             }
@@ -298,12 +291,12 @@ impl MappingBackend for PartitionedBackend {
 
         let close = |fitted: &mut Option<(Cone, Box<MappedDesign>)>, tiles: &mut Vec<Tile>| {
             if let Some((cone, design)) = fitted.take() {
+                let metrics = design.metrics;
                 let crossbar = design
-                    .crossbar()
-                    .expect("tileable inner backends produce monolithic crossbars")
-                    .clone();
+                    .into_crossbar()
+                    .expect("tileable inner backends produce monolithic crossbars");
                 tiles.push(Tile {
-                    metrics: design.metrics,
+                    metrics,
                     crossbar,
                     input_map: cone.input_map,
                     output_slots: cone.output_slots,
@@ -312,9 +305,7 @@ impl MappingBackend for PartitionedBackend {
         };
 
         for o in 0..num_outputs {
-            ctx.budget
-                .check()
-                .map_err(|e| BackendError::Synthesis(e.to_string()))?;
+            ctx.budget.check()?;
             let mut candidate = group.clone();
             candidate.push(o);
             let cone = extract_cone(network, &candidate);
@@ -370,7 +361,6 @@ impl MappingBackend for PartitionedBackend {
             backend: self.name(),
             metrics,
             artifact: DesignArtifact::Tiled(schedule),
-            compact: None,
         })
     }
 }

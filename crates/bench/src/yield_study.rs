@@ -209,7 +209,7 @@ pub fn campaign_design(
     let design = backend
         .synthesize(network, &ctx)
         .map_err(|e| e.to_string())?;
-    design.crossbar().cloned().ok_or_else(|| {
+    design.into_crossbar().ok_or_else(|| {
         format!(
             "backend `{}` produced no monolithic crossbar",
             backend.name()

@@ -15,7 +15,7 @@ use flowc_xbar::metrics::CrossbarMetrics;
 
 use crate::balance::boxed_labeling;
 use crate::labeling::{Labeling, VhLabel};
-use crate::mapping::map_to_crossbar;
+use crate::mapping::{map_to_crossbar, MapError};
 use crate::pipeline::CompactResult;
 use crate::preprocess::BddGraph;
 
@@ -49,7 +49,7 @@ pub enum ConstraintError {
     },
     /// Mapping the fitting labeling failed — indicates a solver bug, not
     /// an input condition.
-    Synthesis(String),
+    Map(MapError),
 }
 
 impl fmt::Display for ConstraintError {
@@ -74,12 +74,19 @@ impl fmt::Display for ConstraintError {
                 f,
                 "no fitting design found within the budget (closest: {best_rows} × {best_cols})"
             ),
-            ConstraintError::Synthesis(msg) => write!(f, "synthesis failed: {msg}"),
+            ConstraintError::Map(e) => write!(f, "mapping rejected labeling: {e}"),
         }
     }
 }
 
-impl std::error::Error for ConstraintError {}
+impl std::error::Error for ConstraintError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ConstraintError::Map(e) => Some(e),
+            ConstraintError::Infeasible { .. } | ConstraintError::NotFound { .. } => None,
+        }
+    }
+}
 
 /// Synthesizes a crossbar for `network` whose shape fits within `limits`,
 /// or explains why it cannot (proven infeasibility vs budget exhaustion).
@@ -197,8 +204,7 @@ pub fn synthesize_constrained(
         });
     }
     let stats = best.stats();
-    let crossbar = map_to_crossbar(&graph, &best, &names)
-        .map_err(|e| ConstraintError::Synthesis(format!("mapping rejected labeling: {e}")))?;
+    let crossbar = map_to_crossbar(&graph, &best, &names).map_err(ConstraintError::Map)?;
     let metrics = CrossbarMetrics::of(&crossbar);
     Ok(CompactResult {
         crossbar,

@@ -43,7 +43,7 @@ use std::time::Duration;
 
 use flowc_budget::Budget;
 use flowc_graph::{hopcroft_karp, BipartiteMatching};
-use flowc_logic::{GateKind, NetId, Network};
+use flowc_logic::{GateKind, LogicError, NetId, Network};
 use flowc_xbar::metrics::CrossbarMetrics;
 
 use crate::labeling::{Labeling, VhLabel};
@@ -266,8 +266,11 @@ pub enum EditError {
         /// The offered operand count.
         got: usize,
     },
+    /// Materializing the edited netlist was refused by [`Network`]'s own
+    /// checks.
+    Network(LogicError),
     /// Re-synthesis after a structural change failed.
-    Synthesis(String),
+    Synthesis(CompactError),
 }
 
 impl fmt::Display for EditError {
@@ -293,16 +296,25 @@ impl fmt::Display for EditError {
             EditError::Arity { kind, got } => {
                 write!(f, "illegal operand count {got} for `{}`", kind.name())
             }
-            EditError::Synthesis(msg) => write!(f, "re-synthesis failed: {msg}"),
+            EditError::Network(e) => write!(f, "edited netlist is invalid: {e}"),
+            EditError::Synthesis(e) => write!(f, "re-synthesis failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for EditError {}
+impl std::error::Error for EditError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            EditError::Network(e) => Some(e),
+            EditError::Synthesis(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<CompactError> for EditError {
     fn from(e: CompactError) -> Self {
-        EditError::Synthesis(e.to_string())
+        EditError::Synthesis(e)
     }
 }
 
@@ -616,7 +628,7 @@ impl EditableNetlist {
                 .collect::<Result<_, _>>()?;
             let id = network
                 .add_gate(gate.kind, &operands, &gate.name)
-                .map_err(|e| EditError::Synthesis(e.to_string()))?;
+                .map_err(EditError::Network)?;
             ids.insert(&gate.name, id);
         }
         for out in &self.outputs {

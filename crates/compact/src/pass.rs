@@ -101,9 +101,7 @@ impl Pass<&Network> for NormalizePass {
         _budget: &Budget,
     ) -> Result<NormalizeOutput, CompactError> {
         let sw = session.budget().stopwatch();
-        network
-            .validate()
-            .map_err(|e| CompactError::Synthesis(format!("network failed validation: {e}")))?;
+        network.validate().map_err(CompactError::InvalidNetwork)?;
         let output_names = network
             .outputs()
             .iter()
@@ -214,15 +212,16 @@ impl Pass<(&Network, Option<&[usize]>)> for BddBuildPass {
                 })) {
                     Ok(Ok(b)) => b,
                     Ok(Err(e)) => {
-                        return Err(CompactError::Synthesis(format!(
-                            "unbudgeted BDD rebuild reported exhaustion: {e}"
-                        )))
+                        return Err(CompactError::Panicked {
+                            stage: "bdd-build",
+                            message: format!("unbudgeted rebuild reported exhaustion: {e}"),
+                        })
                     }
                     Err(p) => {
-                        return Err(CompactError::Synthesis(format!(
-                            "BDD build panicked: {}",
-                            panic_message(p)
-                        )))
+                        return Err(CompactError::Panicked {
+                            stage: "bdd-build",
+                            message: panic_message(p),
+                        })
                     }
                 }
             }
@@ -338,8 +337,8 @@ impl<'c> LadderPass<'c> {
             }),
         });
         let map_sw = Stopwatch::unbudgeted();
-        let crossbar = map_to_crossbar(graph, &artifact.labeling, names)
-            .map_err(|e| CompactError::Synthesis(format!("cached labeling failed to map: {e}")))?;
+        let crossbar =
+            map_to_crossbar(graph, &artifact.labeling, names).map_err(CompactError::Map)?;
         let map_wall = map_sw.elapsed();
         let metrics = CrossbarMetrics::of(&crossbar);
         session.record(StageRecord {
@@ -490,8 +489,8 @@ impl Pass<(&Crossbar, &Network)> for VerifyPass {
         let sw = session.budget().stopwatch();
         // Deliberately unbudgeted: a degraded-but-valid design must not
         // turn into an error because the budget ran out before the check.
-        let report = verify_functional(crossbar, network, self.samples)
-            .map_err(|e| CompactError::Synthesis(format!("verification failed to run: {e}")))?;
+        let report =
+            verify_functional(crossbar, network, self.samples).map_err(CompactError::Verify)?;
         session.record(StageRecord {
             kind: StageKind::Verify,
             wall: sw.elapsed(),
@@ -501,11 +500,10 @@ impl Pass<(&Crossbar, &Network)> for VerifyPass {
             solve: None,
         });
         if !report.is_valid() {
-            return Err(CompactError::Synthesis(format!(
-                "synthesized crossbar disagrees with the network on {} of {} assignments",
-                report.mismatches.len(),
-                report.checked
-            )));
+            return Err(CompactError::Mismatch {
+                mismatches: report.mismatches.len(),
+                checked: report.checked,
+            });
         }
         Ok(())
     }

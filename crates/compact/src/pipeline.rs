@@ -7,10 +7,10 @@ use std::time::Duration;
 use flowc_budget::{Budget, Stopwatch};
 
 use flowc_bdd::NetworkBdds;
-use flowc_logic::Network;
+use flowc_logic::{LogicError, Network};
 use flowc_milp::SolveTrace;
 use flowc_xbar::metrics::CrossbarMetrics;
-use flowc_xbar::Crossbar;
+use flowc_xbar::{Crossbar, XbarError};
 
 use crate::labeling::{Labeling, LabelingStats};
 use crate::mapping::MapError;
@@ -122,10 +122,27 @@ impl Config {
 pub enum CompactError {
     /// Crossbar mapping failed (invalid labeling — indicates a solver bug).
     Map(MapError),
-    /// The supervised pipeline could not produce any design at all (even
-    /// the terminal fallback failed) — indicates a bug, not a budget or
-    /// input condition.
-    Synthesis(String),
+    /// The input network failed [`Network::validate`].
+    InvalidNetwork(LogicError),
+    /// The opt-in verification stage could not evaluate the crossbar.
+    Verify(XbarError),
+    /// The opt-in verification stage found the crossbar disagreeing with
+    /// the network — an internal bug, never an input condition.
+    Mismatch {
+        /// Assignments on which the crossbar and the network disagree.
+        mismatches: usize,
+        /// Assignments checked.
+        checked: usize,
+    },
+    /// A stage panicked with no fallback left, or no ladder rung could
+    /// produce any design — indicates a bug, not a budget or input
+    /// condition.
+    Panicked {
+        /// Where it happened (`bdd-build`, `vh-label`, `batch-task`).
+        stage: &'static str,
+        /// The panic payload or the failed attempts, as text.
+        message: String,
+    },
     /// The budget's cancel flag fired before any design could ship (e.g.
     /// during the BDD build, which has no degraded fallback). Unlike
     /// deadline or node-ceiling exhaustion — which degrade and still ship
@@ -138,7 +155,17 @@ impl fmt::Display for CompactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompactError::Map(e) => write!(f, "crossbar mapping failed: {e}"),
-            CompactError::Synthesis(msg) => write!(f, "synthesis failed: {msg}"),
+            CompactError::InvalidNetwork(e) => write!(f, "network failed validation: {e}"),
+            CompactError::Verify(e) => write!(f, "verification failed to run: {e}"),
+            CompactError::Mismatch {
+                mismatches,
+                checked,
+            } => write!(
+                f,
+                "synthesized crossbar disagrees with the network on {mismatches} of \
+                 {checked} assignments"
+            ),
+            CompactError::Panicked { stage, message } => write!(f, "{stage} panicked: {message}"),
             CompactError::Cancelled => write!(f, "synthesis cancelled"),
         }
     }
@@ -148,7 +175,11 @@ impl std::error::Error for CompactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CompactError::Map(e) => Some(e),
-            CompactError::Synthesis(_) | CompactError::Cancelled => None,
+            CompactError::InvalidNetwork(e) => Some(e),
+            CompactError::Verify(e) => Some(e),
+            CompactError::Mismatch { .. }
+            | CompactError::Panicked { .. }
+            | CompactError::Cancelled => None,
         }
     }
 }
@@ -193,8 +224,9 @@ pub struct CompactResult {
 ///
 /// # Errors
 ///
-/// Returns [`CompactError::Map`] or [`CompactError::Synthesis`] only on
-/// internal bugs; see [`crate::supervisor::synthesize_with_budget`].
+/// [`CompactError::InvalidNetwork`] for a network that fails validation;
+/// any other error indicates an internal bug; see
+/// [`crate::supervisor::synthesize_with_budget`].
 pub fn synthesize(network: &Network, config: &Config) -> Result<CompactResult, CompactError> {
     crate::supervisor::synthesize_with_budget(network, config, &flowc_budget::Budget::unlimited())
 }

@@ -50,7 +50,7 @@ use crate::labeling::{Labeling, VhLabel};
 use crate::pass::{BddBuildPass, GraphExtractPass, LadderPass, NormalizePass, Pass, VerifyPass};
 use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
-use crate::supervisor::Rung;
+use crate::supervisor::{panic_message, Rung};
 
 /// Content-addressed identity of a cached artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,7 +308,7 @@ pub struct SessionConfig {
     pub cache_capacity: usize,
     /// When set, every synthesized design is functionally verified on
     /// this many assignments as a traced [`StageKind::Verify`] stage; a
-    /// mismatch is a [`CompactError::Synthesis`] (an internal bug, never
+    /// mismatch is a [`CompactError::Mismatch`] (an internal bug, never
     /// a budget condition).
     pub verify_samples: Option<usize>,
     /// Chain branch & bound warm starts across solves over the same graph
@@ -928,7 +928,7 @@ pub fn gamma_sweep_tasks(
 /// reorder them). Artifacts are shared through the session cache, so
 /// tasks that agree on network + variable order reuse one BDD and one
 /// graph. Panics inside a task are isolated per task and surfaced as
-/// [`CompactError::Synthesis`] results, never poisoning sibling tasks.
+/// [`CompactError::Panicked`] results, never poisoning sibling tasks.
 pub fn synthesize_batch(
     session: &Session,
     tasks: &[BatchTask],
@@ -976,10 +976,10 @@ pub fn synthesize_batch(
                 }));
                 let result = match run {
                     Ok(r) => r,
-                    Err(_) => Err(CompactError::Synthesis(format!(
-                        "batch task `{}` panicked",
-                        task.label
-                    ))),
+                    Err(p) => Err(CompactError::Panicked {
+                        stage: "batch-task",
+                        message: format!("`{}`: {}", task.label, panic_message(p)),
+                    }),
                 };
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             });
@@ -1205,5 +1205,54 @@ mod tests {
             .records
             .iter()
             .any(|r| r.kind == StageKind::Verify && r.items == 8));
+    }
+
+    #[test]
+    fn verify_pass_reports_a_mismatch_with_its_counts() {
+        let session = Session::default();
+        let fig2 = synthesize_in(&session, &fig2_network(), &Config::default()).unwrap();
+        // (a + b)·c: same ports as fig2's a·b + c, a different function.
+        let mut other = Network::new("other");
+        let a = other.add_input("a");
+        let b = other.add_input("b");
+        let c = other.add_input("c");
+        let ab = other.add_gate(GateKind::Or, &[a, b], "ab").unwrap();
+        let f = other.add_gate(GateKind::And, &[ab, c], "f").unwrap();
+        other.mark_output(f);
+        let expected = flowc_xbar::verify::verify_functional(&fig2.crossbar, &other, 64).unwrap();
+        assert!(!expected.is_valid());
+        let err = VerifyPass { samples: 64 }
+            .run(&session, (&fig2.crossbar, &other))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CompactError::Mismatch {
+                mismatches: expected.mismatches.len(),
+                checked: 8,
+            }
+        );
+    }
+
+    #[test]
+    fn an_invalid_network_is_refused_as_invalid_network() {
+        let mut wider = Network::new("wider");
+        let dangling = (0..4).map(|i| wider.add_input(format!("x{i}"))).last();
+        let mut bad = Network::new("bad");
+        bad.add_input("a");
+        // A dangling output id is the one invalid state the public
+        // constructors let through, and only in release builds: debug
+        // builds refuse it in `mark_output` already.
+        let marked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            bad.mark_output(dangling.unwrap())
+        }));
+        if cfg!(debug_assertions) {
+            assert!(marked.is_err());
+            return;
+        }
+        let err = synthesize_in(&Session::default(), &bad, &Config::default()).unwrap_err();
+        assert_eq!(
+            err,
+            CompactError::InvalidNetwork(flowc_logic::LogicError::UnknownNet(3))
+        );
     }
 }

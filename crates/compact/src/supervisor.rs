@@ -560,20 +560,23 @@ pub(crate) fn run_ladder(
             oct: output.oct,
         });
     }
-    Err(CompactError::Synthesis(format!(
-        "every ladder rung failed: {}",
-        attempts
-            .iter()
-            .map(|a| format!(
-                "{} ({})",
-                a.rung,
-                a.trigger
-                    .as_ref()
-                    .map_or_else(|| "ok".to_string(), Trigger::to_string)
-            ))
-            .collect::<Vec<_>>()
-            .join(", ")
-    )))
+    Err(CompactError::Panicked {
+        stage: "vh-label",
+        message: format!(
+            "every ladder rung failed: {}",
+            attempts
+                .iter()
+                .map(|a| format!(
+                    "{} ({})",
+                    a.rung,
+                    a.trigger
+                        .as_ref()
+                        .map_or_else(|| "ok".to_string(), Trigger::to_string)
+                ))
+                .collect::<Vec<_>>()
+                .join(", ")
+        ),
+    })
 }
 
 /// Supervised end-to-end synthesis: build the SBDD and synthesize under a

@@ -24,12 +24,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use flowc_baselines::{Backend, MappingBackend, SynthesisCtx};
-use flowc_budget::Budget;
+use flowc_baselines::{Backend, BackendError, MappedDesign, MappingBackend, SynthesisCtx};
+use flowc_budget::{Budget, BudgetExceeded};
 use flowc_compact::pipeline::Config;
 use flowc_compact::session::bdd_key;
 use flowc_compact::{
-    synthesize_in_budgeted, CompactError, CompactResult, EditSession, EditSessionConfig,
+    synthesize_in_budgeted, CompactError, CompactResult, EditError, EditSession, EditSessionConfig,
     EditableNetlist, Rung, Session, SessionConfig, StageKind, VhStrategy,
 };
 use flowc_logic::blif;
@@ -1148,101 +1148,21 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
             var_order: None,
             label_threads: 1,
         };
-        // Non-COMPACT backends dispatch through the unified
-        // `MappingBackend` trait: no incremental patch ladder, no
-        // COMPACT degradation machinery. The admission rung still
-        // shaped `config` above, so the backend's synthesis context
+        // Every job runs through the one `MappingBackend` dispatch; a patch
+        // job's incremental result is wrapped as a COMPACT design. The
+        // admission rung shaped `config` above, so the synthesis context
         // carries the admission-assigned strategy and time slice.
-        if spec.patch.is_none() && !matches!(spec.backend, Backend::Compact(_)) {
-            let shard = (bdd_key(&spec.network, None).0 as usize) % inner.sessions.len();
-            let ctx = SynthesisCtx::new(config)
-                .with_session(&inner.sessions[shard])
-                .with_budget(budget.clone());
-            let outcome = spec.backend.synthesize(&spec.network, &ctx);
-            let wall = start.elapsed();
-            *inner.slots[slot]
-                .current
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = None;
-            let cancelled = inner.jobs.cancel_requested(queued.id);
-            match outcome {
-                Ok(design) => {
-                    let m = &design.metrics;
-                    let body = Json::Obj(vec![
-                        ("label".into(), Json::str(spec.label.clone())),
-                        ("backend".into(), Json::str(design.backend)),
-                        ("rows".into(), Json::int(m.rows)),
-                        ("cols".into(), Json::int(m.cols)),
-                        ("semiperimeter".into(), Json::int(m.semiperimeter)),
-                        ("max_dimension".into(), Json::int(m.max_dimension)),
-                        ("tiles".into(), Json::int(m.tiles)),
-                        ("transfer_ops".into(), Json::int(m.transfer_ops)),
-                        ("admission_rung".into(), Json::str(rung.name())),
-                        ("degraded".into(), Json::Bool(admission_degraded)),
-                        ("cancelled".into(), Json::Bool(cancelled)),
-                        ("wall_ms".into(), Json::Num(wall.as_millis() as f64)),
-                    ]);
-                    let state = if cancelled {
-                        JobState::Cancelled
-                    } else {
-                        JobState::Done
-                    };
-                    finish_job(inner, queued.id, state, body);
-                    let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    metrics.observe("job", wall);
-                    metrics.observe(backend_latency_name(&spec.backend), wall);
-                    if cancelled {
-                        metrics.counters.cancelled += 1;
-                    } else {
-                        metrics.counters.completed_ok += 1;
-                    }
-                    drop(metrics);
-                    inner
-                        .breaker
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .record(true, Instant::now());
-                }
-                Err(e) => {
-                    let kind = match &e {
-                        flowc_baselines::BackendError::Infeasible(_) => "infeasible",
-                        _ => "synthesis_failed",
-                    };
-                    finish_job(
-                        inner,
-                        queued.id,
-                        JobState::Failed,
-                        error_json(kind, &e.to_string(), None),
-                    );
-                    let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    metrics.counters.failed += 1;
-                    drop(metrics);
-                    // An infeasible tile constraint is the client's ask,
-                    // not service ill-health: don't feed the breaker a
-                    // failure for it.
-                    inner
-                        .breaker
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .record(
-                            matches!(e, flowc_baselines::BackendError::Infeasible(_)),
-                            Instant::now(),
-                        );
-                }
-            }
-            sync_breaker_trips(inner);
-            continue;
-        }
-
         let (outcome, incremental) = match &spec.patch {
-            Some(patch) => run_patch_job(inner, patch, &spec, &config, &budget),
+            Some(patch) => {
+                let (outcome, summary) = run_patch_job(inner, patch, &spec, &config, &budget);
+                (outcome.map(MappedDesign::from).map_err(Into::into), summary)
+            }
             None => {
                 let shard = (bdd_key(&spec.network, None).0 as usize) % inner.sessions.len();
-                let session = &inner.sessions[shard];
-                (
-                    synthesize_in_budgeted(session, &spec.network, &config, &budget),
-                    None,
-                )
+                let ctx = SynthesisCtx::new(config)
+                    .with_session(&inner.sessions[shard])
+                    .with_budget(budget.clone());
+                (spec.backend.synthesize(&spec.network, &ctx), None)
             }
         };
         let wall = start.elapsed();
@@ -1252,50 +1172,55 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
             .unwrap_or_else(|e| e.into_inner()) = None;
 
         let cancelled = inner.jobs.cancel_requested(queued.id);
-        match outcome {
-            Ok(result) => {
-                let degradation = result.degradation.as_ref();
-                let pipeline_degraded = degradation.is_some_and(|d| d.degraded);
-                let shipped_rung = degradation.map_or("unknown", |d| d.rung.name()).to_string();
-                let exhausted = degradation
-                    .and_then(|d| d.exhausted.as_ref())
-                    .map(|e| e.to_string());
-                let degraded = pipeline_degraded || admission_degraded;
+        // Whether the outcome is healthy for the breaker: a cancel or an
+        // infeasible tile constraint is the client's ask, not ill-health.
+        let healthy = match outcome {
+            Ok(design) => {
+                let m = design.reported_metrics();
+                let compact = design.compact();
+                let degradation = compact.and_then(|r| r.degradation.as_ref());
+                let degraded = admission_degraded || degradation.is_some_and(|d| d.degraded);
                 let mut fields = vec![
                     ("label".into(), Json::str(spec.label.clone())),
-                    ("rows".into(), Json::int(result.stats.rows)),
-                    ("cols".into(), Json::int(result.stats.cols)),
-                    (
-                        "semiperimeter".into(),
-                        Json::int(result.stats.semiperimeter),
-                    ),
-                    (
-                        "max_dimension".into(),
-                        Json::int(result.stats.max_dimension),
-                    ),
+                    ("backend".into(), Json::str(design.backend)),
+                    ("rows".into(), Json::int(m.rows)),
+                    ("cols".into(), Json::int(m.cols)),
+                    ("semiperimeter".into(), Json::int(m.semiperimeter)),
+                    ("max_dimension".into(), Json::int(m.max_dimension)),
+                    ("tiles".into(), Json::int(m.tiles)),
+                    ("transfer_ops".into(), Json::int(m.transfer_ops)),
                     ("admission_rung".into(), Json::str(rung.name())),
-                    ("shipped_rung".into(), Json::str(shipped_rung)),
                     ("degraded".into(), Json::Bool(degraded)),
                     ("cancelled".into(), Json::Bool(cancelled)),
-                    ("relative_gap".into(), Json::Num(result.relative_gap)),
-                    ("exhausted".into(), exhausted.map_or(Json::Null, Json::str)),
                     ("wall_ms".into(), Json::Num(wall.as_millis() as f64)),
                 ];
+                if let Some(result) = compact {
+                    let shipped_rung = degradation.map_or("unknown", |d| d.rung.name());
+                    let exhausted = degradation
+                        .and_then(|d| d.exhausted.as_ref())
+                        .map_or(Json::Null, |e| Json::str(e.to_string()));
+                    fields.extend([
+                        ("shipped_rung".into(), Json::str(shipped_rung)),
+                        ("relative_gap".into(), Json::Num(result.relative_gap)),
+                        ("exhausted".into(), exhausted),
+                    ]);
+                }
                 if let Some(summary) = incremental {
                     fields.push(("incremental".into(), summary));
                 }
-                let body = Json::Obj(fields);
                 let state = if cancelled {
                     JobState::Cancelled
                 } else {
                     JobState::Done
                 };
-                finish_job(inner, queued.id, state, body);
+                finish_job(inner, queued.id, state, Json::Obj(fields));
                 {
                     let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
                     metrics.observe("job", wall);
-                    metrics.observe(rung.latency_series(), wall);
-                    metrics.observe(backend_latency_name(&spec.backend), wall);
+                    metrics.observe(spec.backend.latency_series(), wall);
+                    if compact.is_some() {
+                        metrics.observe(rung.latency_series(), wall);
+                    }
                     if let Some(d) = degradation {
                         metrics.observe("stage.bdd-build", d.bdd_wall);
                         let label_wall: Duration = d.attempts.iter().map(|a| a.wall).sum();
@@ -1311,23 +1236,22 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
                 }
                 // Cancelled runs finish artificially fast; folding them
                 // into the latency model would bias admission optimistic.
-                if !cancelled {
+                if compact.is_some() && !cancelled {
                     inner
                         .model
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .record(rung, wall);
                 }
-                inner
-                    .breaker
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(true, Instant::now());
+                true
             }
             // A cancel that fired before any design could ship (e.g. mid
             // BDD build): the client asked for this, so it is a cancelled
             // job, not a service failure.
-            Err(flowc_compact::CompactError::Cancelled) => {
+            Err(
+                BackendError::Compact(CompactError::Cancelled)
+                | BackendError::Budget(BudgetExceeded::Cancelled),
+            ) => {
                 finish_job(
                     inner,
                     queued.id,
@@ -1340,30 +1264,31 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
                 );
                 let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
                 metrics.counters.cancelled += 1;
-                drop(metrics);
-                inner
-                    .breaker
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(true, Instant::now());
+                true
             }
             Err(e) => {
+                let infeasible = matches!(e, BackendError::Infeasible(_));
+                let kind = if infeasible {
+                    "infeasible"
+                } else {
+                    "synthesis_failed"
+                };
                 finish_job(
                     inner,
                     queued.id,
                     JobState::Failed,
-                    error_json("synthesis_failed", &e.to_string(), None),
+                    error_json(kind, &e.to_string(), None),
                 );
                 let mut metrics = inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
                 metrics.counters.failed += 1;
-                drop(metrics);
-                inner
-                    .breaker
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(false, Instant::now());
+                infeasible
             }
-        }
+        };
+        inner
+            .breaker
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(healthy, Instant::now());
         sync_breaker_trips(inner);
     }
 }
@@ -1373,7 +1298,8 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
 /// re-register the advanced session under the patch's own key. Any
 /// failure — lost lineage, refused edit, synthesis error — falls back to
 /// cold synthesis of the admission-materialized netlist, which is always
-/// authoritative. Returns the outcome plus the `incremental` body field.
+/// authoritative; a cancel stops at once instead. Returns the outcome plus
+/// the `incremental` body field.
 fn run_patch_job(
     inner: &ServerInner,
     patch: &PatchDirective,
@@ -1391,7 +1317,7 @@ fn run_patch_job(
         registry.take(&patch.lineage, base_cone, gamma_bits, spec.rung)
     };
     let resumed = reused.is_some();
-    let session: Result<EditSession, String> = match reused {
+    let session = match reused {
         Some(s) => Ok(s),
         None => EditSession::new(
             &patch.base,
@@ -1404,20 +1330,25 @@ fn run_patch_job(
                 },
                 ..EditSessionConfig::default()
             },
-        )
-        .map_err(|e| format!("base session: {e}")),
+        ),
     };
 
     let mut failure: Option<String> = None;
     let mut resolutions: Vec<Json> = Vec::new();
     let mut finished: Option<(CompactResult, [usize; 4])> = None;
     match session {
-        Err(e) => failure = Some(e),
+        Err(EditError::Synthesis(CompactError::Cancelled)) => {
+            return (Err(CompactError::Cancelled), None)
+        }
+        Err(e) => failure = Some(format!("base session: {e}")),
         Ok(mut session) => {
             let before = session.stats();
             for edit in &patch.edits {
                 match session.apply_budgeted(edit, budget) {
                     Ok(out) => resolutions.push(Json::str(out.resolution.name())),
+                    Err(EditError::Synthesis(CompactError::Cancelled)) => {
+                        return (Err(CompactError::Cancelled), None)
+                    }
                     Err(e) => {
                         failure = Some(format!("edit `{edit}`: {e}"));
                         break;
@@ -1488,19 +1419,6 @@ fn run_patch_job(
         ("reason".into(), failure.map_or(Json::Null, Json::str)),
     ]);
     (outcome, Some(summary))
-}
-
-/// Per-backend latency histogram name, so `/metrics` surfaces which
-/// mapping backend served each job (all five [`Backend`] variants get a
-/// stable `backend.*` series).
-fn backend_latency_name(backend: &Backend) -> &'static str {
-    match backend {
-        Backend::Compact(_) => "backend.compact",
-        Backend::Staircase(_) => "backend.staircase",
-        Backend::RobddDiagonal(_) => "backend.robdd-diagonal",
-        Backend::MagicNor(_) => "backend.magic-nor",
-        Backend::Partitioned(_) => "backend.partitioned",
-    }
 }
 
 fn sync_breaker_trips(inner: &ServerInner) {

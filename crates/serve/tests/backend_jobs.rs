@@ -10,7 +10,7 @@ use flowc_report::Json;
 use flowc_serve::{ServeConfig, Server};
 
 mod common;
-use common::{await_terminal, call, metrics, submit};
+use common::{await_running, await_terminal, call, counter, metrics, submit, ServerProc};
 
 fn outcome_of(addr: SocketAddr, id: u64) -> Json {
     let (status, json) = call(addr, "GET", &format!("/result?id={id}"), "");
@@ -135,5 +135,51 @@ fn impossible_tiles_fail_typed() {
         Some("infeasible"),
         "{}",
         outcome.to_compact()
+    );
+}
+
+/// A cancel that lands during a non-COMPACT job's BDD build is the
+/// client's ask, as it is for a COMPACT job: the job ends `cancelled`,
+/// nothing counts as failed, and the breaker records no failure — ten in
+/// a row (its minimum sample) would trip it otherwise.
+#[test]
+fn a_staircase_job_cancelled_mid_bdd_build_is_cancelled_not_failed() {
+    // Every BDD build sleeps, so the cancel lands inside one; an AND of
+    // a different width each time keeps every build a cache miss.
+    let server = ServerProc::spawn(
+        &["--workers", "1"],
+        &[("FLOWC_FAILPOINTS", "compact.bdd=sleep(1000)")],
+    );
+    let addr = server.addr;
+    for width in 2..12 {
+        let mut n = flowc_logic::Network::new("and");
+        let ins: Vec<_> = (0..width).map(|i| n.add_input(format!("x{i}"))).collect();
+        let f = n.add_gate(flowc_logic::GateKind::And, &ins, "f").unwrap();
+        n.mark_output(f);
+        let job = Json::Obj(vec![
+            ("circuit".into(), Json::str(flowc_logic::blif::write(&n))),
+            ("format".into(), Json::str("blif")),
+            ("backend".into(), Json::str("staircase")),
+            ("deadline_ms".into(), Json::Num(60_000.0)),
+        ]);
+        let (s, json) = submit(addr, &job.to_compact());
+        assert_eq!(s, 200, "{}", json.to_compact());
+        let id = json.get("id").and_then(Json::as_u64).unwrap();
+        await_running(addr, id);
+        let (s, json) = call(addr, "POST", "/cancel", &format!("{{\"id\": {id}}}"));
+        assert_eq!(s, 200, "{}", json.to_compact());
+        assert_eq!(
+            await_terminal(addr, id, Duration::from_secs(30)),
+            "cancelled"
+        );
+    }
+    let m = metrics(addr);
+    assert_eq!(counter(&m, "failed"), 0, "{}", m.to_compact());
+    assert_eq!(counter(&m, "cancelled"), 10, "{}", m.to_compact());
+    assert_eq!(
+        m.get("breaker_trips").and_then(Json::as_u64),
+        Some(0),
+        "{}",
+        m.to_compact()
     );
 }

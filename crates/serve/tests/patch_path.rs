@@ -10,7 +10,7 @@ use std::time::Duration;
 use flowc_report::Json;
 
 mod common;
-use common::{await_terminal, call, counter, metrics, submit, ServerProc};
+use common::{await_running, await_terminal, call, counter, metrics, submit, ServerProc};
 
 /// A base circuit with stable net names the edit scripts can reference.
 const BASE_BLIF: &str = "\
@@ -247,4 +247,56 @@ fn a_lineage_is_resumed_only_at_the_rung_it_was_admitted_at() {
         "{}",
         second.to_compact()
     );
+}
+
+/// A patch cancelled while its re-synthesis builds the BDD stops at once:
+/// it ends `cancelled`, and no cold fallback is started or counted.
+#[test]
+fn a_patch_cancelled_mid_bdd_build_skips_the_cold_fallback() {
+    // Every BDD build sleeps, so the cancel lands inside one.
+    let server = ServerProc::spawn(
+        &["--workers", "1"],
+        &[("FLOWC_FAILPOINTS", "compact.bdd=sleep(1000)")],
+    );
+    let addr = server.addr;
+    let (s, json) = submit(addr, &base_job("cancel-0"));
+    assert_eq!(s, 200, "{}", json.to_compact());
+    let id = json.get("id").and_then(Json::as_u64).unwrap();
+    assert_eq!(await_terminal(addr, id, Duration::from_secs(30)), "done");
+    // The first patch registers a live edit session under `cancel-1`.
+    let (s, json) = call(
+        addr,
+        "POST",
+        "/patch",
+        &patch_job("cancel-0", "cancel-1", &["rewire f 0 c"]),
+    );
+    assert_eq!(s, 200, "{}", json.to_compact());
+    let id = json.get("id").and_then(Json::as_u64).unwrap();
+    assert_eq!(await_terminal(addr, id, Duration::from_secs(30)), "done");
+
+    let cold_before = counter(&metrics(addr), "incremental_cold");
+    // The second resumes that session; its cone-changing edit re-synthesizes.
+    let (s, json) = call(
+        addr,
+        "POST",
+        "/patch",
+        &patch_job("cancel-1", "cancel-2", &["rewire g 0 a"]),
+    );
+    assert_eq!(s, 200, "{}", json.to_compact());
+    let id = json.get("id").and_then(Json::as_u64).unwrap();
+    await_running(addr, id);
+    let (s, json) = call(addr, "POST", "/cancel", &format!("{{\"id\": {id}}}"));
+    assert_eq!(s, 200, "{}", json.to_compact());
+    assert_eq!(
+        await_terminal(addr, id, Duration::from_secs(30)),
+        "cancelled"
+    );
+    let m = metrics(addr);
+    assert_eq!(
+        counter(&m, "incremental_cold"),
+        cold_before,
+        "{}",
+        m.to_compact()
+    );
+    assert_eq!(counter(&m, "failed"), 0, "{}", m.to_compact());
 }

@@ -65,11 +65,11 @@ use std::time::Duration;
 use flowc::baselines::{Backend, DesignArtifact, MappingBackend, SynthesisCtx};
 use flowc::budget::Budget;
 use flowc::compact::pipeline::{Config, VhStrategy};
-use flowc::compact::supervisor::{synthesize_with_budget, Rung};
+use flowc::compact::supervisor::Rung;
 use flowc::compact::{repair_with_resynthesis, RepairConfig, RepairError, RepairStrategy};
 use flowc::logic::{blif, pla, verilog, Network};
 use flowc::xbar::fault::{inject, DefectMap, DefectRates};
-use flowc::xbar::verify::{verify_functional, VerifyReport};
+use flowc::xbar::verify::VerifyReport;
 
 fn load(path: &str) -> Result<Network, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -475,39 +475,68 @@ fn edit_stream(network: &Network, script: &str, opts: &Options) -> Result<bool, 
     Ok(result.degradation.as_ref().is_some_and(|d| d.degraded))
 }
 
-/// Synthesizes through a non-COMPACT [`Backend`] and prints the unified
-/// metric block. Compact-only features error out loudly instead of being
-/// silently ignored.
-fn synth_backend(network: &Network, backend: &Backend, opts: &Options) -> Result<bool, String> {
+/// Prints the `validation` line; a mismatching design fails the run.
+fn print_validation(report: &VerifyReport) -> Result<(), String> {
+    if report.is_valid() {
+        println!("validation : {} assignments, all match", report.checked);
+        return Ok(());
+    }
+    println!("validation : {} assignments, MISMATCH", report.checked);
+    Err("design mismatches the source circuit".into())
+}
+
+/// Synthesizes through the selected [`Backend`] and prints the shared
+/// metric block, plus the labeling, ladder and defect-repair lines when
+/// the design carries COMPACT provenance. Compact-only features error out
+/// loudly on other backends instead of being silently ignored.
+fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
+    let backend = opts.backend()?;
     let name = backend.name();
-    if opts.gamma_sweep.is_some() {
-        return Err(format!(
-            "--gamma-sweep needs `--backend compact` (got `{name}`)"
-        ));
+    let needs_compact = |what: &str| match name {
+        "compact" => Ok(()),
+        _ => Err(format!("{what} needs `--backend compact` (got `{name}`)")),
+    };
+    if let Some(steps) = opts.gamma_sweep {
+        needs_compact("--gamma-sweep")?;
+        return gamma_sweep(network, steps, opts);
     }
-    if opts.edit_stream.is_some() {
-        return Err(format!(
-            "--edit-stream needs `--backend compact` (got `{name}`)"
-        ));
+    if let Some(script) = &opts.edit_stream {
+        needs_compact("--edit-stream")?;
+        return edit_stream(network, script, opts);
     }
-    if opts.defect_map.is_some() || opts.defect_rate.is_some() {
-        return Err(format!(
-            "defect repair needs `--backend compact` (got `{name}`)"
-        ));
+    let defects = opts.defect_map.is_some() || opts.defect_rate.is_some();
+    if defects {
+        needs_compact("defect repair")?;
     }
-    let ctx = SynthesisCtx::new(opts.config()).with_budget(opts.budget());
+    let cfg = opts.config();
+    let ctx = SynthesisCtx::new(cfg.clone()).with_budget(opts.budget());
     let design = backend
         .synthesize(network, &ctx)
         .map_err(|e| e.to_string())?;
-    let m = &design.metrics;
+    let m = design.reported_metrics();
+    let compact = design.compact();
     println!("circuit    : {}", network.name());
     println!("backend    : {}", design.backend);
     println!("inputs     : {}", network.num_inputs());
     println!("outputs    : {}", network.num_outputs());
+    if let Some(r) = compact {
+        println!("BDD nodes  : {}", r.graph_nodes);
+        println!("BDD edges  : {}", r.graph_edges);
+    }
     println!("crossbar   : {} x {}", m.rows, m.cols);
-    println!("semiperim. : {}", m.semiperimeter);
+    match compact {
+        Some(r) => println!(
+            "semiperim. : {} ({:.3} per node)",
+            m.semiperimeter,
+            m.semiperimeter as f64 / r.graph_nodes.max(1) as f64
+        ),
+        None => println!("semiperim. : {}", m.semiperimeter),
+    }
     println!("max dim    : {}", m.max_dimension);
     println!("area       : {}", m.area);
+    if let Some(r) = compact {
+        println!("VH nodes   : {}", r.stats.num_vh);
+    }
     println!("power      : {} active devices", m.active_devices);
     println!("delay      : {} steps", m.delay_steps);
     if let DesignArtifact::Tiled(schedule) = &design.artifact {
@@ -520,31 +549,52 @@ fn synth_backend(network: &Network, backend: &Backend, opts: &Options) -> Result
             m.transfer_ops
         );
     }
-    if opts.render {
-        match design.crossbar() {
-            Some(xbar) => println!("\ndevice matrix:\n{}", xbar.render()),
-            None => {
-                return Err(format!(
-                    "--render needs a single-crossbar design; backend `{name}` \
-                     produced a {} (try `--backend compact`)",
-                    match &design.artifact {
-                        DesignArtifact::Tiled(_) => "tile schedule",
-                        _ => "NOR program",
+    let mut outcome = false;
+    if let Some(r) = compact {
+        println!(
+            "optimal    : {} (gap {:.2}%)",
+            r.optimal,
+            100.0 * r.relative_gap
+        );
+        println!("synth time : {:.2}s", r.synthesis_time.as_secs_f64());
+        if let Some(report) = &r.degradation {
+            println!("rung       : {}", report.summary());
+            if report.degraded {
+                outcome = true;
+                println!("degraded   : yes");
+                for attempt in &report.attempts {
+                    if let Some(trigger) = &attempt.trigger {
+                        println!(
+                            "             {} after {:.2}s: {}",
+                            attempt.rung,
+                            attempt.wall.as_secs_f64(),
+                            trigger
+                        );
                     }
-                ))
+                }
             }
         }
     }
+    if opts.render {
+        let xbar = design.crossbar().ok_or_else(|| {
+            format!(
+                "--render needs a single-crossbar design; backend `{name}` \
+                 produced a {} (try `--backend compact`)",
+                match &design.artifact {
+                    DesignArtifact::Tiled(_) => "tile schedule",
+                    _ => "NOR program",
+                }
+            )
+        })?;
+        println!("\ndevice matrix:\n{}", xbar.render());
+    }
     if let Some(path) = &opts.svg {
-        match design.crossbar() {
-            Some(xbar) => {
-                let svg = flowc::xbar::svg::to_svg(xbar, &flowc::xbar::svg::SvgOptions::default());
-                flowc_report::write_atomic(Path::new(path), &svg)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                println!("svg        : wrote {path}");
-            }
-            None => return Err(format!("--svg needs a single-crossbar design (`{name}`)")),
-        }
+        let xbar = design
+            .crossbar()
+            .ok_or_else(|| format!("--svg needs a single-crossbar design (`{name}`)"))?;
+        let svg = flowc::xbar::svg::to_svg(xbar, &flowc::xbar::svg::SvgOptions::default());
+        flowc_report::write_atomic(Path::new(path), &svg).map_err(|e| format!("{path}: {e}"))?;
+        println!("svg        : wrote {path}");
     }
     if let Some(samples) = opts.validate {
         let report = design
@@ -552,92 +602,10 @@ fn synth_backend(network: &Network, backend: &Backend, opts: &Options) -> Result
             .map_err(|e| format!("validation: {e}"))?;
         print_validation(&report)?;
     }
-    Ok(false)
-}
-
-/// Prints the `validation` line; a mismatching design fails the run.
-fn print_validation(report: &VerifyReport) -> Result<(), String> {
-    if report.is_valid() {
-        println!("validation : {} assignments, all match", report.checked);
-        return Ok(());
-    }
-    println!("validation : {} assignments, MISMATCH", report.checked);
-    Err("design mismatches the source circuit".into())
-}
-
-fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
-    let backend = opts.backend()?;
-    if !matches!(backend, Backend::Compact(_)) {
-        return synth_backend(network, &backend, opts);
-    }
-    if let Some(steps) = opts.gamma_sweep {
-        return gamma_sweep(network, steps, opts);
-    }
-    if let Some(script) = &opts.edit_stream {
-        return edit_stream(network, script, opts);
-    }
-    let cfg = opts.config();
-    let result =
-        synthesize_with_budget(network, &cfg, &opts.budget()).map_err(|e| e.to_string())?;
-    println!("circuit    : {}", network.name());
-    println!("inputs     : {}", network.num_inputs());
-    println!("outputs    : {}", network.num_outputs());
-    println!("BDD nodes  : {}", result.graph_nodes);
-    println!("BDD edges  : {}", result.graph_edges);
-    println!("crossbar   : {} x {}", result.stats.rows, result.stats.cols);
-    println!(
-        "semiperim. : {} ({:.3} per node)",
-        result.stats.semiperimeter,
-        result.stats.semiperimeter as f64 / result.graph_nodes.max(1) as f64
-    );
-    println!("max dim    : {}", result.stats.max_dimension);
-    println!("area       : {}", result.metrics.area);
-    println!("VH nodes   : {}", result.stats.num_vh);
-    println!(
-        "power      : {} active devices",
-        result.metrics.active_devices
-    );
-    println!("delay      : {} steps", result.metrics.delay_steps);
-    println!(
-        "optimal    : {} (gap {:.2}%)",
-        result.optimal,
-        100.0 * result.relative_gap
-    );
-    println!("synth time : {:.2}s", result.synthesis_time.as_secs_f64());
-    let degraded = result.degradation.as_ref().is_some_and(|d| d.degraded);
-    if let Some(report) = &result.degradation {
-        println!("rung       : {}", report.summary());
-        if report.degraded {
-            println!("degraded   : yes");
-            for attempt in &report.attempts {
-                if let Some(trigger) = &attempt.trigger {
-                    println!(
-                        "             {} after {:.2}s: {}",
-                        attempt.rung,
-                        attempt.wall.as_secs_f64(),
-                        trigger
-                    );
-                }
-            }
-        }
-    }
-    if opts.render {
-        println!("\ndevice matrix:\n{}", result.crossbar.render());
-    }
-    if let Some(path) = &opts.svg {
-        let svg =
-            flowc::xbar::svg::to_svg(&result.crossbar, &flowc::xbar::svg::SvgOptions::default());
-        flowc_report::write_atomic(Path::new(path), &svg).map_err(|e| format!("{path}: {e}"))?;
-        println!("svg        : wrote {path}");
-    }
-    if let Some(samples) = opts.validate {
-        let report =
-            verify_functional(&result.crossbar, network, samples).map_err(|e| e.to_string())?;
-        print_validation(&report)?;
-    }
-    let mut outcome = degraded;
-    if opts.defect_map.is_some() || opts.defect_rate.is_some() {
-        let design = &result.crossbar;
+    if defects {
+        let design = design
+            .crossbar()
+            .expect("the compact backend maps one crossbar");
         let map = if let Some(path) = &opts.defect_map {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             DefectMap::parse(&text).map_err(|e| format!("{path}: {e}"))?
