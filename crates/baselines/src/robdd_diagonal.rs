@@ -4,6 +4,7 @@
 //! Table III compares this against COMPACT's single-SBDD flow.
 
 use flowc_bdd::build_robdds;
+use flowc_budget::Budget;
 use flowc_compact::pipeline::{synthesize_bdds, CompactError, CompactResult, Config};
 use flowc_logic::Network;
 use flowc_xbar::Crossbar;
@@ -21,14 +22,18 @@ pub struct DiagonalResult {
 }
 
 /// Runs COMPACT independently on each output's ROBDD and merges the blocks
-/// diagonally, sharing one input (1-terminal) wordline.
+/// diagonally, sharing one input (1-terminal) wordline. Every output's
+/// ladder runs under `budget`: past the deadline the remaining outputs
+/// degrade to the cheaper rungs, and a cancel stops between outputs.
 ///
 /// # Errors
 ///
-/// Propagates [`CompactError`] from any per-output synthesis.
+/// [`CompactError::Cancelled`] once `budget` is cancelled; otherwise
+/// propagates [`CompactError`] from any per-output synthesis.
 pub fn compact_per_output(
     network: &Network,
     config: &Config,
+    budget: &Budget,
 ) -> Result<DiagonalResult, CompactError> {
     let singles = build_robdds(network, config.var_order.as_deref());
     let names: Vec<String> = network
@@ -38,7 +43,10 @@ pub fn compact_per_output(
         .collect();
     let mut per_output = Vec::with_capacity(singles.len());
     for (i, bdds) in singles.iter().enumerate() {
-        per_output.push(synthesize_bdds(bdds, &names[i..=i], config)?);
+        if budget.is_cancelled() {
+            return Err(CompactError::Cancelled);
+        }
+        per_output.push(synthesize_bdds(bdds, &names[i..=i], config, budget)?);
     }
 
     // Merge: all block rows except each block's input row are stacked, then
@@ -189,7 +197,7 @@ mod tests {
     #[test]
     fn merged_compact_design_is_valid() {
         let n = two_output_network();
-        let r = compact_per_output(&n, &Config::default()).unwrap();
+        let r = compact_per_output(&n, &Config::default(), &Budget::unlimited()).unwrap();
         let report = verify_functional(&r.crossbar, &n, 64).unwrap();
         assert!(report.is_valid(), "mismatches: {:?}", report.mismatches);
         assert_eq!(r.per_output.len(), 2);
@@ -210,7 +218,7 @@ mod tests {
         let b = bench_suite::by_name("dec").unwrap();
         let n = b.network().unwrap();
         let shared = flowc_compact::synthesize(&n, &Config::default()).unwrap();
-        let separate = compact_per_output(&n, &Config::default()).unwrap();
+        let separate = compact_per_output(&n, &Config::default(), &Budget::unlimited()).unwrap();
         assert!(shared.graph_nodes <= separate.merged_nodes);
         let sep_metrics = CrossbarMetrics::of(&separate.crossbar);
         assert!(
@@ -224,7 +232,7 @@ mod tests {
     #[test]
     fn merged_rows_share_one_input() {
         let n = two_output_network();
-        let r = compact_per_output(&n, &Config::default()).unwrap();
+        let r = compact_per_output(&n, &Config::default(), &Budget::unlimited()).unwrap();
         let expect_rows: usize = r
             .per_output
             .iter()
@@ -233,5 +241,49 @@ mod tests {
             + 1;
         assert_eq!(r.crossbar.rows(), expect_rows);
         assert_eq!(r.crossbar.input_row(), Some(expect_rows - 1));
+    }
+
+    #[test]
+    fn a_deadline_bounds_the_per_output_flow() {
+        use crate::backend::{BackendError, DiagonalBackend, MappingBackend, SynthesisCtx};
+        use flowc_budget::BudgetExceeded;
+        use std::time::{Duration, Instant};
+
+        // Unbudgeted, int2float's per-output flow runs for tens of
+        // seconds: two outputs' root LPs alone take 2 s and 11 s.
+        let n = bench_suite::by_name("int2float")
+            .unwrap()
+            .network()
+            .unwrap();
+        let deadline = || Budget::unlimited().with_deadline(Duration::from_millis(50));
+
+        let started = Instant::now();
+        let ctx = SynthesisCtx::new(Config::default()).with_budget(deadline());
+        match DiagonalBackend.synthesize(&n, &ctx) {
+            Ok(_) | Err(BackendError::Budget(BudgetExceeded::Deadline)) => {}
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "backend took {took:?}");
+
+        // Past the deadline the remaining outputs degrade rather than fail.
+        let r = compact_per_output(&n, &Config::default(), &deadline()).unwrap();
+        assert!(r
+            .per_output
+            .iter()
+            .any(|o| o.degradation.as_ref().is_some_and(|d| d.degraded)));
+        let report = verify_functional(&r.crossbar, &n, 64).unwrap();
+        assert!(report.is_valid(), "mismatches: {:?}", report.mismatches);
+    }
+
+    #[test]
+    fn a_cancel_stops_the_per_output_flow() {
+        let n = two_output_network();
+        let budget = Budget::unlimited();
+        budget.cancel_handle().cancel();
+        assert!(matches!(
+            compact_per_output(&n, &Config::default(), &budget),
+            Err(CompactError::Cancelled)
+        ));
     }
 }

@@ -8,6 +8,7 @@ use flowc_baselines::robdd_diagonal::compact_per_output;
 use flowc_bench::{
     build_network, compact_config, geomean, run_compact, secs, time_limit, EXACT_SET,
 };
+use flowc_budget::Budget;
 use flowc_logic::bench_suite;
 use flowc_xbar::metrics::CrossbarMetrics;
 
@@ -30,7 +31,8 @@ fn main() {
         // per-output pieces are small, so each gets a slice of the budget.
         let cfg = compact_config(0.5, budget.min(std::time::Duration::from_secs(5)));
         let t0 = Instant::now();
-        let multi = compact_per_output(&n, &cfg).expect("per-output synthesis");
+        let multi =
+            compact_per_output(&n, &cfg, &Budget::unlimited()).expect("per-output synthesis");
         let multi_time = t0.elapsed();
         let mm = CrossbarMetrics::of(&multi.crossbar);
         // Single SBDD through COMPACT.

@@ -306,9 +306,10 @@ pub fn hill_climb(
 
 /// Graphs of at most this many nodes get the LP-bounded branch & bound;
 /// larger ones go straight to the anytime path. The limit exists because
-/// `HybridBounder`'s dense `lp::Simplex` checks no deadline: on int2float
-/// (250 nodes, 986 columns) the root LP alone did not finish in 120 s, so
-/// above this size the search could not honor its budget.
+/// `HybridBounder`'s dense `lp::Simplex` checks the job's budget but not
+/// the strategy's time limit: on int2float (250 nodes, 986 columns) the
+/// root LP alone did not finish in 120 s, so above this size the search
+/// could not honor its time limit.
 const EXACT_NODE_LIMIT: usize = 80;
 
 /// Solves the weighted VH-labeling problem (the paper's Method B, Eq. 4)
@@ -365,7 +366,7 @@ fn branch_and_bound(
     let layout = vh_layout(graph, &vars, gamma);
     let sol = solver
         .solve_with(&model, || {
-            HybridBounder::new(VhBounder::new(layout.clone()))
+            HybridBounder::new(VhBounder::new(layout.clone())).with_budget(budget.clone())
         })
         .ok()?;
     let labeling = labeling_from_solution(&vars, &sol.values);

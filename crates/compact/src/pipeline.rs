@@ -233,9 +233,9 @@ pub fn synthesize(network: &Network, config: &Config) -> Result<CompactResult, C
 
 /// Runs the labeling and mapping stages on an already-built BDD forest.
 /// Useful for comparing SBDD and per-output ROBDD flows (Table III).
-/// Walks the same degradation ladder as [`synthesize`] under an unlimited
-/// budget; the report records which rung shipped (no BDD stage runs here,
-/// so its wall time is zero).
+/// Walks the same degradation ladder as [`synthesize`] under `budget`
+/// (an exhausted one degrades to the cheaper rungs); the report records
+/// which rung shipped (no BDD stage runs here, so its wall time is zero).
 ///
 /// # Errors
 ///
@@ -244,18 +244,11 @@ pub fn synthesize_bdds(
     bdds: &NetworkBdds,
     output_names: &[String],
     config: &Config,
+    budget: &Budget,
 ) -> Result<CompactResult, CompactError> {
     let sw = Stopwatch::unbudgeted();
     let graph = BddGraph::from_bdds(bdds);
-    let out = run_ladder(
-        &graph,
-        config,
-        &Budget::unlimited(),
-        output_names,
-        None,
-        None,
-        None,
-    )?;
+    let out = run_ladder(&graph, config, budget, output_names, None, None, None)?;
     Ok(out.into_result(&graph, Duration::ZERO, false, sw.elapsed()))
 }
 

@@ -89,6 +89,15 @@ impl LpBounder {
     pub fn new() -> Self {
         LpBounder::default()
     }
+
+    /// An LP bounder whose solves stop once `budget` is spent; see
+    /// [`Simplex::with_budget`].
+    pub fn with_budget(budget: Budget) -> Self {
+        LpBounder {
+            simplex: Simplex::new().with_budget(budget),
+            last_point: None,
+        }
+    }
 }
 
 impl Bounder for LpBounder {
@@ -113,7 +122,9 @@ impl Bounder for LpBounder {
                 self.last_point = None;
                 f64::INFINITY
             }
-            LpResult::Unbounded => {
+            // An interrupted solve proves nothing: no bound (callers
+            // that compose bounders keep their other bound).
+            LpResult::Unbounded | LpResult::Interrupted => {
                 self.last_point = None;
                 f64::NEG_INFINITY
             }

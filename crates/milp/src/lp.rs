@@ -5,6 +5,8 @@
 //! it trades sparsity for simplicity and is intentionally dense. Larger
 //! instances go through the combinatorial [`crate::Bounder`] path instead.
 
+use flowc_budget::Budget;
+
 use crate::model::{Model, Sense, VarKind};
 
 /// Outcome of an LP solve.
@@ -21,6 +23,9 @@ pub enum LpResult {
     Infeasible,
     /// The objective is unbounded below.
     Unbounded,
+    /// The solver's budget was cancelled or ran past its deadline before
+    /// the solve finished; nothing is known about the optimum.
+    Interrupted,
 }
 
 /// Numerical tolerance used throughout the simplex.
@@ -32,13 +37,22 @@ const DANTZIG_LIMIT_FACTOR: usize = 4;
 /// [`Simplex::new`], then call [`Simplex::solve`].
 #[derive(Debug, Default, Clone)]
 pub struct Simplex {
-    _private: (),
+    budget: Option<Budget>,
 }
 
 impl Simplex {
     /// Creates a solver with default settings.
     pub fn new() -> Self {
-        Simplex { _private: () }
+        Simplex::default()
+    }
+
+    /// Checks `budget` before every pivot: once it is cancelled or past
+    /// its deadline, [`Simplex::solve`] answers [`LpResult::Interrupted`].
+    /// A dense solve can run for seconds, so without this a caller's
+    /// budget would go unheard for as long.
+    pub fn with_budget(mut self, budget: Budget) -> Self {
+        self.budget = Some(budget);
+        self
     }
 
     /// Solves the LP relaxation of `model` (binaries relaxed to `[0,1]`).
@@ -218,10 +232,12 @@ impl Simplex {
                     }
                 }
             }
-            if !run_simplex(&mut t, &mut basis, total) {
+            match run_simplex(&mut t, &mut basis, total, self.budget.as_ref()) {
+                Pivots::Optimal => {}
                 // Phase-1 objective is bounded by construction; unbounded
                 // here indicates numerical trouble — treat as infeasible.
-                return LpResult::Infeasible;
+                Pivots::Unbounded => return LpResult::Infeasible,
+                Pivots::Interrupted => return LpResult::Interrupted,
             }
             if -t[m][total] > 1e-6 {
                 return LpResult::Infeasible;
@@ -261,8 +277,10 @@ impl Simplex {
                 }
             }
         }
-        if !run_simplex(&mut t, &mut basis, total) {
-            return LpResult::Unbounded;
+        match run_simplex(&mut t, &mut basis, total, self.budget.as_ref()) {
+            Pivots::Optimal => {}
+            Pivots::Unbounded => return LpResult::Unbounded,
+            Pivots::Interrupted => return LpResult::Interrupted,
         }
 
         // Extract solution (shifted basics mapped back to model columns).
@@ -549,13 +567,28 @@ fn presolve(
     Ok(())
 }
 
-/// Runs primal simplex iterations on the tableau until optimal or unbounded.
-/// Returns `false` on unboundedness.
-fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], total: usize) -> bool {
+/// How a run of simplex iterations ended.
+enum Pivots {
+    Optimal,
+    Unbounded,
+    Interrupted,
+}
+
+/// Runs primal simplex iterations on the tableau until optimal or
+/// unbounded, or until `budget` is spent.
+fn run_simplex(
+    t: &mut [Vec<f64>],
+    basis: &mut [usize],
+    total: usize,
+    budget: Option<&Budget>,
+) -> Pivots {
     let m = t.len() - 1;
     let dantzig_limit = DANTZIG_LIMIT_FACTOR * (m + total) + 200;
     let mut iters = 0usize;
     loop {
+        if budget.is_some_and(|b| b.check().is_err()) {
+            return Pivots::Interrupted;
+        }
         iters += 1;
         let bland = iters > dantzig_limit;
         // Entering column: most negative reduced cost (Dantzig), or first
@@ -575,7 +608,7 @@ fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], total: usize) -> bool {
             }
         }
         if enter == usize::MAX {
-            return true; // optimal
+            return Pivots::Optimal;
         }
         // Leaving row: minimum ratio, ties by smallest basis index (Bland).
         let mut leave = usize::MAX;
@@ -594,7 +627,7 @@ fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], total: usize) -> bool {
             }
         }
         if leave == usize::MAX {
-            return false; // unbounded
+            return Pivots::Unbounded;
         }
         pivot(t, leave, enter, total);
         basis[leave] = enter;
@@ -672,6 +705,21 @@ mod tests {
         let x = m.add_continuous("x", 0.0, 1.0, 1.0);
         m.add_constraint(&[(x, 1.0)], Sense::Ge, 2.0);
         assert_eq!(Simplex::new().solve(&m, &[]), LpResult::Infeasible);
+    }
+
+    #[test]
+    fn a_spent_budget_interrupts_the_solve() {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
+        let y = m.add_continuous("y", 0.0, 10.0, 1.0);
+        m.add_constraint(&[(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
+        let budget = Budget::unlimited();
+        budget.cancel_handle().cancel();
+        let solver = Simplex::new().with_budget(budget);
+        assert_eq!(solver.solve(&m, &[]), LpResult::Interrupted);
+        // A live budget changes nothing.
+        let live = Simplex::new().with_budget(Budget::unlimited());
+        assert_eq!(live.solve(&m, &[]), Simplex::new().solve(&m, &[]));
     }
 
     #[test]

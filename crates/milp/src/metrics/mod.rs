@@ -25,6 +25,8 @@ mod vh;
 pub use cover::{CoverProblem, DegreeCoverBounder, MatchingCoverBounder};
 pub use vh::{VhBounder, VhLayout};
 
+use flowc_budget::Budget;
+
 use crate::branch::{sanitize_bound, Bounder, LpBounder};
 use crate::model::Model;
 
@@ -53,6 +55,13 @@ impl<B: Bounder> HybridBounder<B> {
             lp_solves: 0,
             lp_skips: 0,
         }
+    }
+
+    /// Stops each LP solve once `budget` is spent, falling back to the
+    /// cheap bound for that call; see [`crate::lp::Simplex::with_budget`].
+    pub fn with_budget(mut self, budget: Budget) -> Self {
+        self.lp = LpBounder::with_budget(budget);
+        self
     }
 
     /// `(lp_solves, lp_skips)` so far — how often the cheap bound made the

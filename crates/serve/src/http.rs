@@ -1,6 +1,7 @@
-//! A deliberately small HTTP/1.1 subset over [`std::net::TcpStream`]:
-//! enough for the service's JSON request/response endpoints, hand-rolled
-//! so the server stays dependency-free.
+//! A deliberately small HTTP/1.1 subset over any byte stream (the server
+//! hands it a [`std::net::TcpStream`]): enough for the service's JSON
+//! request/response endpoints, hand-rolled so the server stays
+//! dependency-free.
 //!
 //! Supported: request line + headers + `Content-Length` bodies, one
 //! request per connection (`Connection: close` semantics). Not supported
@@ -9,7 +10,6 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Upper bound on a request body; larger submissions are rejected with
 /// `413` instead of buffering without bound.
@@ -47,21 +47,37 @@ impl HttpError {
     }
 }
 
+/// Reads one `\n`-terminated line and charges it to the header block.
+/// At most `MAX_HEADER_BYTES + 1 - used` bytes are ever buffered, so a
+/// client that never sends a newline costs a bounded allocation.
+fn read_line(
+    reader: &mut impl BufRead,
+    used: &mut usize,
+    tag: &'static str,
+) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    reader
+        .take((MAX_HEADER_BYTES + 1 - *used) as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| HttpError::new(400, tag))?;
+    *used += line.len();
+    if *used > MAX_HEADER_BYTES {
+        return Err(HttpError::new(413, "headers_too_large"));
+    }
+    String::from_utf8(line).map_err(|_| HttpError::new(400, tag))
+}
+
 /// Reads and parses one request from `stream`.
 ///
 /// # Errors
 ///
 /// [`HttpError`] with `400` on malformed syntax, `413` on oversized
 /// bodies or header blocks, `501` on transfer encodings we don't speak.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
     let mut header_bytes = 0usize;
 
-    reader
-        .read_line(&mut line)
-        .map_err(|_| HttpError::new(400, "bad_request_line"))?;
-    header_bytes += line.len();
+    let line = read_line(&mut reader, &mut header_bytes, "bad_request_line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -75,14 +91,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut content_length = 0usize;
     let mut chunked = false;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|_| HttpError::new(400, "bad_header"))?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::new(413, "headers_too_large"));
-        }
+        let header = read_line(&mut reader, &mut header_bytes, "bad_header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -150,44 +159,34 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete JSON response and flushes. Errors are swallowed: a
-/// client that hung up mid-response is its own problem, not the server's.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+/// Writes a complete JSON response in one write and flushes; head and
+/// body leave in one segment, so Nagle's algorithm never holds the body
+/// back waiting for the client's delayed ACK of the head. Errors are
+/// swallowed: a client that hung up mid-response is its own problem, not
+/// the server's.
+pub fn write_response(stream: &mut impl Write, status: u16, body: &str) {
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &str) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let req = read_request(&mut conn);
-        writer.join().unwrap();
-        req
+    fn parse(raw: &str) -> Result<Request, HttpError> {
+        read_request(raw.as_bytes())
     }
 
     #[test]
     fn parses_post_with_body_and_query() {
-        let req = round_trip(
-            "POST /submit?x=1&flag HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\n\r\nbody",
-        )
-        .unwrap();
+        let req =
+            parse("POST /submit?x=1&flag HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\n\r\nbody")
+                .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/submit");
         assert_eq!(req.query.get("x").map(String::as_str), Some("1"));
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let req = round_trip("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         assert!(req.body.is_empty());
@@ -205,13 +204,81 @@ mod tests {
 
     #[test]
     fn rejects_chunked_and_oversize() {
-        let e = round_trip("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err();
+        let e = parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n").unwrap_err();
         assert_eq!(e.status, 501);
-        let e = round_trip(&format!(
+        let e = parse(&format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         ))
         .unwrap_err();
         assert_eq!(e.status, 413);
+    }
+
+    /// A reader that counts the bytes it hands out, so a test can show
+    /// the parser stopped pulling from a client that never ends a line.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_request_line_without_newline_is_cut_off_at_the_cap() {
+        let endless = vec![b'a'; 1 << 20];
+        let mut stream = Counting {
+            inner: endless.as_slice(),
+            read: 0,
+        };
+        let e = read_request(&mut stream).unwrap_err();
+        assert_eq!((e.status, e.tag), (413, "headers_too_large"));
+        // Only the cap plus one buffer's worth is ever pulled in.
+        assert!(
+            stream.read <= MAX_HEADER_BYTES + 8 * 1024,
+            "{}",
+            stream.read
+        );
+    }
+
+    #[test]
+    fn the_header_block_cap_counts_every_byte_through_the_blank_line() {
+        // Request line + one padded header + the blank line, `total` bytes.
+        let block = |total: usize| {
+            let fixed = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
+            format!(
+                "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "p".repeat(total - fixed)
+            )
+        };
+        assert_eq!(block(MAX_HEADER_BYTES).len(), MAX_HEADER_BYTES);
+        assert!(parse(&block(MAX_HEADER_BYTES)).is_ok());
+        let e = parse(&block(MAX_HEADER_BYTES + 1)).unwrap_err();
+        assert_eq!((e.status, e.tag), (413, "headers_too_large"));
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new());
+        write_response(&mut out, 200, "{\"ok\":true}");
+        assert_eq!(out.0.len(), 1);
+        let text = String::from_utf8(out.0.remove(0)).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.ends_with("Content-Length: 11\r\nConnection: close\r\n\r\n{\"ok\":true}"));
     }
 }

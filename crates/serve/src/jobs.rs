@@ -12,8 +12,8 @@
 //! the key index along with the jobs).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use flowc_budget::{Budget, CancelHandle};
 use flowc_logic::Network;
@@ -139,6 +139,8 @@ impl TableInner {
 #[derive(Debug)]
 pub struct JobTable {
     inner: Mutex<TableInner>,
+    /// Notified on every terminal transition; long polls wait on it.
+    terminal: Condvar,
     retain: usize,
 }
 
@@ -147,6 +149,7 @@ impl JobTable {
     pub fn new(retain: usize) -> Self {
         JobTable {
             inner: Mutex::new(TableInner::default()),
+            terminal: Condvar::new(),
             retain: retain.max(1),
         }
     }
@@ -207,6 +210,7 @@ impl JobTable {
         entry.outcome = Some(outcome);
         inner.finished.push(id);
         inner.evict_excess(self.retain);
+        self.terminal.notify_all();
         true
     }
 
@@ -233,6 +237,7 @@ impl JobTable {
             )]));
             inner.finished.push(id);
             inner.evict_excess(self.retain);
+            self.terminal.notify_all();
             newly_terminal = true;
         }
         Some((inner.jobs[&id].state.clone(), newly_terminal))
@@ -248,7 +253,31 @@ impl JobTable {
 
     /// A status snapshot: `(state, queue-age, label)`.
     pub fn status(&self, id: u64) -> Option<(JobState, Instant, String)> {
+        self.await_status(id, Duration::ZERO)
+    }
+
+    /// A status snapshot taken once the job is terminal or `wait` has
+    /// passed, whichever is first; the wait also ends at the job's own
+    /// deadline while that is ahead. An overdue job waits on `wait` alone:
+    /// bounding it by a passed deadline would answer at once and turn a
+    /// client's long-poll loop into a busy loop. An unknown id, a terminal
+    /// job or a zero `wait` answers at once, and a job evicted during the
+    /// wait reads as unknown.
+    pub fn await_status(&self, id: u64, wait: Duration) -> Option<(JobState, Instant, String)> {
         let inner = self.lock();
+        let wait = inner
+            .jobs
+            .get(&id)
+            .map_or(Duration::ZERO, |e| match e.budget.remaining() {
+                Some(left) if !left.is_zero() => left.min(wait),
+                _ => wait,
+            });
+        let (inner, _) = self
+            .terminal
+            .wait_timeout_while(inner, wait, |t| {
+                t.jobs.get(&id).is_some_and(|e| !e.state.is_terminal())
+            })
+            .unwrap_or_else(|e| e.into_inner());
         inner
             .jobs
             .get(&id)
@@ -356,6 +385,57 @@ mod tests {
         assert_eq!(t.cancel(1), Some((JobState::Running, false)));
         assert!(budget.is_cancelled());
         assert!(t.cancel_requested(1));
+    }
+
+    #[test]
+    fn await_status_wakes_on_every_terminal_transition() {
+        let t = Arc::new(JobTable::new(8));
+        t.insert(entry(1));
+        t.insert(entry(2));
+        t.claim_for_run(1).unwrap();
+        let started = Instant::now();
+        let waiters = [1, 2].map(|id| {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || t.await_status(id, Duration::from_secs(20)))
+        });
+        // Job 1 finishes through its worker, queued job 2 by a cancel.
+        std::thread::sleep(Duration::from_millis(20));
+        t.finish(1, JobState::Done, Json::Obj(vec![]));
+        t.cancel(2);
+        let states = waiters.map(|w| w.join().unwrap().unwrap().0);
+        assert_eq!(states, [JobState::Done, JobState::Cancelled]);
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn await_status_is_bounded_by_wait_and_deadline() {
+        let t = JobTable::new(8);
+        t.insert(entry(1));
+        let started = Instant::now();
+        assert_eq!(
+            t.await_status(1, Duration::from_millis(30)).unwrap().0,
+            JobState::Queued
+        );
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        // Unknown ids answer at once.
+        let started = Instant::now();
+        assert!(t.await_status(99, Duration::from_secs(20)).is_none());
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // The wait ends at the job's deadline...
+        let mut soon = entry(2);
+        soon.budget = Budget::unlimited().with_deadline(Duration::from_millis(30));
+        t.insert(soon);
+        let started = Instant::now();
+        assert_eq!(
+            t.await_status(2, Duration::from_secs(20)).unwrap().0,
+            JobState::Queued
+        );
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(20) && waited < Duration::from_secs(1));
+        // ...but an overdue job waits on `wait`, never answering at once.
+        let started = Instant::now();
+        t.await_status(2, Duration::from_millis(30)).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(30));
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!    aborts mid-solve and ships a degraded-but-valid design when it can.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,14 @@ use crate::journal::{Journal, JournalConfig, JournalStats, Record};
 use crate::metrics::Metrics;
 use crate::protocol::{error_json, parse_patch, parse_submit, PatchDirective, SubmitSpec};
 use crate::queue::{JobQueue, QueuedJob};
+
+/// The longest a `/status?wait_ms=` long poll holds its connection: well
+/// under every client's read timeout, so a poll never looks like a hang.
+const MAX_STATUS_WAIT: Duration = Duration::from_secs(5);
+
+/// The acceptor's pause after a failed `accept` (e.g. `EMFILE`), so a
+/// lasting error cannot spin the loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -179,6 +187,11 @@ struct ServerInner {
     breaker: Mutex<Breaker>,
     slots: Vec<WorkerSlot>,
     shutdown: AtomicBool,
+    /// Slots whose worker thread ended and the supervisor has not yet
+    /// handled, with the condvar that wakes the supervisor for them and
+    /// for shutdown.
+    worker_exits: Mutex<Vec<usize>>,
+    supervisor_wake: Condvar,
     next_id: AtomicU64,
     journal: Option<Journal>,
     recovery: Option<Recovery>,
@@ -225,7 +238,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let shards = config.session_shards.max(1);
         // With a journal directory, labelings also persist to disk (CRC32
@@ -279,6 +291,8 @@ impl Server {
             breaker: Mutex::new(Breaker::new(config.breaker.clone())),
             slots,
             shutdown: AtomicBool::new(false),
+            worker_exits: Mutex::new(Vec::new()),
+            supervisor_wake: Condvar::new(),
             next_id: AtomicU64::new(next_id),
             journal,
             recovery,
@@ -340,8 +354,20 @@ impl Server {
                 ),
             );
         }
-        let mut metrics = self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        metrics.counters.shed_shutdown += shed.len() as u64;
+        {
+            let mut metrics = self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
+            metrics.counters.shed_shutdown += shed.len() as u64;
+        }
+        wake_acceptor(self.addr);
+        // Taking the lock orders this notify after the supervisor's
+        // flag check, so the wake-up cannot be lost.
+        drop(
+            self.inner
+                .worker_exits
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+        self.inner.supervisor_wake.notify_all();
     }
 
     /// Waits for the acceptor, workers, and supervisor to exit. Call
@@ -469,11 +495,16 @@ fn restore_job(
     }
 }
 
-/// Accept loop: nonblocking accepts with a short sleep so the shutdown
-/// flag is honored within ~10ms even when no connections arrive.
+/// Accept loop: blocks in `accept` and checks the shutdown flag each time
+/// it returns. [`Server::request_shutdown`] sets the flag first and then
+/// wakes the loop with [`wake_acceptor`].
 fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let inner = Arc::clone(inner);
                 // One short-lived thread per connection: requests are tiny
@@ -484,16 +515,28 @@ fn accept_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
                     .name("serve-conn".into())
                     .spawn(move || handle_connection(&inner, stream));
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
 
+/// Unblocks the acceptor with a connection to its own listener; an
+/// unspecified bind (`0.0.0.0`, `::`) is reached through loopback of the
+/// same family. The acceptor drops the connection unanswered.
+fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect_timeout(&target, Duration::from_secs(1)) {
+        eprintln!("flowc-serve: could not wake the acceptor at {target}: {e}");
+    }
+}
+
 fn handle_connection(inner: &Arc<ServerInner>, mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let request = match read_request(&mut stream) {
         Ok(r) => r,
@@ -511,7 +554,15 @@ fn route(inner: &Arc<ServerInner>, request: &Request) -> (u16, Json) {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/submit") => submit(inner, &request.body),
         ("POST", "/patch") => patch(inner, &request.body),
-        ("GET", "/status") => with_id(request, |id| status(inner, id)),
+        ("GET", "/status") => match request.query.get("wait_ms").map_or(Ok(0), |ms| ms.parse()) {
+            Ok(ms) => with_id(request, |id| {
+                status(inner, id, Duration::from_millis(ms).min(MAX_STATUS_WAIT))
+            }),
+            Err(_) => (
+                400,
+                error_json("bad_request", "wait_ms must be a whole number", None),
+            ),
+        },
         ("GET", "/result") => with_id(request, |id| result(inner, id)),
         ("POST", "/cancel") => {
             let id = Json::parse(&request.body)
@@ -886,8 +937,11 @@ fn admit_and_enqueue(
     (200, Json::Obj(fields))
 }
 
-fn status(inner: &Arc<ServerInner>, id: u64) -> (u16, Json) {
-    match inner.jobs.status(id) {
+/// `GET /status`: the job's state once it is terminal or `wait` (already
+/// clamped to [`MAX_STATUS_WAIT`]) has passed; see
+/// [`JobTable::await_status`].
+fn status(inner: &Arc<ServerInner>, id: u64, wait: Duration) -> (u16, Json) {
+    match inner.jobs.await_status(id, wait) {
         None => (
             404,
             error_json("not_found", "unknown or evicted job id", None),
@@ -1431,38 +1485,47 @@ fn sync_breaker_trips(inner: &ServerInner) {
     metrics.counters.breaker_trips = trips;
 }
 
-/// Supervisor: spawn the workers, watch for crashes, restart with
-/// exponential backoff, and attribute the crashed worker's in-flight job.
+/// Supervisor: spawn the workers, wait for one to exit, restart it with
+/// exponential backoff, and attribute a crashed worker's in-flight job.
+/// It sleeps on `supervisor_wake` between events: a worker exit (every
+/// worker announces its own through [`ExitNotice`]), the earliest pending
+/// restart, or shutdown.
 fn supervise(inner: &Arc<ServerInner>) {
     let workers = inner.config.workers.max(1);
     let base_backoff = Duration::from_millis(50);
     let max_backoff = Duration::from_secs(5);
-    let mut handles: Vec<Option<JoinHandle<()>>> = Vec::with_capacity(workers);
+    let mut handles: Vec<Option<JoinHandle<()>>> = (0..workers)
+        .map(|slot| Some(spawn_worker(inner, slot)))
+        .collect();
     let mut backoff = vec![base_backoff; workers];
     let mut spawned_at = vec![Instant::now(); workers];
     let mut restart_due: Vec<Option<Instant>> = vec![None; workers];
 
-    for slot in 0..workers {
-        handles.push(Some(spawn_worker(inner, slot)));
-    }
-
     loop {
+        let exited = {
+            let exits = inner.worker_exits.lock().unwrap_or_else(|e| e.into_inner());
+            let idle =
+                |exits: &mut Vec<usize>| exits.is_empty() && !inner.shutdown.load(Ordering::SeqCst);
+            // With no restart pending, nothing but an exit or shutdown wakes it.
+            let wait = restart_due
+                .iter()
+                .flatten()
+                .min()
+                .map_or(Duration::MAX, |due| {
+                    due.saturating_duration_since(Instant::now())
+                });
+            let (mut exits, _) = inner
+                .supervisor_wake
+                .wait_timeout_while(exits, wait, idle)
+                .unwrap_or_else(|e| e.into_inner());
+            std::mem::take(&mut *exits)
+        };
         let shutting_down = inner.shutdown.load(Ordering::SeqCst);
-        for slot in 0..workers {
-            // A pending restart fires once its backoff deadline passes.
-            if let Some(due) = restart_due[slot] {
-                if !shutting_down && Instant::now() >= due {
-                    restart_due[slot] = None;
-                    spawned_at[slot] = Instant::now();
-                    handles[slot] = Some(spawn_worker(inner, slot));
-                }
+        for slot in exited {
+            let Some(handle) = handles[slot].take() else {
                 continue;
-            }
-            let finished = handles[slot].as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
-                continue;
-            }
-            let handle = handles[slot].take().expect("checked above");
+            };
+            // The notice fires as the thread ends, so this join is brief.
             let crashed = handle.join().is_err();
             if shutting_down && !crashed {
                 continue; // clean exit through queue close
@@ -1521,7 +1584,33 @@ fn supervise(inner: &Arc<ServerInner>) {
             }
             return;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        // Pending restarts fire once their backoff deadline passes.
+        let now = Instant::now();
+        for slot in 0..workers {
+            if restart_due[slot].is_some_and(|due| now >= due) {
+                restart_due[slot] = None;
+                spawned_at[slot] = now;
+                handles[slot] = Some(spawn_worker(inner, slot));
+            }
+        }
+    }
+}
+
+/// Announces a worker thread's end to the supervisor when dropped, so a
+/// clean exit and a panic's unwinding both wake it.
+struct ExitNotice<'a> {
+    inner: &'a ServerInner,
+    slot: usize,
+}
+
+impl Drop for ExitNotice<'_> {
+    fn drop(&mut self) {
+        self.inner
+            .worker_exits
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(self.slot);
+        self.inner.supervisor_wake.notify_all();
     }
 }
 
@@ -1529,7 +1618,13 @@ fn spawn_worker(inner: &Arc<ServerInner>, slot: usize) -> JoinHandle<()> {
     let inner = Arc::clone(inner);
     std::thread::Builder::new()
         .name(format!("serve-worker-{slot}"))
-        .spawn(move || worker_loop(&inner, slot))
+        .spawn(move || {
+            let _notice = ExitNotice {
+                inner: &inner,
+                slot,
+            };
+            worker_loop(&inner, slot);
+        })
         .expect("spawn worker")
 }
 

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example multi_output_alu`
 
 use flowc::baselines::robdd_diagonal::compact_per_output;
+use flowc::budget::Budget;
 use flowc::compact::{synthesize, Config};
 use flowc::logic::bench_suite;
 use flowc::xbar::metrics::CrossbarMetrics;
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Per-output ROBDD flow (the prior multi-output approach).
-    let separate = compact_per_output(&network, &Config::default())?;
+    let separate = compact_per_output(&network, &Config::default(), &Budget::unlimited())?;
     let sm = CrossbarMetrics::of(&separate.crossbar);
     println!(
         "ROBDD flow  : {:>6} nodes -> {:>5} × {:<5} (S = {}, delay = {} steps)",

@@ -914,9 +914,12 @@ fn remote(action: &str, args: &[String]) -> Result<bool, String> {
             if !opts.wait {
                 return Ok(degraded_admission);
             }
-            // Poll until terminal, then fetch and print the outcome.
+            // Long-poll until terminal (the server answers as soon as the
+            // job ends, or at its own cap on `wait_ms`), then fetch and
+            // print the outcome.
             let state = loop {
-                let (status, resp) = request(server, "GET", &format!("/status?id={id}"), "")?;
+                let (status, resp) =
+                    request(server, "GET", &format!("/status?id={id}&wait_ms=60000"), "")?;
                 if status != 200 {
                     return Err(describe_error(status, &resp));
                 }
@@ -928,7 +931,6 @@ fn remote(action: &str, args: &[String]) -> Result<bool, String> {
                 if !matches!(state.as_str(), "queued" | "running") {
                     break state;
                 }
-                std::thread::sleep(Duration::from_millis(200));
             };
             let (status, resp) = request(server, "GET", &format!("/result?id={id}"), "")?;
             if status != 200 {

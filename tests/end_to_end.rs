@@ -8,6 +8,7 @@ use flowc::baselines::magic::{map_magic, MagicConfig};
 use flowc::baselines::robdd_diagonal::{compact_per_output, staircase_per_output};
 use flowc::baselines::staircase::staircase_map;
 use flowc::bdd::build_sbdd;
+use flowc::budget::Budget;
 use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
 use flowc::compact::{BddGraph, Rung};
 use flowc::logic::bench_suite;
@@ -102,7 +103,7 @@ fn sbdd_flow_never_worse_than_robdd_flow() {
         let b = bench_suite::by_name(name).unwrap();
         let n = b.network().unwrap();
         let shared = synthesize(&n, &quick_config(0.5)).unwrap();
-        let separate = compact_per_output(&n, &quick_config(0.5)).unwrap();
+        let separate = compact_per_output(&n, &quick_config(0.5), &Budget::unlimited()).unwrap();
         let sm = CrossbarMetrics::of(&separate.crossbar);
         assert!(shared.graph_nodes <= separate.merged_nodes, "{name}: nodes");
         assert!(

@@ -284,7 +284,9 @@ fn the_per_output_flow_reports_which_rung_shipped_each_block() {
     let n = two_output_network();
     let config = Config::default();
     let _fp = flowc_failpoint::scoped("compact.rung.exact-mip=panic@1");
-    let diag = flowc::baselines::robdd_diagonal::compact_per_output(&n, &config).unwrap();
+    let diag =
+        flowc::baselines::robdd_diagonal::compact_per_output(&n, &config, &Budget::unlimited())
+            .unwrap();
     let reports: Vec<&DegradationReport> = diag
         .per_output
         .iter()
