@@ -205,7 +205,8 @@ pub struct PartitionedBackend {
     /// The backend mapping each tile (must be
     /// [`Capabilities::tileable`](crate::backend::Capabilities)).
     pub inner: Box<Backend>,
-    /// Wall-clock slice for each constrained fitting attempt.
+    /// Wall-clock slice for each constrained fitting attempt, capping the
+    /// job's budget.
     pub per_tile_time: Duration,
 }
 
@@ -240,10 +241,8 @@ impl PartitionedBackend {
             return Ok(Fit::Fits(Box::new(free)));
         }
         if matches!(self.inner.as_ref(), Backend::Compact(_)) {
-            let slice = self
-                .per_tile_time
-                .min(ctx.budget.remaining_or(self.per_tile_time));
-            match synthesize_constrained(cone, self.tile, slice) {
+            let slice = ctx.budget.capped(self.per_tile_time);
+            match synthesize_constrained(cone, self.tile, &slice) {
                 Ok(result) => return Ok(Fit::Fits(Box::new(result.into()))),
                 Err(e @ ConstraintError::Infeasible { .. }) => return Ok(Fit::Impossible(e)),
                 Err(_) => {}
@@ -361,6 +360,7 @@ impl MappingBackend for PartitionedBackend {
             backend: self.name(),
             metrics,
             artifact: DesignArtifact::Tiled(schedule),
+            degraded: false,
         })
     }
 }

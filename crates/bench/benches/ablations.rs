@@ -6,7 +6,7 @@
 //! must work fully offline). `FLOWC_BENCH_SAMPLES` controls sample counts.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use flowc_bdd::{build_sbdd, dfs_fanin_order};
 use flowc_bench::timing::bench;
@@ -15,10 +15,14 @@ use flowc_compact::mip_method::hill_climb;
 use flowc_compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc_compact::BddGraph;
 use flowc_graph::{
-    cartesian_with_k2, greedy_cover, lp_lower_bound, minimum_vertex_cover, nt_kernel,
-    oct_heuristic, VcConfig,
+    cartesian_with_k2, greedy_cover, lp_lower_bound, minimum_vertex_cover, nt_kernel, oct_heuristic,
 };
 use flowc_logic::bench_suite;
+
+/// A budget expiring `n` seconds from now.
+fn secs(n: u64) -> Budget {
+    Budget::unlimited().with_deadline(Duration::from_secs(n))
+}
 
 fn graph_of(name: &str) -> BddGraph {
     let network = bench_suite::by_name(name).unwrap().network().unwrap();
@@ -40,15 +44,9 @@ fn bench_kernelization() {
     });
     bench("vc_kernelization", "exact_vc_int2float_product", || {
         black_box(
-            minimum_vertex_cover(
-                &product,
-                &VcConfig {
-                    time_limit: Duration::from_secs(10),
-                    threads: 1,
-                },
-            )
-            .cover
-            .len(),
+            minimum_vertex_cover(&product, 1, &secs(10), None)
+                .cover
+                .len(),
         )
     });
 }
@@ -58,7 +56,7 @@ fn bench_oct_exact_vs_heuristic() {
     for name in ["int2float", "cavlc"] {
         let g = graph_of(name);
         bench("oct_exact_vs_heuristic", &format!("exact_{name}"), || {
-            black_box(min_semiperimeter(&g, &OctMethodConfig::default()).oct_size)
+            black_box(min_semiperimeter(&g, &OctMethodConfig::default(), &secs(30)).oct_size)
         });
         bench(
             "oct_exact_vs_heuristic",
@@ -86,29 +84,13 @@ fn bench_variable_ordering() {
 /// much maximum dimension does it buy.
 fn bench_hill_climb() {
     let g = graph_of("int2float");
-    let base = min_semiperimeter(&g, &OctMethodConfig::default()).labeling;
+    let base = min_semiperimeter(&g, &OctMethodConfig::default(), &secs(30)).labeling;
     bench("hill_climb", "int2float", || {
-        let (improved, _) = hill_climb(
-            &g,
-            &base,
-            0.5,
-            true,
-            Instant::now() + Duration::from_secs(2),
-            &Budget::unlimited(),
-            |_| {},
-        );
+        let (improved, _) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
         black_box(improved.stats().max_dimension)
     });
     // Quality datum printed once (the harness times it, humans read this).
-    let (improved, moves) = hill_climb(
-        &g,
-        &base,
-        0.5,
-        true,
-        Instant::now() + Duration::from_secs(2),
-        &Budget::unlimited(),
-        |_| {},
-    );
+    let (improved, moves) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
     eprintln!(
         "[ablation] int2float hill climb: D {} -> {} with {} accepted moves",
         base.stats().max_dimension,

@@ -12,6 +12,7 @@ use flowc_baselines::magic::{map_magic, MagicConfig, NorNetlist};
 use flowc_baselines::staircase::staircase_map;
 use flowc_bdd::build_sbdd;
 use flowc_bench::timing::bench;
+use flowc_budget::Budget;
 use flowc_compact::mapping::map_to_crossbar;
 use flowc_compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc_compact::pipeline::{synthesize, Config, VhStrategy};
@@ -45,13 +46,18 @@ fn bench_preprocess() {
     }
 }
 
+/// The exact OCT's budget: cavlc's solve runs to this deadline.
+fn oct_budget() -> Budget {
+    Budget::unlimited().with_deadline(Duration::from_secs(30))
+}
+
 fn bench_vh_labeling() {
     for name in ["int2float", "cavlc"] {
         let network = bench_suite::by_name(name).unwrap().network().unwrap();
         let graph = BddGraph::from_bdds(&build_sbdd(&network, None));
         bench("vh_labeling_oct", name, || {
             black_box(
-                min_semiperimeter(&graph, &OctMethodConfig::default())
+                min_semiperimeter(&graph, &OctMethodConfig::default(), &oct_budget())
                     .labeling
                     .stats()
                     .semiperimeter,
@@ -64,7 +70,8 @@ fn bench_mapping() {
     for name in ["cavlc", "i2c"] {
         let network = bench_suite::by_name(name).unwrap().network().unwrap();
         let graph = BddGraph::from_bdds(&build_sbdd(&network, None));
-        let labeling = min_semiperimeter(&graph, &OctMethodConfig::default()).labeling;
+        let labeling =
+            min_semiperimeter(&graph, &OctMethodConfig::default(), &oct_budget()).labeling;
         let names: Vec<String> = network
             .outputs()
             .iter()

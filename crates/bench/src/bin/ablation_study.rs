@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use flowc_bdd::{build_sbdd, dfs_fanin_order, sift};
 use flowc_bench::{build_network, time_limit};
+use flowc_budget::Budget;
 use flowc_compact::oct_method::{min_semiperimeter, OctMethodConfig};
 use flowc_compact::BddGraph;
 use flowc_graph::oct_heuristic;
@@ -28,18 +29,18 @@ fn main() {
         let free = min_semiperimeter(
             &g,
             &OctMethodConfig {
-                time_limit: budget,
                 align: false,
                 ..Default::default()
             },
+            &Budget::unlimited().with_deadline(budget),
         );
         let aligned = min_semiperimeter(
             &g,
             &OctMethodConfig {
-                time_limit: budget,
                 align: true,
                 ..Default::default()
             },
+            &Budget::unlimited().with_deadline(budget),
         );
         let sf = free.labeling.stats().semiperimeter;
         let sa = aligned.labeling.stats().semiperimeter;
@@ -88,10 +89,10 @@ fn main() {
         let exact = min_semiperimeter(
             &g,
             &OctMethodConfig {
-                time_limit: budget,
                 align: false,
                 ..Default::default()
             },
+            &Budget::unlimited().with_deadline(budget),
         );
         let t_exact = t0.elapsed();
         let t0 = Instant::now();

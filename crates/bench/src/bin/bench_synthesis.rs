@@ -47,7 +47,7 @@ use flowc_bench::report::{self, Json};
 use flowc_bench::{build_network, time_limit};
 use flowc_budget::{Budget, Stopwatch};
 use flowc_compact::{
-    gamma_sweep_tasks, synthesize_batch, synthesize_in_budgeted, BatchConfig, Config, EditSession,
+    gamma_sweep_tasks, synthesize_batch, synthesize_in_budgeted, Config, EditSession,
     EditSessionConfig, EditableNetlist, Session, StageKind, StageTrace,
 };
 use flowc_conform::{EditStreamGen, Rng};
@@ -435,14 +435,7 @@ fn main() {
         // Cached: one session, the whole sweep batched.
         let session = Session::default();
         let cached_sw = Stopwatch::unbudgeted();
-        let results = synthesize_batch(
-            &session,
-            &tasks,
-            &BatchConfig {
-                threads: opts.threads,
-                per_task_budget: None,
-            },
-        );
+        let results = synthesize_batch(&session, &tasks, opts.threads);
         let cached_wall = cached_sw.elapsed();
         for (task, r) in tasks.iter().zip(&results) {
             if let Err(e) = r {

@@ -114,10 +114,14 @@ impl Budget {
         }
     }
 
-    /// Sets the deadline to `timeout` from now.
+    /// Sets the deadline to `timeout` from now. A `timeout` too large
+    /// for the clock to represent leaves the budget as it was.
     #[must_use]
     pub fn with_deadline(self, timeout: Duration) -> Self {
-        self.with_deadline_at(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.with_deadline_at(deadline),
+            None => self,
+        }
     }
 
     /// Sets an absolute deadline.
@@ -173,8 +177,8 @@ impl Budget {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Time remaining, clamped to `cap` (for stages that take their own
-    /// `time_limit`): the smaller of `cap` and the time left on the clock.
+    /// Time remaining, clamped to `cap`: the smaller of `cap` and the time
+    /// left on the clock.
     pub fn remaining_or(&self, cap: Duration) -> Duration {
         self.remaining().map_or(cap, |r| r.min(cap))
     }
@@ -210,13 +214,26 @@ impl Budget {
 
     /// Derives a sub-budget whose deadline is the sooner of this budget's
     /// deadline and `timeout` from now; shares the cancellation flag and
-    /// node ceilings.
+    /// node ceilings. A `timeout` too large for the clock to represent
+    /// keeps this budget's deadline.
     #[must_use]
     pub fn capped(&self, timeout: Duration) -> Self {
-        let cap = Instant::now() + timeout;
         let mut sub = self.clone();
-        sub.deadline = Some(self.deadline.map_or(cap, |d| d.min(cap)));
+        if let Some(cap) = Instant::now().checked_add(timeout) {
+            sub.deadline = Some(self.deadline.map_or(cap, |d| d.min(cap)));
+        }
         sub
+    }
+
+    /// A sub-budget for a stage that may spend `share` (in `[0, 1]`) of
+    /// the time left: [`Budget::capped`] at that share of
+    /// [`Budget::remaining`], or a plain clone when no deadline is set.
+    #[must_use]
+    pub fn share(&self, share: f64) -> Self {
+        match self.remaining() {
+            Some(left) => self.capped(left.mul_f64(share)),
+            None => self.clone(),
+        }
     }
 
     /// Starts a [`Stopwatch`] against this budget. Equivalent to
@@ -277,12 +294,6 @@ impl Stopwatch {
     /// The budget this stopwatch is bound to.
     pub fn budget(&self) -> &Budget {
         &self.budget
-    }
-
-    /// Time left on the budget's deadline clamped to `cap`
-    /// ([`Budget::remaining_or`]).
-    pub fn remaining_or(&self, cap: Duration) -> Duration {
-        self.budget.remaining_or(cap)
     }
 }
 
@@ -351,6 +362,29 @@ mod tests {
     }
 
     #[test]
+    fn capped_saturates_instead_of_overflowing_the_clock() {
+        let sub = Budget::unlimited().capped(Duration::MAX);
+        assert!(sub.deadline().is_none());
+        assert!(sub.check().is_ok());
+        let b = Budget::unlimited().with_deadline(Duration::from_secs(60));
+        assert_eq!(b.capped(Duration::MAX).deadline(), b.deadline());
+        assert!(Budget::unlimited()
+            .with_deadline(Duration::MAX)
+            .deadline()
+            .is_none());
+    }
+
+    #[test]
+    fn share_caps_only_a_budget_with_a_deadline() {
+        assert!(Budget::unlimited().share(0.5).deadline().is_none());
+        let b = Budget::unlimited().with_deadline(Duration::from_secs(100));
+        let half = b.share(0.5).remaining().unwrap();
+        assert!(half <= Duration::from_secs(50) && half > Duration::from_secs(40));
+        b.share(0.5).cancel_handle().cancel();
+        assert!(b.is_cancelled());
+    }
+
+    #[test]
     fn remaining_or_clamps() {
         let b = Budget::unlimited();
         assert_eq!(
@@ -366,7 +400,7 @@ mod tests {
         let b = Budget::unlimited().with_deadline(Duration::ZERO);
         let sw = b.stopwatch();
         assert_eq!(sw.check(), Err(BudgetExceeded::Deadline));
-        assert_eq!(sw.remaining_or(Duration::from_secs(5)), Duration::ZERO);
+        assert_eq!(sw.budget().remaining(), Some(Duration::ZERO));
 
         let b = Budget::unlimited();
         let sw = Stopwatch::start(&b);

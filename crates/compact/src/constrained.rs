@@ -6,10 +6,11 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flowc_bdd::build_sbdd;
-use flowc_graph::{odd_cycle_transversal, OctConfig};
+use flowc_budget::Budget;
+use flowc_graph::odd_cycle_transversal;
 use flowc_logic::Network;
 use flowc_xbar::metrics::CrossbarMetrics;
 
@@ -90,7 +91,10 @@ impl std::error::Error for ConstraintError {
 
 /// Synthesizes a crossbar for `network` whose shape fits within `limits`,
 /// or explains why it cannot (proven infeasibility vs budget exhaustion).
-/// Alignment constraints are always enforced — ports need wordlines.
+/// Alignment constraints are always enforced — ports need wordlines. The
+/// transversal search may spend half of the time `budget` has left, and
+/// the fitting hill climb checks `budget` before every move, so a cancel
+/// stops the search.
 ///
 /// # Errors
 ///
@@ -99,10 +103,9 @@ impl std::error::Error for ConstraintError {
 pub fn synthesize_constrained(
     network: &Network,
     limits: SizeLimits,
-    time_limit: Duration,
+    budget: &Budget,
 ) -> Result<CompactResult, ConstraintError> {
     let start = Instant::now();
-    let deadline = start + time_limit;
     let bdds = build_sbdd(network, None);
     let graph = BddGraph::from_bdds(&bdds);
     let names: Vec<String> = network
@@ -126,15 +129,7 @@ pub fn synthesize_constrained(
     }
 
     // Semiperimeter lower bound: S ≥ n + OCT(G) (plus the constant-0 rows).
-    let oct = odd_cycle_transversal(
-        &graph.graph,
-        &OctConfig {
-            time_limit: deadline
-                .saturating_duration_since(Instant::now())
-                .mul_f64(0.5),
-            threads: 1,
-        },
-    );
+    let oct = odd_cycle_transversal(&graph.graph, 1, &budget.share(0.5));
     let s_lower = graph.num_nodes() + oct.lower_bound + const0;
     if s_lower > limits.max_rows + limits.max_cols {
         return Err(ConstraintError::Infeasible {
@@ -162,14 +157,14 @@ pub fn synthesize_constrained(
         limits.max_cols,
     );
     best.enforce_alignment(&graph);
-    'outer: while !fits(&best) && Instant::now() < deadline {
+    'outer: while !fits(&best) && budget.check().is_ok() {
         let mut improved = false;
         let mut candidates: Vec<usize> = (0..graph.num_nodes())
             .filter(|v| !vh.contains(v) && !matches!(best.label(*v), VhLabel::Vh))
             .collect();
         candidates.sort_by_key(|&v| std::cmp::Reverse(graph.graph.degree(v)));
         for v in candidates {
-            if Instant::now() >= deadline {
+            if budget.check().is_err() {
                 break 'outer;
             }
             vh.insert(v);
@@ -226,6 +221,12 @@ mod tests {
     use super::*;
     use flowc_logic::{bench_suite, GateKind, Network};
     use flowc_xbar::verify::verify_functional;
+    use std::time::Duration;
+
+    /// A budget that expires `secs` seconds from now.
+    fn secs(secs: u64) -> Budget {
+        Budget::unlimited().with_deadline(Duration::from_secs(secs))
+    }
 
     fn fig2_network() -> Network {
         let mut n = Network::new("fig2");
@@ -247,7 +248,7 @@ mod tests {
                 max_rows: 10,
                 max_cols: 10,
             },
-            Duration::from_secs(5),
+            &secs(5),
         )
         .unwrap();
         assert!(r.crossbar.rows() <= 10 && r.crossbar.cols() <= 10);
@@ -264,7 +265,7 @@ mod tests {
                 max_rows: 2,
                 max_cols: 2,
             },
-            Duration::from_secs(5),
+            &secs(5),
         )
         .unwrap_err();
         match err {
@@ -286,7 +287,7 @@ mod tests {
                 max_rows: 3,
                 max_cols: 2,
             },
-            Duration::from_secs(5),
+            &secs(5),
         )
         .unwrap();
         assert!(r.crossbar.rows() <= 3 && r.crossbar.cols() <= 2);
@@ -308,12 +309,36 @@ mod tests {
                 max_rows: budget * 3 / 4,
                 max_cols: budget / 2,
             },
-            Duration::from_secs(10),
+            &secs(10),
         )
         .unwrap();
         assert!(r.crossbar.rows() <= budget * 3 / 4);
         assert!(r.crossbar.cols() <= budget / 2);
         assert!(verify_functional(&r.crossbar, &n, 200).unwrap().is_valid());
+    }
+
+    #[test]
+    fn a_cancelled_budget_stops_the_search_at_once() {
+        // int2float in a box well below its unconstrained shape: the search
+        // would climb for its whole budget, but a cancel ends it at once.
+        let n = bench_suite::by_name("int2float")
+            .unwrap()
+            .network()
+            .unwrap();
+        let budget = Budget::unlimited();
+        budget.cancel_handle().cancel();
+        let start = Instant::now();
+        let r = synthesize_constrained(
+            &n,
+            SizeLimits {
+                max_rows: 60,
+                max_cols: 40,
+            },
+            &budget,
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
+        assert!(!matches!(r, Err(ConstraintError::Map(_))), "{r:?}");
     }
 
     #[test]
@@ -327,7 +352,7 @@ mod tests {
                 max_rows: 100,
                 max_cols: 1000,
             },
-            Duration::from_secs(5),
+            &secs(5),
         )
         .unwrap_err();
         assert!(matches!(err, ConstraintError::Infeasible { .. }));

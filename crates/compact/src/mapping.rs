@@ -171,6 +171,7 @@ mod tests {
     use crate::labeling::VhLabel;
     use crate::oct_method::{min_semiperimeter, OctMethodConfig};
     use flowc_bdd::build_sbdd;
+    use flowc_budget::Budget;
     use flowc_logic::{GateKind, Network};
     use flowc_xbar::verify::verify_functional;
 
@@ -189,7 +190,7 @@ mod tests {
     fn fig2_end_to_end_valid() {
         let n = fig2_network();
         let g = crate::preprocess::BddGraph::from_bdds(&build_sbdd(&n, None));
-        let r = min_semiperimeter(&g, &OctMethodConfig::default());
+        let r = min_semiperimeter(&g, &OctMethodConfig::default(), &Budget::unlimited());
         let xbar = map_to_crossbar(&g, &r.labeling, &["f".to_string()]).unwrap();
         let report = verify_functional(&xbar, &n, 64).unwrap();
         assert!(report.is_valid(), "mismatches: {:?}", report.mismatches);
@@ -213,7 +214,7 @@ mod tests {
     fn misaligned_root_rejected() {
         let n = fig2_network();
         let g = crate::preprocess::BddGraph::from_bdds(&build_sbdd(&n, None));
-        let mut r = min_semiperimeter(&g, &OctMethodConfig::default());
+        let mut r = min_semiperimeter(&g, &OctMethodConfig::default(), &Budget::unlimited());
         let root = g.roots[0].unwrap();
         r.labeling.set(root, VhLabel::V);
         assert!(matches!(
@@ -233,7 +234,7 @@ mod tests {
         n.mark_output(z);
         n.mark_output(o);
         let g = crate::preprocess::BddGraph::from_bdds(&build_sbdd(&n, None));
-        let r = min_semiperimeter(&g, &OctMethodConfig::default());
+        let r = min_semiperimeter(&g, &OctMethodConfig::default(), &Budget::unlimited());
         let xbar = map_to_crossbar(&g, &r.labeling, &["f".into(), "z".into(), "o".into()]).unwrap();
         for a_val in [false, true] {
             let out = xbar.evaluate(&[a_val]).unwrap();
@@ -245,7 +246,7 @@ mod tests {
     fn metrics_match_labeling_stats() {
         let n = fig2_network();
         let g = crate::preprocess::BddGraph::from_bdds(&build_sbdd(&n, None));
-        let r = min_semiperimeter(&g, &OctMethodConfig::default());
+        let r = min_semiperimeter(&g, &OctMethodConfig::default(), &Budget::unlimited());
         let xbar = map_to_crossbar(&g, &r.labeling, &["f".to_string()]).unwrap();
         let s = r.labeling.stats();
         assert_eq!(xbar.rows(), s.rows);

@@ -9,17 +9,17 @@
 //!   Figure 11).
 //! - **Anytime**: on larger graphs, or when the search found no incumbent,
 //!   a staged optimizer seeded by the Section VI-A transversal: greedy OCT
-//!   incumbent → exact (or time-limited) OCT with its lower bound →
+//!   incumbent → exact (or budget-limited) OCT with its lower bound →
 //!   `VH`-addition hill climbing that trades semiperimeter for maximum
 //!   dimension (the paper's Figure 7 case). Every stage is recorded in a
 //!   [`SolveTrace`], reproducing the incumbent/bound/gap trajectories of
 //!   Figures 10 and 11.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flowc_budget::Budget;
-use flowc_graph::{oct_heuristic, odd_cycle_transversal_budgeted, OctConfig, OctResult};
+use flowc_graph::{oct_heuristic, odd_cycle_transversal, OctResult};
 use flowc_milp::metrics::{HybridBounder, VhBounder, VhLayout};
 use flowc_milp::{BranchBound, Model, Sense, SolveStatus, SolveTrace, TracePoint, VarId};
 
@@ -35,8 +35,6 @@ pub struct MipConfig {
     pub gamma: f64,
     /// Enforce the Eq. 7 alignment constraints.
     pub align: bool,
-    /// Total wall-clock budget.
-    pub time_limit: Duration,
     /// Search threads for the exact branch & bound (1 = plain best-first
     /// search on the calling thread).
     pub threads: usize,
@@ -47,7 +45,6 @@ impl Default for MipConfig {
         MipConfig {
             gamma: 0.5,
             align: true,
-            time_limit: Duration::from_secs(30),
             threads: 1,
         }
     }
@@ -249,9 +246,9 @@ fn labeling_from_solution(vars: &MipVars, values: &[f64]) -> Labeling {
 
 /// `VH`-addition hill climbing (the paper's Figure 7 move): repeatedly try
 /// upgrading a node to `VH`, re-balance, and keep the move when the weighted
-/// objective improves. `deadline` and the cooperative `budget` (deadline
-/// and cancellation) are checked per candidate move; `on_improve` sees
-/// every accepted move (used to record solver convergence traces).
+/// objective improves. `budget` (deadline and cancellation) is checked per
+/// candidate move; `on_improve` sees every accepted move (used to record
+/// solver convergence traces).
 /// Returns the improved labeling and the number of accepted moves. Tests
 /// arm the `compact.hill_climb` failpoint at entry to prove a call was
 /// skipped.
@@ -260,7 +257,6 @@ pub fn hill_climb(
     start: &Labeling,
     gamma: f64,
     align: bool,
-    deadline: Instant,
     budget: &Budget,
     mut on_improve: impl FnMut(&Labeling),
 ) -> (Labeling, usize) {
@@ -282,7 +278,7 @@ pub fn hill_climb(
         let mut candidates: Vec<usize> = (0..n).filter(|v| !vh.contains(v)).collect();
         candidates.sort_by_key(|&v| std::cmp::Reverse(graph.graph.degree(v)));
         for v in candidates {
-            if Instant::now() >= deadline || budget.check().is_err() {
+            if budget.check().is_err() {
                 return (best, accepted);
             }
             vh.insert(v);
@@ -305,15 +301,17 @@ pub fn hill_climb(
 }
 
 /// Graphs of at most this many nodes get the LP-bounded branch & bound;
-/// larger ones go straight to the anytime path. The limit exists because
-/// `HybridBounder`'s dense `lp::Simplex` checks the job's budget but not
-/// the strategy's time limit: on int2float (250 nodes, 986 columns) the
-/// root LP alone did not finish in 120 s, so above this size the search
-/// could not honor its time limit.
+/// larger ones go straight to the anytime path. The dense `lp::Simplex`
+/// stops at the budget's deadline, but its cost grows fast with the
+/// model: on int2float (250 nodes, 986 columns) the root LP alone did not
+/// finish in 120 s, and a 71-node per-output graph takes 11 s. Above this
+/// size the search would spend its whole budget on the root bound, where
+/// the anytime path answers in milliseconds.
 const EXACT_NODE_LIMIT: usize = 80;
 
 /// Solves the weighted VH-labeling problem (the paper's Method B, Eq. 4)
-/// under `budget`, which every stage checks cooperatively.
+/// under `budget`, which every stage — the LP solves included — checks
+/// cooperatively; `budget` is the only time bound.
 ///
 /// Graphs of at most [`EXACT_NODE_LIMIT`] nodes go through the LP-bounded
 /// branch & bound, warm-started from `warm` (typically the incumbent of an
@@ -356,7 +354,6 @@ fn branch_and_bound(
     let gamma = config.gamma;
     let (model, vars) = build_model(graph, gamma, config.align);
     let mut solver = BranchBound::new()
-        .time_limit(budget.remaining_or(config.time_limit))
         .trace_every(10)
         .budget(budget)
         .threads(config.threads.max(1));
@@ -404,11 +401,11 @@ pub(crate) fn relative_gap(objective: f64, bound: f64) -> f64 {
     ((objective - bound).abs() / objective.abs().max(1e-10)).min(1.0)
 }
 
-/// The staged anytime path: greedy OCT incumbent → budgeted exact OCT
-/// (bound + incumbent; replaced outright by `hint`) → VH-addition hill
-/// climbing, skipped once the incumbent is proven optimal. Always returns
-/// a valid labeling, even on an already-exhausted budget. The second
-/// return value is as for [`solve`].
+/// The staged anytime path: greedy OCT incumbent → exact OCT on 60% of
+/// the time left (bound + incumbent; replaced outright by `hint`) →
+/// VH-addition hill climbing, skipped once the incumbent is proven
+/// optimal. Always returns a valid labeling, even on an already-exhausted
+/// budget. The second return value is as for [`solve`].
 fn anytime(
     graph: &BddGraph,
     config: &MipConfig,
@@ -416,7 +413,6 @@ fn anytime(
     hint: Option<&OctResult>,
 ) -> (MipOutcome, Option<OctResult>) {
     let start = Instant::now();
-    let deadline = start + budget.remaining_or(config.time_limit);
     let n = graph.num_nodes();
     let gamma = config.gamma;
 
@@ -433,20 +429,12 @@ fn anytime(
         open_nodes: 1,
     });
 
-    // Stage 2: exact (or time-limited) OCT improves both the incumbent and
-    // the proven bound.
+    // Stage 2: exact (or budget-limited) OCT improves both the incumbent
+    // and the proven bound.
     let (oct, computed) = match hint {
         Some(h) => (h.clone(), false),
         None => {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let fresh = odd_cycle_transversal_budgeted(
-                &graph.graph,
-                &OctConfig {
-                    time_limit: remaining.mul_f64(0.6),
-                    threads: config.threads,
-                },
-                budget,
-            );
+            let fresh = odd_cycle_transversal(&graph.graph, config.threads, &budget.share(0.6));
             (fresh, true)
         }
     };
@@ -472,22 +460,14 @@ fn anytime(
     // never below a bound the incumbent already meets); each accepted move
     // is an incumbent improvement worth a trace point.
     if !proven(best_obj) {
-        let (improved, _) = hill_climb(
-            graph,
-            &best,
-            gamma,
-            config.align,
-            deadline,
-            budget,
-            |labeling| {
-                trace.push(TracePoint {
-                    elapsed: start.elapsed(),
-                    best_integer: Some(labeling.stats().objective(gamma)),
-                    best_bound,
-                    open_nodes: 1,
-                });
-            },
-        );
+        let (improved, _) = hill_climb(graph, &best, gamma, config.align, budget, |labeling| {
+            trace.push(TracePoint {
+                elapsed: start.elapsed(),
+                best_integer: Some(labeling.stats().objective(gamma)),
+                best_bound,
+                open_nodes: 1,
+            });
+        });
         let improved_obj = improved.stats().objective(gamma);
         if improved_obj < best_obj {
             best = improved;
@@ -676,6 +656,7 @@ mod tests {
         let base = crate::oct_method::min_semiperimeter(
             &g,
             &crate::oct_method::OctMethodConfig::default(),
+            &Budget::unlimited(),
         );
         for gamma in [0.0, 0.25, 0.5, 0.75] {
             let (improved, _) = hill_climb(
@@ -683,8 +664,7 @@ mod tests {
                 &base.labeling,
                 gamma,
                 true,
-                Instant::now() + Duration::from_secs(5),
-                &Budget::unlimited(),
+                &Budget::unlimited().with_deadline(std::time::Duration::from_secs(5)),
                 |_| {},
             );
             assert!(improved.is_valid(&g));

@@ -4,10 +4,9 @@
 //! and oriented by the balancing/alignment pass.
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use flowc_budget::Budget;
-use flowc_graph::{oct_heuristic, odd_cycle_transversal_budgeted, OctConfig};
+use flowc_graph::{oct_heuristic, odd_cycle_transversal};
 
 use crate::balance::balanced_labeling;
 use crate::labeling::Labeling;
@@ -16,8 +15,6 @@ use crate::preprocess::BddGraph;
 /// Configuration for the OCT-based solver.
 #[derive(Debug, Clone)]
 pub struct OctMethodConfig {
-    /// Wall-clock budget for the exact vertex-cover solve.
-    pub time_limit: Duration,
     /// Above this node count the greedy OCT heuristic is used instead of
     /// the exact Lemma-1 solve (documented deviation: the paper runs CPLEX
     /// for up to three hours; see DESIGN.md §3).
@@ -29,7 +26,6 @@ pub struct OctMethodConfig {
 impl Default for OctMethodConfig {
     fn default() -> Self {
         OctMethodConfig {
-            time_limit: Duration::from_secs(30),
             exact_node_limit: 20_000,
             align: true,
         }
@@ -50,28 +46,16 @@ pub struct OctMethodResult {
     pub oct_lower_bound: usize,
 }
 
-/// Solves the VH-labeling problem for minimal semiperimeter (Eq. 2).
-pub fn min_semiperimeter(graph: &BddGraph, config: &OctMethodConfig) -> OctMethodResult {
-    min_semiperimeter_budgeted(graph, config, &Budget::unlimited())
-}
-
-/// [`min_semiperimeter`] under a shared [`Budget`]: the exact Lemma-1 solve
-/// checks the budget cooperatively and degrades to a greedy-backed (valid,
-/// non-optimal) transversal on exhaustion.
-pub fn min_semiperimeter_budgeted(
+/// Solves the VH-labeling problem for minimal semiperimeter (Eq. 2) under
+/// `budget`: the exact Lemma-1 solve checks it cooperatively and degrades
+/// to a greedy-backed (valid, non-optimal) transversal on exhaustion.
+pub fn min_semiperimeter(
     graph: &BddGraph,
     config: &OctMethodConfig,
     budget: &Budget,
 ) -> OctMethodResult {
     let (transversal, optimal, lower_bound) = if graph.num_nodes() <= config.exact_node_limit {
-        let r = odd_cycle_transversal_budgeted(
-            &graph.graph,
-            &OctConfig {
-                time_limit: budget.remaining_or(config.time_limit),
-                threads: 1,
-            },
-            budget,
-        );
+        let r = odd_cycle_transversal(&graph.graph, 1, budget);
         (r.transversal, r.optimal, r.lower_bound)
     } else {
         let t = oct_heuristic(&graph.graph);
@@ -114,7 +98,7 @@ mod tests {
         // (alignment is satisfiable without extra upgrades here when the
         // transversal breaks the triangle).
         let g = fig2();
-        let r = min_semiperimeter(&g, &OctMethodConfig::default());
+        let r = min_semiperimeter(&g, &OctMethodConfig::default(), &Budget::unlimited());
         assert!(r.optimal);
         assert_eq!(r.oct_size, 1);
         assert!(r.labeling.is_valid(&g));
@@ -140,6 +124,7 @@ mod tests {
                 align: false,
                 ..Default::default()
             },
+            &Budget::unlimited(),
         );
         assert!(r.optimal);
         assert_eq!(r.oct_size, 0);
@@ -155,6 +140,7 @@ mod tests {
                 exact_node_limit: 0, // force the heuristic path
                 ..Default::default()
             },
+            &Budget::unlimited(),
         );
         assert!(!r.optimal);
         assert!(r.labeling.is_valid(&g));

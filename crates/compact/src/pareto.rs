@@ -74,13 +74,8 @@ pub fn aspect_sweep(network: &Network, steps: usize, time_limit: Duration) -> Ve
 
     let bdds = flowc_bdd::build_sbdd(network, None);
     let graph = BddGraph::from_bdds(&bdds);
-    let oct = flowc_graph::odd_cycle_transversal(
-        &graph.graph,
-        &flowc_graph::OctConfig {
-            time_limit,
-            threads: 1,
-        },
-    );
+    let budget = flowc_budget::Budget::unlimited().with_deadline(time_limit);
+    let oct = flowc_graph::odd_cycle_transversal(&graph.graph, 1, &budget);
     let vh: std::collections::HashSet<usize> = oct.transversal.into_iter().collect();
     // The feasible row range is bracketed by the balanced solution (rows ≈
     // S/2) and the all-rows extreme (rows ≈ S − #VH); sweep targets across

@@ -24,7 +24,7 @@ pub enum VhStrategy {
     /// Section VI-A: minimal semiperimeter via the odd cycle transversal
     /// (exactly the γ = 1 objective).
     MinSemiperimeter {
-        /// Budget for the exact transversal solve.
+        /// Caps the job's budget for the exact transversal solve.
         time_limit: Duration,
     },
     /// Section VI-B: the weighted objective `γ·S + (1−γ)·D` via the Eq. 4
@@ -32,7 +32,7 @@ pub enum VhStrategy {
     Weighted {
         /// The trade-off weight γ.
         gamma: f64,
-        /// Total wall-clock budget.
+        /// Caps the job's budget for the whole Eq. 4 solve.
         time_limit: Duration,
     },
     /// Fast greedy path (heuristic OCT + balancing), for very large inputs.
@@ -68,7 +68,8 @@ impl VhStrategy {
     }
 
     /// The solver's wall-clock limit (zero for the strategies that run
-    /// no solver).
+    /// no solver). The exact rungs run under the job's budget capped at
+    /// it; no solver keeps a clock of its own.
     pub fn time_limit(&self) -> Duration {
         match self {
             VhStrategy::Weighted { time_limit, .. }

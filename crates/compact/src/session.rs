@@ -20,10 +20,9 @@
 //! performs exactly **one** BDD build and one graph extraction.
 //!
 //! [`synthesize_batch`] runs many tasks (different networks, or γ /
-//! strategy points of one network) across `std::thread::scope` workers.
-//! Results come back in task order regardless of scheduling, and each
-//! task may be given a budget slice ([`BatchConfig::per_task_budget`])
-//! carved from the session budget with [`Budget::capped`].
+//! strategy points of one network) across `std::thread::scope` workers
+//! under the session budget. Results come back in task order regardless
+//! of scheduling.
 //!
 //! **Determinism contract.** Every stage is a deterministic function of
 //! its input artifact and configuration (no `RandomState`, seeded RNG
@@ -883,17 +882,6 @@ impl BatchTask {
     }
 }
 
-/// Tuning for [`synthesize_batch`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchConfig {
-    /// Worker threads; 0 means `std::thread::available_parallelism`.
-    pub threads: usize,
-    /// Optional per-task wall-clock slice, carved from the session budget
-    /// with [`Budget::capped`] (the sooner of the slice and the session
-    /// deadline wins; cancellation stays shared).
-    pub per_task_budget: Option<Duration>,
-}
-
 /// Tasks for a γ sweep of one network: `gammas.len()` weighted-strategy
 /// points sharing one [`Arc<Network>`], so a session-backed batch builds
 /// the BDD and extracts the graph exactly once.
@@ -923,7 +911,8 @@ pub fn gamma_sweep_tasks(
         .collect()
 }
 
-/// Runs every task through `session`, in parallel across scoped threads,
+/// Runs every task through `session` under its budget, in parallel across
+/// `threads` scoped threads (0 means `std::thread::available_parallelism`),
 /// and returns the results **in task order** (worker scheduling cannot
 /// reorder them). Artifacts are shared through the session cache, so
 /// tasks that agree on network + variable order reuse one BDD and one
@@ -932,7 +921,7 @@ pub fn gamma_sweep_tasks(
 pub fn synthesize_batch(
     session: &Session,
     tasks: &[BatchTask],
-    batch: &BatchConfig,
+    threads: usize,
 ) -> Vec<Result<CompactResult, CompactError>> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -940,10 +929,10 @@ pub fn synthesize_batch(
     if tasks.is_empty() {
         return Vec::new();
     }
-    let threads = if batch.threads == 0 {
+    let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
-        batch.threads
+        threads
     }
     .min(tasks.len());
 
@@ -963,16 +952,8 @@ pub fn synthesize_batch(
                     break;
                 }
                 let task = &tasks[i];
-                let sliced;
-                let budget = match batch.per_task_budget {
-                    Some(slice) => {
-                        sliced = session.budget().capped(slice);
-                        &sliced
-                    }
-                    None => session.budget(),
-                };
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    run_staged(session, &task.network, &task.config, budget)
+                    run_staged(session, &task.network, &task.config, session.budget())
                 }));
                 let result = match run {
                     Ok(r) => r,

@@ -53,7 +53,7 @@ use crate::balance::balanced_labeling;
 use crate::labeling::Labeling;
 use crate::mapping::map_to_crossbar;
 use crate::mip_method::{self, meets_bound, relative_gap, weighted_bound, MipConfig};
-use crate::oct_method::{min_semiperimeter_budgeted, OctMethodConfig};
+use crate::oct_method::{min_semiperimeter, OctMethodConfig};
 use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
 use crate::session::Session;
@@ -283,7 +283,9 @@ impl VhStrategy {
 }
 
 /// Runs one rung. Every rung returns a labeling; only a panic (caught
-/// by [`run_ladder`]) or a mapping rejection moves the ladder down.
+/// by [`run_ladder`]) or a mapping rejection moves the ladder down. The
+/// two exact rungs run under `budget` capped at the strategy's time
+/// limit: that sub-budget is the only clock their solvers see.
 fn run_rung(
     rung: Rung,
     graph: &BddGraph,
@@ -294,6 +296,7 @@ fn run_rung(
 ) -> RungOutput {
     flowc_failpoint::fire(format_args!("compact.rung.{rung}"));
     let strategy = &config.strategy;
+    let solver_budget = budget.capped(strategy.time_limit());
     match rung {
         Rung::ExactMip => {
             let (out, fresh_oct) = mip_method::solve(
@@ -301,10 +304,9 @@ fn run_rung(
                 &MipConfig {
                     gamma: strategy.gamma(),
                     align: config.align,
-                    time_limit: strategy.time_limit(),
                     threads: config.label_threads.max(1),
                 },
-                budget,
+                &solver_budget,
                 warm,
                 oct,
             );
@@ -319,14 +321,13 @@ fn run_rung(
             }
         }
         Rung::ExactOct => {
-            let r = min_semiperimeter_budgeted(
+            let r = min_semiperimeter(
                 graph,
                 &OctMethodConfig {
-                    time_limit: strategy.time_limit(),
                     align: config.align,
                     ..Default::default()
                 },
-                budget,
+                &solver_budget,
             );
             // Alignment upgrades can lift S above `n + k`, so a minimum
             // transversal alone proves nothing about the shipped labeling.
@@ -689,6 +690,48 @@ mod tests {
         assert!(verify_functional(&r.crossbar, &int2float, 64)
             .unwrap()
             .is_valid());
+    }
+
+    #[test]
+    fn a_spent_time_limit_is_not_a_degradation() {
+        // The strategy's limit caps the solvers' clock, not the job's: a
+        // point that runs out of it still ships from its own rung, and the
+        // caller's budget reports nothing exhausted.
+        let ctrl = flowc_logic::bench_suite::by_name("ctrl")
+            .unwrap()
+            .network()
+            .unwrap();
+        let cfg = Config {
+            strategy: VhStrategy::entering(Rung::ExactMip, 0.5, Duration::ZERO),
+            ..Config::default()
+        };
+        let r = synthesize_with_budget(&ctrl, &cfg, &Budget::unlimited()).unwrap();
+        let report = r.degradation.as_ref().unwrap();
+        assert_eq!(report.exhausted, None, "{}", report.summary());
+        assert!(!report.degraded, "{}", report.summary());
+        assert_eq!(report.rung, Rung::ExactMip, "{}", report.summary());
+        assert!(verify_functional(&r.crossbar, &ctrl, 64)
+            .unwrap()
+            .is_valid());
+    }
+
+    #[test]
+    fn an_unrepresentable_time_limit_means_no_limit() {
+        // `u64::MAX` seconds overflows the clock; the cap saturates
+        // instead of panicking the rung down the ladder.
+        let int2float = flowc_logic::bench_suite::by_name("int2float")
+            .unwrap()
+            .network()
+            .unwrap();
+        let cfg = Config {
+            strategy: VhStrategy::entering(Rung::ExactMip, 0.5, Duration::from_secs(u64::MAX)),
+            ..Config::default()
+        };
+        let r = synthesize_with_budget(&int2float, &cfg, &Budget::unlimited()).unwrap();
+        let report = r.degradation.as_ref().unwrap();
+        assert_eq!(report.rung, Rung::ExactMip, "{}", report.summary());
+        assert_eq!(report.attempts.len(), 1, "{}", report.summary());
+        assert!(!report.degraded, "{}", report.summary());
     }
 
     #[test]

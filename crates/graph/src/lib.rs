@@ -5,14 +5,15 @@
 //! via the paper's Lemma 1 (`OCT(G) = k  ⇔  VC(G □ K₂) = n + k`).
 //!
 //! ```
-//! use flowc_graph::{UGraph, odd_cycle_transversal, OctConfig};
+//! use flowc_budget::Budget;
+//! use flowc_graph::{UGraph, odd_cycle_transversal};
 //!
 //! // A triangle needs one vertex removed to become bipartite.
 //! let mut g = UGraph::new(3);
 //! g.add_edge(0, 1);
 //! g.add_edge(1, 2);
 //! g.add_edge(0, 2);
-//! let oct = odd_cycle_transversal(&g, &OctConfig::default());
+//! let oct = odd_cycle_transversal(&g, 1, &Budget::unlimited());
 //! assert_eq!(oct.transversal.len(), 1);
 //! assert!(oct.optimal);
 //! ```
@@ -29,12 +30,9 @@ mod vertex_cover;
 
 pub use bipartite::{two_color, ColorResult};
 pub use matching::{hopcroft_karp, konig_cover, BipartiteMatching};
-pub use oct::{
-    oct_heuristic, odd_cycle_transversal, odd_cycle_transversal_budgeted, OctConfig, OctResult,
-};
+pub use oct::{oct_heuristic, odd_cycle_transversal, OctResult};
 pub use product::cartesian_with_k2;
 pub use ugraph::UGraph;
 pub use vertex_cover::{
-    greedy_cover, lp_lower_bound, minimum_vertex_cover, minimum_vertex_cover_budgeted,
-    minimum_vertex_cover_seeded, nt_kernel, NtKernel, VcConfig, VcResult,
+    greedy_cover, lp_lower_bound, minimum_vertex_cover, nt_kernel, NtKernel, VcResult,
 };

@@ -1,35 +1,15 @@
 //! Odd cycle transversal via the paper's Lemma 1: `G` has an OCT of size
 //! `k` iff `G □ K₂` has a vertex cover of size `n + k`. A minimum vertex
 //! cover of the product therefore yields a minimum OCT; *any* vertex cover
-//! yields a valid (possibly suboptimal) OCT, which is what makes the
-//! time-limited mode sound.
-
-use std::time::Duration;
+//! yields a valid (possibly suboptimal) OCT, which is what makes stopping
+//! at the budget's deadline sound.
 
 use flowc_budget::Budget;
 
 use crate::bipartite::extract_cycle;
 use crate::product::cartesian_with_k2;
-use crate::vertex_cover::{minimum_vertex_cover_seeded, VcConfig};
+use crate::vertex_cover::minimum_vertex_cover;
 use crate::{two_color, ColorResult, UGraph};
-
-/// Configuration for [`odd_cycle_transversal`].
-#[derive(Debug, Clone)]
-pub struct OctConfig {
-    /// Wall-clock budget for the underlying vertex-cover solve.
-    pub time_limit: Duration,
-    /// Worker threads for the per-component vertex-cover solves.
-    pub threads: usize,
-}
-
-impl Default for OctConfig {
-    fn default() -> Self {
-        OctConfig {
-            time_limit: Duration::from_secs(60),
-            threads: 1,
-        }
-    }
-}
 
 /// Result of an odd-cycle-transversal computation.
 #[derive(Debug, Clone)]
@@ -46,20 +26,12 @@ pub struct OctResult {
 
 /// Computes an odd cycle transversal of `g` via Lemma 1 (vertex cover of
 /// `G □ K₂`). Bipartite inputs short-circuit to the empty transversal.
-pub fn odd_cycle_transversal(g: &UGraph, config: &OctConfig) -> OctResult {
-    odd_cycle_transversal_budgeted(g, config, &Budget::unlimited())
-}
-
-/// [`odd_cycle_transversal`] under a shared [`Budget`]: the underlying
-/// vertex-cover branch & bound checks the budget's cancellation token and
-/// deadline cooperatively, so an in-flight OCT solve can be interrupted
-/// mid-branch. On exhaustion the result degrades exactly like a time-out:
-/// a valid (greedy-backed) transversal with `optimal == false`.
-pub fn odd_cycle_transversal_budgeted(
-    g: &UGraph,
-    config: &OctConfig,
-    budget: &Budget,
-) -> OctResult {
+/// `threads` workers solve the product's components. The vertex-cover
+/// branch & bound checks `budget`'s cancellation and deadline
+/// cooperatively, so an in-flight solve can be interrupted mid-branch; on
+/// exhaustion the result is a valid (greedy-backed) transversal with
+/// `optimal == false`.
+pub fn odd_cycle_transversal(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
     if matches!(two_color(g), ColorResult::Bipartite(_)) {
         return OctResult {
             transversal: Vec::new(),
@@ -77,15 +49,7 @@ pub fn odd_cycle_transversal_budgeted(
     // two of the optimum and prunes the branch & bound from the start.
     let greedy = oct_heuristic(g);
     let seed = product_cover_from_transversal(g, &greedy, n);
-    let vc = minimum_vertex_cover_seeded(
-        &p,
-        &VcConfig {
-            time_limit: config.time_limit,
-            threads: config.threads,
-        },
-        budget,
-        seed.as_deref(),
-    );
+    let vc = minimum_vertex_cover(&p, threads, budget, seed.as_deref());
     let in_cover = {
         let mut m = vec![false; 2 * n];
         for &v in &vc.cover {
@@ -299,6 +263,12 @@ pub(crate) fn is_valid_oct(g: &UGraph, transversal: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// An unbudgeted single-thread solve.
+    fn oct(g: &UGraph) -> OctResult {
+        odd_cycle_transversal(g, 1, &Budget::unlimited())
+    }
 
     fn cycle(n: usize) -> UGraph {
         let mut g = UGraph::new(n);
@@ -311,7 +281,7 @@ mod tests {
     #[test]
     fn bipartite_graph_has_empty_oct() {
         let g = cycle(6);
-        let r = odd_cycle_transversal(&g, &OctConfig::default());
+        let r = oct(&g);
         assert!(r.transversal.is_empty() && r.optimal && r.lower_bound == 0);
     }
 
@@ -319,7 +289,7 @@ mod tests {
     fn single_odd_cycle_needs_one() {
         for n in [3usize, 5, 7, 9] {
             let g = cycle(n);
-            let r = odd_cycle_transversal(&g, &OctConfig::default());
+            let r = oct(&g);
             assert_eq!(r.transversal.len(), 1, "C{n}");
             assert!(r.optimal);
             assert_eq!(r.lower_bound, 1);
@@ -335,7 +305,7 @@ mod tests {
             g.add_edge(base + 1, base + 2);
             g.add_edge(base, base + 2);
         }
-        let r = odd_cycle_transversal(&g, &OctConfig::default());
+        let r = oct(&g);
         assert_eq!(r.transversal.len(), 2);
         assert!(r.optimal);
         assert!(is_valid_oct(&g, &r.transversal));
@@ -351,7 +321,7 @@ mod tests {
                 g.add_edge(u, v);
             }
         }
-        let r = odd_cycle_transversal(&g, &OctConfig::default());
+        let r = oct(&g);
         assert_eq!(r.transversal.len(), 3);
         assert!(r.optimal);
     }
@@ -366,7 +336,7 @@ mod tests {
         g.add_edge(0, 3);
         g.add_edge(3, 4);
         g.add_edge(0, 4);
-        let r = odd_cycle_transversal(&g, &OctConfig::default());
+        let r = oct(&g);
         assert_eq!(r.transversal, vec![0]);
         assert!(r.optimal);
     }
@@ -403,7 +373,7 @@ mod tests {
             let t = oct_heuristic(&g);
             assert!(is_valid_oct(&g, &t));
             // Exact result is no larger.
-            let r = odd_cycle_transversal(&g, &OctConfig::default());
+            let r = oct(&g);
             if r.optimal {
                 assert!(r.transversal.len() <= t.len());
                 assert!(is_valid_oct(&g, &r.transversal));
@@ -488,7 +458,7 @@ mod tests {
         }
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let r = odd_cycle_transversal_budgeted(&g, &OctConfig::default(), &budget);
+        let r = odd_cycle_transversal(&g, 1, &budget);
         assert!(is_valid_oct(&g, &r.transversal));
         assert!(!r.optimal);
     }
@@ -505,13 +475,7 @@ mod tests {
                 }
             }
         }
-        let r = odd_cycle_transversal(
-            &g,
-            &OctConfig {
-                time_limit: Duration::from_millis(0),
-                threads: 1,
-            },
-        );
+        let r = odd_cycle_transversal(&g, 1, &Budget::unlimited().with_deadline(Duration::ZERO));
         assert!(is_valid_oct(&g, &r.transversal));
         assert!(r.lower_bound <= r.transversal.len().max(1));
     }

@@ -9,33 +9,10 @@
 //! bipartite, so this kernelization usually collapses the instance and the
 //! residual branch & bound tree stays small.
 
-use std::time::{Duration, Instant};
-
 use flowc_budget::Budget;
 
 use crate::matching::{hopcroft_karp, konig_cover};
 use crate::UGraph;
-
-/// Configuration for [`minimum_vertex_cover`].
-#[derive(Debug, Clone)]
-pub struct VcConfig {
-    /// Wall-clock budget; on expiry the best cover found is returned with
-    /// `optimal == false` and a valid lower bound.
-    pub time_limit: Duration,
-    /// Worker threads for solving non-bipartite components concurrently
-    /// (1 = sequential). Components are merged in index order, so the
-    /// result is identical at any thread count.
-    pub threads: usize,
-}
-
-impl Default for VcConfig {
-    fn default() -> Self {
-        VcConfig {
-            time_limit: Duration::from_secs(60),
-            threads: 1,
-        }
-    }
-}
 
 /// Result of a vertex-cover computation.
 #[derive(Debug, Clone)]
@@ -150,7 +127,6 @@ struct Solver<'g> {
     g: &'g UGraph,
     n: usize,
     best_cover: Vec<usize>,
-    deadline: Instant,
     budget: Budget,
     timed_out: bool,
     /// Smallest unexplored lower bound among pruned-by-timeout subtrees.
@@ -166,13 +142,12 @@ struct Solver<'g> {
 }
 
 impl<'g> Solver<'g> {
-    fn new(g: &'g UGraph, best_cover: Vec<usize>, deadline: Instant, budget: Budget) -> Self {
+    fn new(g: &'g UGraph, best_cover: Vec<usize>, budget: Budget) -> Self {
         let n = g.num_vertices();
         Solver {
             g,
             n,
             best_cover,
-            deadline,
             budget,
             timed_out: false,
             open_bound: None,
@@ -354,7 +329,7 @@ impl<'g> Solver<'g> {
 
     fn rec(&mut self, mut alive: Vec<bool>, mut deg: Vec<usize>, mut chosen: Vec<usize>) {
         self.nodes += 1;
-        if Instant::now() >= self.deadline || self.budget.check().is_err() {
+        if self.budget.check().is_err() {
             self.timed_out = true;
             // This subtree stays open: its chosen-so-far size is a valid
             // subtree lower bound contribution.
@@ -412,40 +387,28 @@ impl<'g> Solver<'g> {
 /// bipartite components are solved exactly in polynomial time
 /// (Hopcroft–Karp + König), non-bipartite components go through
 /// Nemhauser–Trotter kernelization and branch & bound with greedy-matching
-/// and half-integral LP bounds. Within the time limit the result is proven
-/// optimal; on expiry the best cover found so far is returned together with
-/// a valid global lower bound.
-pub fn minimum_vertex_cover(g: &UGraph, config: &VcConfig) -> VcResult {
-    minimum_vertex_cover_budgeted(g, config, &Budget::unlimited())
-}
-
-/// [`minimum_vertex_cover`] under a shared [`Budget`]: the branch & bound
-/// checks the budget's cancellation token and deadline at every recursion
-/// step (on top of the config's own `time_limit`). Exhaustion behaves like
-/// a time-out — the best cover found so far is returned with
-/// `optimal == false` and a valid lower bound.
-pub fn minimum_vertex_cover_budgeted(g: &UGraph, config: &VcConfig, budget: &Budget) -> VcResult {
-    minimum_vertex_cover_seeded(g, config, budget, None)
-}
-
-/// [`minimum_vertex_cover_budgeted`] warm-started from a known cover of
-/// `g` (need not be minimal): the seed is restricted to each non-bipartite
-/// component — the restriction of a cover to an induced subgraph covers
-/// that subgraph — and adopted as the branch & bound incumbent when it
-/// beats the greedy one. Seeding only ever tightens pruning; the returned
-/// cover is identical to the unseeded one whenever both prove optimality.
+/// and half-integral LP bounds. The branch & bound checks `budget`'s
+/// cancellation and deadline at every recursion step; within the budget
+/// the result is proven optimal, and on exhaustion the best cover found so
+/// far is returned with `optimal == false` and a valid global lower bound.
 ///
-/// With `config.threads > 1`, non-bipartite components are solved on scoped
+/// `seed` warm-starts the search from a known cover of `g` (need not be
+/// minimal): it is restricted to each non-bipartite component — the
+/// restriction of a cover to an induced subgraph covers that subgraph —
+/// and adopted as the branch & bound incumbent when it beats the greedy
+/// one. Seeding only ever tightens pruning; the returned cover is
+/// identical to the unseeded one whenever both prove optimality.
+///
+/// With `threads > 1`, non-bipartite components are solved on scoped
 /// worker threads. The merge happens in component order, so the result does
 /// not depend on the thread count.
-pub fn minimum_vertex_cover_seeded(
+pub fn minimum_vertex_cover(
     g: &UGraph,
-    config: &VcConfig,
+    threads: usize,
     budget: &Budget,
     seed: Option<&[usize]>,
 ) -> VcResult {
     use crate::{two_color, ColorResult};
-    let deadline = Instant::now() + budget.remaining_or(config.time_limit);
     let (comp, count) = g.components();
     let mut cover = Vec::new();
     let mut lower_bound = 0usize;
@@ -480,15 +443,12 @@ pub fn minimum_vertex_cover_seeded(
             }
         }
     }
-    let solved: Vec<VcResult> = if config.threads > 1 && hard.len() > 1 {
+    let solved: Vec<VcResult> = if threads > 1 && hard.len() > 1 {
         std::thread::scope(|scope| {
             let handles: Vec<_> = hard
                 .iter()
                 .map(|(sub, _back, local_seed)| {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    scope.spawn(move || {
-                        vc_nonbipartite(sub, remaining, budget, local_seed.as_deref())
-                    })
+                    scope.spawn(move || vc_nonbipartite(sub, budget, local_seed.as_deref()))
                 })
                 .collect();
             handles
@@ -498,10 +458,7 @@ pub fn minimum_vertex_cover_seeded(
         })
     } else {
         hard.iter()
-            .map(|(sub, _back, local_seed)| {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                vc_nonbipartite(sub, remaining, budget, local_seed.as_deref())
-            })
+            .map(|(sub, _back, local_seed)| vc_nonbipartite(sub, budget, local_seed.as_deref()))
             .collect()
     };
     for ((_sub, back, _seed), local) in hard.iter().zip(solved) {
@@ -558,12 +515,7 @@ fn bipartite_cover(g: &UGraph, colors: &[u8]) -> Vec<usize> {
 }
 
 /// NT kernelization + branch & bound for one non-bipartite component.
-fn vc_nonbipartite(
-    g: &UGraph,
-    time_limit: Duration,
-    budget: &Budget,
-    seed: Option<&[usize]>,
-) -> VcResult {
+fn vc_nonbipartite(g: &UGraph, budget: &Budget, seed: Option<&[usize]>) -> VcResult {
     let nt = nt_kernel(g);
     // Solve the kernel.
     let mut keep = vec![false; g.num_vertices()];
@@ -586,8 +538,7 @@ fn vc_nonbipartite(
             incumbent = restricted;
         }
     }
-    let deadline = Instant::now() + time_limit;
-    let mut solver = Solver::new(&kernel_graph, incumbent, deadline, budget.clone());
+    let mut solver = Solver::new(&kernel_graph, incumbent, budget.clone());
     let alive = vec![true; kernel_graph.num_vertices()];
     let deg: Vec<usize> = (0..kernel_graph.num_vertices())
         .map(|v| kernel_graph.degree(v))
@@ -622,6 +573,12 @@ fn vc_nonbipartite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// An unbudgeted, unseeded single-thread solve.
+    fn mvc(g: &UGraph) -> VcResult {
+        minimum_vertex_cover(g, 1, &Budget::unlimited(), None)
+    }
 
     fn is_cover(g: &UGraph, cover: &[usize]) -> bool {
         let set: std::collections::HashSet<usize> = cover.iter().copied().collect();
@@ -651,7 +608,7 @@ mod tests {
         tri.add_edge(0, 1);
         tri.add_edge(1, 2);
         tri.add_edge(0, 2);
-        let r = minimum_vertex_cover(&tri, &VcConfig::default());
+        let r = mvc(&tri);
         assert!(r.optimal && r.cover.len() == 2 && is_cover(&tri, &r.cover));
         assert_eq!(r.lower_bound, 2);
 
@@ -659,21 +616,21 @@ mod tests {
         for i in 0..5 {
             c5.add_edge(i, (i + 1) % 5);
         }
-        let r = minimum_vertex_cover(&c5, &VcConfig::default());
+        let r = mvc(&c5);
         assert!(r.optimal && r.cover.len() == 3 && is_cover(&c5, &r.cover));
 
         let mut star = UGraph::new(5);
         for i in 1..5 {
             star.add_edge(0, i);
         }
-        let r = minimum_vertex_cover(&star, &VcConfig::default());
+        let r = mvc(&star);
         assert!(r.optimal && r.cover == vec![0]);
 
         let mut p4 = UGraph::new(4);
         p4.add_edge(0, 1);
         p4.add_edge(1, 2);
         p4.add_edge(2, 3);
-        let r = minimum_vertex_cover(&p4, &VcConfig::default());
+        let r = mvc(&p4);
         assert!(r.optimal && r.cover.len() == 2 && is_cover(&p4, &r.cover));
     }
 
@@ -727,7 +684,7 @@ mod tests {
         g.add_edge(4, 5);
         g.add_edge(5, 6);
         g.add_edge(4, 6);
-        let r = minimum_vertex_cover(&g, &VcConfig::default());
+        let r = mvc(&g);
         assert!(r.optimal);
         assert_eq!(r.cover.len(), 4);
         assert_eq!(r.lower_bound, 4);
@@ -781,7 +738,7 @@ mod tests {
                 }
             }
             let expect = brute_force_vc(&g);
-            let r = minimum_vertex_cover(&g, &VcConfig::default());
+            let r = mvc(&g);
             assert!(r.optimal, "trial {trial} timed out");
             assert!(is_cover(&g, &r.cover), "trial {trial} invalid cover");
             assert_eq!(r.cover.len(), expect, "trial {trial} suboptimal");
@@ -806,10 +763,9 @@ mod tests {
         }
         let r = minimum_vertex_cover(
             &g,
-            &VcConfig {
-                time_limit: Duration::from_millis(0),
-                threads: 1,
-            },
+            1,
+            &Budget::unlimited().with_deadline(Duration::ZERO),
+            None,
         );
         assert!(is_cover(&g, &r.cover));
         assert!(r.lower_bound <= r.cover.len());
@@ -823,20 +779,20 @@ mod tests {
         tri.add_edge(0, 2);
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let r = minimum_vertex_cover_budgeted(&tri, &VcConfig::default(), &budget);
+        let r = minimum_vertex_cover(&tri, 1, &budget, None);
         assert!(is_cover(&tri, &r.cover));
         assert!(!r.optimal, "a cancelled solve must not claim optimality");
         assert!(r.lower_bound <= r.cover.len());
     }
 
     #[test]
-    fn budget_deadline_caps_the_config_time_limit() {
+    fn expired_deadline_stops_the_search() {
         let mut tri = UGraph::new(3);
         tri.add_edge(0, 1);
         tri.add_edge(1, 2);
         tri.add_edge(0, 2);
         let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-        let r = minimum_vertex_cover_budgeted(&tri, &VcConfig::default(), &budget);
+        let r = minimum_vertex_cover(&tri, 1, &budget, None);
         assert!(is_cover(&tri, &r.cover));
         assert!(!r.optimal);
     }
@@ -844,10 +800,10 @@ mod tests {
     #[test]
     fn empty_and_edgeless() {
         let g = UGraph::new(0);
-        let r = minimum_vertex_cover(&g, &VcConfig::default());
+        let r = mvc(&g);
         assert!(r.optimal && r.cover.is_empty() && r.lower_bound == 0);
         let g = UGraph::new(5);
-        let r = minimum_vertex_cover(&g, &VcConfig::default());
+        let r = mvc(&g);
         assert!(r.optimal && r.cover.is_empty());
     }
 }

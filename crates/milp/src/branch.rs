@@ -10,7 +10,6 @@
 //! [`Bounder`].
 
 use std::cmp::Ordering;
-use std::time::Duration;
 
 use flowc_budget::Budget;
 
@@ -191,13 +190,15 @@ pub(crate) struct Expansion {
 /// harvests incumbents (leaf completions, integral relaxation points).
 /// `inc_obj` is the incumbent objective (`+inf` if none); `abort` is polled
 /// between child bounds — returning `true` aborts mid-expansion and yields
-/// `None` (the caller abandons the node).
+/// `None` (the caller abandons the node). `budget` bounds a leaf's LP
+/// completion.
 pub(crate) fn expand_node(
     model: &Model,
     bounder: &mut dyn Bounder,
     node: &Node,
     inc_obj: f64,
     integrality_tol: f64,
+    budget: &Budget,
     abort: &mut dyn FnMut() -> bool,
 ) -> Option<Expansion> {
     let mut out = Expansion {
@@ -220,7 +221,7 @@ pub(crate) fn expand_node(
         .or_else(|| select_branch_var(model, &node.fixed, node.point.as_deref(), integrality_tol));
     let Some(branch_var) = branch_var else {
         // All binaries fixed: complete the continuous part and record.
-        if let Some((values, obj)) = complete_leaf(model, bounder, &node.fixed) {
+        if let Some((values, obj)) = complete_leaf(model, bounder, &node.fixed, budget) {
             out.incumbents.push((values, obj));
         }
         return Some(out);
@@ -267,11 +268,13 @@ pub(crate) fn expand_node(
 }
 
 /// Completes a fully-fixed node into a feasible point: first via the
-/// bounder's own heuristic, else by solving the continuous remainder by LP.
+/// bounder's own heuristic, else by solving the continuous remainder by LP
+/// under `budget`.
 pub(crate) fn complete_leaf(
     model: &Model,
     bounder: &mut dyn Bounder,
     fixed: &[Option<bool>],
+    budget: &Budget,
 ) -> Option<(Vec<f64>, f64)> {
     if let Some(found) = heuristic_incumbent(model, bounder, fixed) {
         return Some(found);
@@ -281,7 +284,8 @@ pub(crate) fn complete_leaf(
         .enumerate()
         .filter_map(|(i, f)| f.map(|b| (i, b as u8 as f64)))
         .collect();
-    if let LpResult::Optimal { x, objective } = Simplex::new().solve(model, &fixed_pairs) {
+    let lp = Simplex::new().with_budget(budget.clone());
+    if let LpResult::Optimal { x, objective } = lp.solve(model, &fixed_pairs) {
         if !objective.is_nan() && model.is_feasible(&x, 1e-6) {
             return Some((x, objective));
         }
@@ -327,11 +331,10 @@ pub(crate) fn validate_warm_start(model: &Model, values: &[f64], tol: f64) -> Op
 /// [`BranchBound::solve_with`] (custom [`Bounder`]).
 #[derive(Debug, Clone)]
 pub struct BranchBound {
-    pub(crate) time_limit: Duration,
     pub(crate) gap_tolerance: f64,
     pub(crate) integrality_tol: f64,
     pub(crate) trace_every: usize,
-    pub(crate) budget: Option<Budget>,
+    pub(crate) budget: Budget,
     pub(crate) threads: usize,
     pub(crate) warm: Option<Vec<f64>>,
 }
@@ -339,11 +342,10 @@ pub struct BranchBound {
 impl Default for BranchBound {
     fn default() -> Self {
         BranchBound {
-            time_limit: Duration::from_secs(3600),
             gap_tolerance: 1e-9,
             integrality_tol: 1e-6,
             trace_every: 50,
-            budget: None,
+            budget: Budget::unlimited(),
             threads: 1,
             warm: None,
         }
@@ -351,16 +353,9 @@ impl Default for BranchBound {
 }
 
 impl BranchBound {
-    /// Creates a solver with a one-hour time limit and exact tolerances.
+    /// Creates a solver with an unlimited budget and exact tolerances.
     pub fn new() -> Self {
         BranchBound::default()
-    }
-
-    /// Sets the wall-clock limit; on expiry the best incumbent is returned
-    /// with [`SolveStatus::TimeLimit`] and the proven bound.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = limit;
-        self
     }
 
     /// Stops when the relative gap falls at or below `gap` (0 = optimal).
@@ -376,14 +371,15 @@ impl BranchBound {
         self
     }
 
-    /// Attaches a shared [`Budget`]: the search loop checks cancellation,
-    /// the budget deadline, and the solver-node ceiling at every node pop
-    /// and between child bounds, on top of the solver's own `time_limit`.
-    /// Exhaustion ends the solve exactly like a time-out — the best
-    /// incumbent is returned with [`SolveStatus::TimeLimit`] and the proven
-    /// bound (or [`MilpError::Infeasible`] when no incumbent exists yet).
+    /// Bounds the solve by a shared [`Budget`] (default unlimited): the
+    /// search loop checks cancellation, the deadline, and the solver-node
+    /// ceiling at every node pop and between child bounds, and the LP
+    /// solves of [`BranchBound::solve`] check it before every pivot.
+    /// Exhaustion ends the solve — the best incumbent is returned with
+    /// [`SolveStatus::TimeLimit`] and the proven bound (or
+    /// [`MilpError::Infeasible`] when no incumbent exists yet).
     pub fn budget(mut self, budget: &Budget) -> Self {
-        self.budget = Some(budget.clone());
+        self.budget = budget.clone();
         self
     }
 
@@ -406,14 +402,16 @@ impl BranchBound {
         self
     }
 
-    /// Solves `model` with LP-relaxation bounding.
+    /// Solves `model` with LP-relaxation bounding under the solver's
+    /// budget.
     ///
     /// # Errors
     ///
-    /// [`MilpError::Infeasible`] when no integer point exists,
-    /// [`MilpError::Unbounded`] when the relaxation has no finite optimum.
+    /// [`MilpError::Infeasible`] when no integer point exists (or none was
+    /// found before the budget ran out), [`MilpError::Unbounded`] when the
+    /// relaxation has no finite optimum.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
-        self.solve_with(model, LpBounder::new)
+        self.solve_with(model, || LpBounder::with_budget(self.budget.clone()))
     }
 
     /// Solves `model` with one [`Bounder`] per worker thread, each built by
@@ -431,9 +429,7 @@ impl BranchBound {
     }
 
     pub(crate) fn budget_exhausted(&self, explored: u64) -> bool {
-        self.budget
-            .as_ref()
-            .is_some_and(|b| b.check_solver_nodes(explored).is_err())
+        self.budget.check_solver_nodes(explored).is_err()
     }
 }
 
@@ -580,7 +576,7 @@ pub(crate) mod tests {
     use crate::model::{Model, Sense};
     use crate::sol::{MilpError, SolveStatus};
     use std::collections::BinaryHeap;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn knapsack_optimum() {
@@ -656,9 +652,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn time_limit_returns_incumbent_and_gap() {
-        // A larger set-partitioning-flavoured instance; with a zero time
-        // budget we still get the root heuristic incumbent and a gap.
+    fn expired_deadline_returns_incumbent_and_gap() {
+        // A larger set-partitioning-flavoured instance; with an expired
+        // deadline any answer is the root heuristic incumbent with a gap.
         let mut m = Model::new();
         let n = 14;
         let xs: Vec<_> = (0..n)
@@ -672,7 +668,7 @@ pub(crate) mod tests {
             );
         }
         let sol = BranchBound::new()
-            .time_limit(Duration::from_millis(0))
+            .budget(&Budget::unlimited().with_deadline(Duration::ZERO))
             .solve(&m);
         if let Ok(sol) = sol {
             assert!(sol.relative_gap() <= 1.0);
@@ -791,12 +787,12 @@ pub(crate) mod tests {
         // the cancel fires, so every worker must notice the token between
         // LP bound calls — not only at node pops — for the abort to land
         // within a couple of LP solves. The 2s ceiling is a wide CI-proof
-        // margin over the observed latency; the 30s solver time limit is a
+        // margin over the observed latency; the 30s deadline is a
         // backstop so a cancellation regression fails the test instead of
         // hanging it.
         let m = market_split_model(40, 4);
         for threads in [1, 4] {
-            let budget = Budget::unlimited();
+            let budget = Budget::unlimited().with_deadline(Duration::from_secs(30));
             let handle = budget.cancel_handle();
             let canceller = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(50));
@@ -805,7 +801,6 @@ pub(crate) mod tests {
             let start = Instant::now();
             let result = BranchBound::new()
                 .threads(threads)
-                .time_limit(Duration::from_secs(30))
                 .budget(&budget)
                 .solve(&m);
             let elapsed = start.elapsed();

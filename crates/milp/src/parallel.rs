@@ -212,7 +212,10 @@ where
     let warm_obj = warm_incumbent.as_ref().map_or(f64::INFINITY, |(_, o)| *o);
     let root_bound = sanitize_bound(bounder.lower_bound(model, &root_fixed, warm_obj));
     let root_bound = bounder.tighten_bound(root_bound);
-    if root_bound == f64::NEG_INFINITY {
+    // An LP the budget interrupted also answers `-inf`; only a finished
+    // one proves the relaxation unbounded. A spent budget goes on to stop
+    // the search at its first node with whatever incumbent exists.
+    if root_bound == f64::NEG_INFINITY && cfg.budget.check().is_ok() {
         return Err(MilpError::Unbounded);
     }
     if root_bound.is_infinite() {
@@ -256,7 +259,7 @@ where
         shared.offer_incumbent(values, obj, || root_bound);
     }
     if !shared.incumbent_obj().is_finite() {
-        if let Some((values, obj)) = complete_leaf(model, &mut bounder, &root_fixed) {
+        if let Some((values, obj)) = complete_leaf(model, &mut bounder, &root_fixed, &cfg.budget) {
             shared.offer_incumbent(values, obj, || root_bound);
         }
     }
@@ -326,7 +329,7 @@ fn worker(id: usize, cfg: &BranchBound, model: &Model, shared: &Shared, bounder:
                 continue;
             }
         }
-        if out_of_budget || shared.start.elapsed() >= cfg.time_limit {
+        if out_of_budget {
             shared.halt(&node, &mut local);
             return;
         }
@@ -337,7 +340,6 @@ fn worker(id: usize, cfg: &BranchBound, model: &Model, shared: &Shared, bounder:
         let mut abort = || {
             shared.stop.load(Ordering::Acquire)
                 || cfg.budget_exhausted(shared.explored.load(Ordering::Relaxed))
-                || shared.start.elapsed() >= cfg.time_limit
         };
         let Some(expansion) = expand_node(
             model,
@@ -345,6 +347,7 @@ fn worker(id: usize, cfg: &BranchBound, model: &Model, shared: &Shared, bounder:
             &node,
             shared.incumbent_obj(),
             cfg.integrality_tol,
+            &cfg.budget,
             &mut abort,
         ) else {
             shared.halt(&node, &mut local);

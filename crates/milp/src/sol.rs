@@ -30,8 +30,8 @@ impl std::error::Error for MilpError {}
 pub enum SolveStatus {
     /// Optimality proven (incumbent meets the best bound).
     Optimal,
-    /// The time limit expired with a feasible incumbent; `best_bound` tells
-    /// how far it might be from optimal.
+    /// The budget ran out with a feasible incumbent; `best_bound` tells how
+    /// far it might be from optimal.
     TimeLimit,
 }
 

@@ -1233,7 +1233,7 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
                 let m = design.reported_metrics();
                 let compact = design.compact();
                 let degradation = compact.and_then(|r| r.degradation.as_ref());
-                let degraded = admission_degraded || degradation.is_some_and(|d| d.degraded);
+                let degraded = admission_degraded || design.degraded;
                 let mut fields = vec![
                     ("label".into(), Json::str(spec.label.clone())),
                     ("backend".into(), Json::str(design.backend)),

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use flowc::budget::Budget;
 use flowc::compact::{synthesize, synthesize_constrained, Config, ConstraintError, SizeLimits};
 use flowc::logic::bench_suite;
 use flowc::xbar::verify::verify_functional;
@@ -26,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_rows: side,
             max_cols: side,
         };
-        match synthesize_constrained(&network, limits, Duration::from_secs(10)) {
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(10));
+        match synthesize_constrained(&network, limits, &budget) {
             Ok(design) => {
                 let report = verify_functional(&design.crossbar, &network, 256)?;
                 println!(

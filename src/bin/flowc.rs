@@ -33,7 +33,8 @@
 //!                         through one incremental edit session, printing
 //!                         each edit's resolution (hit / repaired /
 //!                         warm-started / cold) and the final design
-//!   --time-limit <secs>   solver budget (default 30)
+//!   --time-limit <secs>   caps the labeling rung's share of the budget
+//!                         (default 30)
 //!   --deadline <secs>     hard wall-clock budget for the whole synthesis;
 //!                         on exhaustion a degraded (but valid) design is
 //!                         returned and the exit code is 2
@@ -102,6 +103,15 @@ fn save(network: &Network, path: &str) -> Result<(), String> {
         other => return Err(format!("unknown output extension `.{other}`")),
     };
     flowc_report::write_atomic(Path::new(path), &text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses `--deadline`: non-negative seconds the clock can represent.
+fn parse_deadline(text: &str) -> Result<Duration, String> {
+    let secs = text
+        .parse::<f64>()
+        .map_err(|e| format!("--deadline: {e}"))?;
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| "--deadline must be a non-negative number of seconds".into())
 }
 
 struct Options {
@@ -186,15 +196,7 @@ impl Options {
                             .map_err(|e| format!("--time-limit: {e}"))?,
                     )
                 }
-                "--deadline" => {
-                    let secs = value("--deadline")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("--deadline: {e}"))?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err("--deadline must be a non-negative number of seconds".into());
-                    }
-                    opts.deadline = Some(Duration::from_secs_f64(secs));
-                }
+                "--deadline" => opts.deadline = Some(parse_deadline(&value("--deadline")?)?),
                 "--max-bdd-nodes" => {
                     opts.max_bdd_nodes = Some(
                         value("--max-bdd-nodes")?
@@ -327,9 +329,7 @@ impl Options {
 /// so the whole sweep performs a single BDD build and graph extraction
 /// (the per-stage trace printed at the end proves it).
 fn gamma_sweep(network: &Network, steps: usize, opts: &Options) -> Result<bool, String> {
-    use flowc::compact::{
-        gamma_sweep_tasks, synthesize_batch, BatchConfig, Session, SessionConfig,
-    };
+    use flowc::compact::{gamma_sweep_tasks, synthesize_batch, Session, SessionConfig};
 
     let session = Session::new(SessionConfig {
         budget: opts.budget(),
@@ -345,14 +345,8 @@ fn gamma_sweep(network: &Network, steps: usize, opts: &Options) -> Result<bool, 
     for task in &mut tasks {
         task.config.label_threads = opts.label_threads;
     }
-    let results = synthesize_batch(
-        &session,
-        &tasks,
-        &BatchConfig {
-            threads: 1, // sequential: adjacent γ points share warm starts
-            per_task_budget: None,
-        },
-    );
+    // Sequential: adjacent γ points share warm starts.
+    let results = synthesize_batch(&session, &tasks, 1);
     println!("circuit    : {}", network.name());
     println!(
         "{:>6} | {:>5} {:>5} {:>5} {:>5} {:>4} | {:>7} {:>7} {:>6} {:>6}",
@@ -413,7 +407,6 @@ fn gamma_sweep(network: &Network, steps: usize, opts: &Options) -> Result<bool, 
     Ok(degraded)
 }
 
-/// Returns whether the synthesis degraded (exit code 2).
 /// Runs `--edit-stream`: synthesizes the circuit once, then replays a
 /// netlist edit script through one incremental [`EditSession`], printing
 /// how each edit was resolved (cache hit, label repair, warm start, or
@@ -549,7 +542,7 @@ fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
             m.transfer_ops
         );
     }
-    let mut outcome = false;
+    let report = compact.and_then(|r| r.degradation.as_ref());
     if let Some(r) = compact {
         println!(
             "optimal    : {} (gap {:.2}%)",
@@ -557,21 +550,21 @@ fn synth(network: &Network, opts: &Options) -> Result<bool, String> {
             100.0 * r.relative_gap
         );
         println!("synth time : {:.2}s", r.synthesis_time.as_secs_f64());
-        if let Some(report) = &r.degradation {
-            println!("rung       : {}", report.summary());
-            if report.degraded {
-                outcome = true;
-                println!("degraded   : yes");
-                for attempt in &report.attempts {
-                    if let Some(trigger) = &attempt.trigger {
-                        println!(
-                            "             {} after {:.2}s: {}",
-                            attempt.rung,
-                            attempt.wall.as_secs_f64(),
-                            trigger
-                        );
-                    }
-                }
+    }
+    if let Some(report) = report {
+        println!("rung       : {}", report.summary());
+    }
+    let mut outcome = design.degraded;
+    if design.degraded {
+        println!("degraded   : yes");
+        for attempt in report.iter().flat_map(|d| &d.attempts) {
+            if let Some(trigger) = &attempt.trigger {
+                println!(
+                    "             {} after {:.2}s: {}",
+                    attempt.rung,
+                    attempt.wall.as_secs_f64(),
+                    trigger
+                );
             }
         }
     }
@@ -683,7 +676,8 @@ SYNTHESIS OPTIONS (synth/bench):
     --edit-stream <file>   apply a netlist edit script incrementally
                            after the initial synthesis (synth only);
                            prints each edit's resolution and counters
-    --time-limit <secs>    solver budget (default 30)
+    --time-limit <secs>    caps the labeling rung's share of the budget
+                           (default 30)
     --deadline <secs>      hard wall-clock budget; exhaustion degrades
     --max-bdd-nodes <n>    BDD node ceiling; exceeding it degrades
     --no-align             drop the Eq. 7 alignment constraints
@@ -762,15 +756,7 @@ impl RemoteOptions {
                     )
                 }
                 "--strategy" => opts.strategy = Some(value("--strategy")?),
-                "--deadline" => {
-                    let secs = value("--deadline")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("--deadline: {e}"))?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err("--deadline must be a non-negative number of seconds".into());
-                    }
-                    opts.deadline = Some(Duration::from_secs_f64(secs));
-                }
+                "--deadline" => opts.deadline = Some(parse_deadline(&value("--deadline")?)?),
                 "--priority" => {
                     opts.priority = Some(
                         value("--priority")?

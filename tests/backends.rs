@@ -6,7 +6,7 @@
 //! the monolithic COMPACT design. The CI backend-matrix smoke job runs
 //! exactly this suite.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flowc::baselines::{
     partitioned_with_tile, Backend, BackendError, DesignArtifact, MappedDesign, MappingBackend,
@@ -14,6 +14,7 @@ use flowc::baselines::{
 };
 use flowc::budget::Budget;
 use flowc::compact::constrained::{synthesize_constrained, ConstraintError, SizeLimits};
+use flowc::compact::{Config, Rung, VhStrategy};
 use flowc::conform::oracle::{differential_check, BackendOracle, DiffConfig, Oracle};
 use flowc::conform::Rng;
 use flowc::logic::{bench_suite, blif, Network};
@@ -172,7 +173,8 @@ fn constrained_synthesis_failures_are_typed() {
         max_rows: 1,
         max_cols: 1,
     };
-    match synthesize_constrained(&network, limits, Duration::from_secs(5)) {
+    let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
+    match synthesize_constrained(&network, limits, &budget) {
         Err(ConstraintError::Infeasible {
             semiperimeter_lower_bound,
             limits: reported,
@@ -199,4 +201,54 @@ fn partitioned_infeasibility_is_typed_through_the_trait() {
     partitioned_with_tile(16, 16)
         .synthesize(&network, &ctx())
         .expect("16x16 tiles fit adder4 cones");
+}
+
+fn int2float() -> Network {
+    bench_suite::by_name("int2float")
+        .expect("int2float benchmark")
+        .network()
+        .expect("int2float builds")
+}
+
+/// A zero `--time-limit` reaches every solver layer of the per-output
+/// flow, the dense LP included, through the capped budget: robdd-diagonal
+/// on int2float finishes in well under the 14 s its root LPs once took,
+/// and the design still verifies.
+#[test]
+fn robdd_diagonal_obeys_a_zero_time_limit() {
+    let network = int2float();
+    let config = Config {
+        strategy: VhStrategy::entering(Rung::ExactMip, 0.5, Duration::ZERO),
+        ..Config::default()
+    };
+    let start = Instant::now();
+    let design = Backend::parse("robdd-diagonal")
+        .expect("robdd-diagonal parses")
+        .synthesize(&network, &SynthesisCtx::new(config))
+        .expect("robdd-diagonal ships");
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(3), "took {elapsed:?}");
+    check_design("robdd-diagonal", &design, &network, 256);
+}
+
+/// A job deadline that runs out during the per-output ladders ships a
+/// valid design flagged `degraded`, as the compact backend does; an
+/// already-expired deadline is no error either.
+#[test]
+fn robdd_diagonal_reports_an_exhausted_deadline_as_degraded() {
+    let network = int2float();
+    let backend = Backend::parse("robdd-diagonal").expect("robdd-diagonal parses");
+    for deadline in [Duration::from_millis(50), Duration::ZERO] {
+        let ctx = SynthesisCtx::default().with_budget(Budget::unlimited().with_deadline(deadline));
+        let start = Instant::now();
+        let design = backend
+            .synthesize(&network, &ctx)
+            .unwrap_or_else(|e| panic!("deadline {deadline:?}: {e}"));
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "deadline {deadline:?}"
+        );
+        assert!(design.degraded, "deadline {deadline:?}");
+        check_design("robdd-diagonal", &design, &network, 256);
+    }
 }

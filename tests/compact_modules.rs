@@ -8,11 +8,12 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use flowc::bdd::build_sbdd;
+use flowc::budget::Budget;
 use flowc::compact::balance::{balanced_labeling, boxed_labeling};
 use flowc::compact::pareto::{gamma_sweep, non_dominated, SweepPoint};
 use flowc::compact::{synthesize, verify_symbolic, BddGraph, Config};
 use flowc::conform::{Harness, NetworkGen};
-use flowc::graph::{odd_cycle_transversal, OctConfig};
+use flowc::graph::odd_cycle_transversal;
 use flowc::xbar::DeviceAssignment;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -130,13 +131,8 @@ fn balanced_labelings_are_valid_aligned_and_balanced() {
             if graph.num_nodes() == 0 {
                 return;
             }
-            let oct = odd_cycle_transversal(
-                &graph.graph,
-                &OctConfig {
-                    time_limit: Duration::from_secs(5),
-                    threads: 1,
-                },
-            );
+            let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
+            let oct = odd_cycle_transversal(&graph.graph, 1, &budget);
             let vh: HashSet<usize> = oct.transversal.iter().copied().collect();
             let labeling = balanced_labeling(&graph, &vh, true);
             assert!(labeling.is_valid(&graph), "labeling must cover every edge");
@@ -161,13 +157,8 @@ fn boxed_labeling_fits_the_box_whenever_the_balanced_one_does() {
             if graph.num_nodes() == 0 {
                 return;
             }
-            let oct = odd_cycle_transversal(
-                &graph.graph,
-                &OctConfig {
-                    time_limit: Duration::from_secs(5),
-                    threads: 1,
-                },
-            );
+            let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
+            let oct = odd_cycle_transversal(&graph.graph, 1, &budget);
             let vh: HashSet<usize> = oct.transversal.iter().copied().collect();
             let balanced = balanced_labeling(&graph, &vh, true);
             let s = balanced.stats();

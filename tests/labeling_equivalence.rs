@@ -81,10 +81,9 @@ fn conform_seeded_labelings_match_exhaustive_enumeration() {
                 &MipConfig {
                     gamma,
                     align: false,
-                    time_limit: Duration::from_secs(30),
                     threads: 1,
                 },
-                &Budget::unlimited(),
+                &Budget::unlimited().with_deadline(Duration::from_secs(30)),
                 None,
                 None,
             );
@@ -132,7 +131,8 @@ fn every_bounder_matches_exhaustive_on_conform_seeded_covers() {
         let g = gen_graph(&mut rng, n);
         let m = cover_model(&g);
         let want = enumerate_cover_optimum(&g);
-        let solver = BranchBound::new().time_limit(Duration::from_secs(30));
+        let solver =
+            BranchBound::new().budget(&Budget::unlimited().with_deadline(Duration::from_secs(30)));
         let prob = CoverProblem::from_model(&m).expect("cover shape");
         let check = |name: &str, sol: Solution| {
             assert!(
@@ -164,7 +164,8 @@ fn one_and_four_thread_solves_agree_on_conform_seeded_covers() {
         let n = 8 + (case as usize % 5); // 8..=12 nodes
         let g = gen_graph(&mut rng, n);
         let m = cover_model(&g);
-        let solver = BranchBound::new().time_limit(Duration::from_secs(30));
+        let solver =
+            BranchBound::new().budget(&Budget::unlimited().with_deadline(Duration::from_secs(30)));
         let one = solver.clone().threads(1).solve(&m).expect("1-thread solve");
         let four = solver.threads(4).solve(&m).expect("4-thread solve");
         assert!(
@@ -184,14 +185,13 @@ fn warm_started_sweep_lands_on_the_cold_optima() {
     let b = bench_suite::by_name("ctrl").unwrap();
     let network = b.network().unwrap();
     let graph = BddGraph::from_bdds(&build_sbdd(&network, None));
-    let budget = Budget::unlimited();
     let mut warm = None;
     // Sweep ordered for reuse (γ = 1 closes fastest and seeds the rest).
     for gamma in [1.0, 0.75, 0.5, 0.25, 0.0] {
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(60));
         let config = MipConfig {
             gamma,
             align: true,
-            time_limit: Duration::from_secs(60),
             threads: 1,
         };
         let (cold, _) = mip_solve(&graph, &config, &budget, None, None);

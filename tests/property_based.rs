@@ -15,13 +15,12 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
+use flowc::budget::Budget;
 use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
 use flowc::compact::BddGraph;
 use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
-use flowc::graph::{
-    oct_heuristic, odd_cycle_transversal, two_color, ColorResult, OctConfig, UGraph,
-};
+use flowc::graph::{oct_heuristic, odd_cycle_transversal, two_color, ColorResult, UGraph};
 use flowc::logic::Network;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -126,13 +125,8 @@ fn heuristic_strategy_is_equivalent_and_never_beats_exact_s() {
 fn oct_makes_random_graphs_bipartite() {
     harness("oct_makes_random_graphs_bipartite").check(|rng| {
         let g = gen_small_graph(rng, 14);
-        let r = odd_cycle_transversal(
-            &g,
-            &OctConfig {
-                time_limit: Duration::from_secs(5),
-                threads: 1,
-            },
-        );
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
+        let r = odd_cycle_transversal(&g, 1, &budget);
         let keep: Vec<bool> = (0..g.num_vertices())
             .map(|v| !r.transversal.contains(&v))
             .collect();
@@ -396,13 +390,8 @@ fn milp_solver_matches_brute_force_on_random_01_programs() {
 fn vertex_cover_is_minimum_on_small_graphs() {
     harness("vertex_cover_is_minimum_on_small_graphs").check(|rng| {
         let g = gen_small_graph(rng, 10);
-        let r = flowc::graph::minimum_vertex_cover(
-            &g,
-            &flowc::graph::VcConfig {
-                time_limit: Duration::from_secs(5),
-                threads: 1,
-            },
-        );
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
+        let r = flowc::graph::minimum_vertex_cover(&g, 1, &budget, None);
         assert!(r.optimal);
         // Valid cover.
         let set: HashSet<usize> = r.cover.iter().copied().collect();

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flowc::compact::{
-    gamma_sweep_tasks, synthesize, synthesize_batch, synthesize_in, BatchConfig, Config, Session,
-    SessionConfig, StageKind,
+    gamma_sweep_tasks, synthesize, synthesize_batch, synthesize_in, Config, Session, SessionConfig,
+    StageKind,
 };
 use flowc::logic::{bench_suite, GateKind, Network};
 
@@ -98,14 +98,7 @@ fn batch_at_four_threads_matches_sequential_order() {
         .collect();
 
     let batch_session = Session::default();
-    let batched = synthesize_batch(
-        &batch_session,
-        &tasks,
-        &BatchConfig {
-            threads: 4,
-            per_task_budget: None,
-        },
-    );
+    let batched = synthesize_batch(&batch_session, &tasks, 4);
     assert_eq!(batched.len(), tasks.len());
     for (i, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
         let bat = bat

@@ -15,6 +15,11 @@ use flowc::graph::lp_lower_bound;
 use flowc::logic::bench_suite;
 use flowc::logic::{GateKind, Network};
 
+/// A budget expiring `n` seconds from now: the solvers' only clock.
+fn secs(n: u64) -> Budget {
+    Budget::unlimited().with_deadline(Duration::from_secs(n))
+}
+
 fn graph_of_network(n: &Network) -> BddGraph {
     BddGraph::from_bdds(&build_sbdd(n, None))
 }
@@ -37,21 +42,21 @@ fn mip_and_oct_are_consistent_on_ctrl_at_gamma_one() {
             align: false,
             ..Default::default()
         },
+        &secs(30),
     );
     assert!(oct_free.optimal);
     // Aligned OCT method: minimum transversal + post-hoc upgrades (an upper
     // bound for the aligned optimum — upgrades are not jointly optimized).
-    let oct_aligned = min_semiperimeter(&graph, &OctMethodConfig::default());
+    let oct_aligned = min_semiperimeter(&graph, &OctMethodConfig::default(), &secs(30));
     // Aligned exact MIP: the jointly-optimal aligned solution.
     let (mip, _) = mip_solve(
         &graph,
         &MipConfig {
             gamma: 1.0,
             align: true,
-            time_limit: Duration::from_secs(60),
             threads: 1,
         },
-        &Budget::unlimited(),
+        &secs(60),
         None,
         None,
     );
@@ -103,16 +108,16 @@ fn mip_and_oct_agree_on_random_functions_at_gamma_one() {
                 align: false,
                 ..Default::default()
             },
+            &secs(30),
         );
         let (mip, _) = mip_solve(
             &graph,
             &MipConfig {
                 gamma: 1.0,
                 align: false,
-                time_limit: Duration::from_secs(30),
                 threads: 1,
             },
-            &Budget::unlimited(),
+            &secs(30),
             None,
             None,
         );
@@ -139,6 +144,7 @@ fn semiperimeter_respects_theoretical_bounds() {
                 align: false,
                 ..Default::default()
             },
+            &secs(30),
         );
         let s = r.labeling.stats().semiperimeter;
         let n = graph.num_nodes();
@@ -163,6 +169,7 @@ fn alignment_never_reduces_semiperimeter() {
                 align: false,
                 ..Default::default()
             },
+            &secs(30),
         );
         let aligned = min_semiperimeter(
             &graph,
@@ -170,6 +177,7 @@ fn alignment_never_reduces_semiperimeter() {
                 align: true,
                 ..Default::default()
             },
+            &secs(30),
         );
         assert!(
             aligned.labeling.stats().semiperimeter >= free.labeling.stats().semiperimeter,
