@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use flowc_compact::{synthesize_constrained, ConstraintError, SizeLimits};
+use flowc_compact::{synthesize_constrained, CompactError, ConstraintError, SizeLimits};
 use flowc_logic::{NetId, Network};
 use flowc_xbar::metrics::CrossbarMetrics;
 use flowc_xbar::{Crossbar, XbarError};
@@ -287,9 +287,12 @@ impl MappingBackend for PartitionedBackend {
         // already fit (kept so closing a group never resynthesizes).
         let mut group: Vec<usize> = Vec::new();
         let mut fitted: Option<(Cone, Box<MappedDesign>)> = None;
+        // Whether any shipped tile's design came from a degraded ladder.
+        let mut degraded = false;
 
-        let close = |fitted: &mut Option<(Cone, Box<MappedDesign>)>, tiles: &mut Vec<Tile>| {
+        let mut close = |fitted: &mut Option<(Cone, Box<MappedDesign>)>, tiles: &mut Vec<Tile>| {
             if let Some((cone, design)) = fitted.take() {
+                degraded |= design.degraded;
                 let metrics = design.metrics;
                 let crossbar = design
                     .into_crossbar()
@@ -303,8 +306,12 @@ impl MappingBackend for PartitionedBackend {
             }
         };
 
+        // A passed deadline is not checked here: it reaches each tile's
+        // ladder, which degrades instead of failing. A cancel stops.
         for o in 0..num_outputs {
-            ctx.budget.check()?;
+            if ctx.budget.is_cancelled() {
+                return Err(CompactError::Cancelled.into());
+            }
             let mut candidate = group.clone();
             candidate.push(o);
             let cone = extract_cone(network, &candidate);
@@ -315,18 +322,7 @@ impl MappingBackend for PartitionedBackend {
                 }
                 miss => {
                     if group.is_empty() {
-                        // A single cone that cannot fit the tile: typed
-                        // failure, never a silent degrade.
-                        return Err(match miss {
-                            Fit::Impossible(e) => BackendError::Infeasible(e),
-                            Fit::TooBig { rows, cols } => {
-                                BackendError::Infeasible(ConstraintError::NotFound {
-                                    best_rows: rows,
-                                    best_cols: cols,
-                                })
-                            }
-                            Fit::Fits(_) => unreachable!("miss arm"),
-                        });
+                        return Err(single_cone_miss(miss, ctx));
                     }
                     close(&mut fitted, &mut tiles);
                     // Re-open with the rejected output alone.
@@ -336,13 +332,7 @@ impl MappingBackend for PartitionedBackend {
                             group = vec![o];
                             fitted = Some((solo, design));
                         }
-                        Fit::Impossible(e) => return Err(BackendError::Infeasible(e)),
-                        Fit::TooBig { rows, cols } => {
-                            return Err(BackendError::Infeasible(ConstraintError::NotFound {
-                                best_rows: rows,
-                                best_cols: cols,
-                            }))
-                        }
+                        miss => return Err(single_cone_miss(miss, ctx)),
                     }
                 }
             }
@@ -360,8 +350,26 @@ impl MappingBackend for PartitionedBackend {
             backend: self.name(),
             metrics,
             artifact: DesignArtifact::Tiled(schedule),
-            degraded: false,
+            degraded,
         })
+    }
+}
+
+/// The error for a single cone that cannot fit the tile: typed failure,
+/// never a silent degrade. A proven lower bound is infeasible at any
+/// budget. A search that found no fit reports the budget's error once
+/// the budget is spent, since more time might have found one.
+fn single_cone_miss(miss: Fit, ctx: &SynthesisCtx<'_>) -> BackendError {
+    match miss {
+        Fit::Impossible(e) => BackendError::Infeasible(e),
+        Fit::TooBig { rows, cols } => match ctx.budget.check() {
+            Err(e) => BackendError::Budget(e),
+            Ok(()) => BackendError::Infeasible(ConstraintError::NotFound {
+                best_rows: rows,
+                best_cols: cols,
+            }),
+        },
+        Fit::Fits(_) => unreachable!("only a miss is reported"),
     }
 }
 

@@ -37,6 +37,4 @@ mod order;
 pub use build::{build_robdds, build_sbdd, try_build_sbdd, NetworkBdds};
 pub use dot::to_dot;
 pub use manager::{Manager, Ref, VarId};
-pub use order::{
-    build_with_heuristic, dfs_fanin_order, natural_order, reorder, sift, OrderHeuristic, SiftResult,
-};
+pub use order::{dfs_fanin_order, sift, SiftResult};

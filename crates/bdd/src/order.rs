@@ -1,28 +1,13 @@
-//! Static variable-ordering heuristics and reordering by rebuild.
+//! Static variable-ordering heuristics and sifting by rebuild.
 //!
 //! The paper consumes whatever order ABC/CUDD produce; here we provide the
 //! standard structural heuristics so the benchmark BDDs stay compact, plus a
-//! rebuild-based [`reorder`] used by the ordering ablation bench.
+//! rebuild-based [`sift`] used by the ordering ablation bench.
 
+use flowc_budget::Budget;
 use flowc_logic::Network;
 
 use crate::build::{build_sbdd, NetworkBdds};
-
-/// Which static ordering heuristic to apply to a network's inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OrderHeuristic {
-    /// Input creation order (the generators already interleave operands).
-    Natural,
-    /// Depth-first traversal from the outputs, recording inputs at first
-    /// visit — the classic fanin/DFS heuristic.
-    DfsFanin,
-}
-
-/// The identity order over a network's inputs.
-pub fn natural_order(network: &Network) -> Vec<usize> {
-    (0..network.num_inputs()).collect()
-}
 
 /// DFS-from-outputs ordering: walk each output cone depth-first and list
 /// inputs in first-visit order. Inputs never reached by any output are
@@ -59,24 +44,6 @@ pub fn dfs_fanin_order(network: &Network) -> Vec<usize> {
     order
 }
 
-/// Builds the SBDD of `network` under the given heuristic.
-pub fn build_with_heuristic(network: &Network, heuristic: OrderHeuristic) -> NetworkBdds {
-    match heuristic {
-        OrderHeuristic::Natural => build_sbdd(network, None),
-        OrderHeuristic::DfsFanin => {
-            let order = dfs_fanin_order(network);
-            build_sbdd(network, Some(&order))
-        }
-    }
-}
-
-/// Rebuilds the network's SBDD under a new input order and returns it.
-/// This is reordering by reconstruction (the network is the function
-/// source), which is exact and simple; it is not an in-place sifting.
-pub fn reorder(network: &Network, order: &[usize]) -> NetworkBdds {
-    build_sbdd(network, Some(order))
-}
-
 /// Outcome of a [`sift`] run.
 #[derive(Debug)]
 pub struct SiftResult {
@@ -93,14 +60,13 @@ pub struct SiftResult {
 /// Variable sifting by reconstruction: each variable in turn is tried at
 /// every position of the order (most impactful variables first), keeping
 /// the position that minimizes the shared node count, until a pass yields
-/// no improvement or the time budget expires.
+/// no improvement or `budget` is spent (deadline or cancel).
 ///
 /// Classic sifting swaps adjacent levels in place; this implementation
 /// re-derives the forest from the network for each candidate position,
 /// which is slower per step but exact, simple, and safe. Intended for the
 /// ordering ablation on small/medium circuits.
-pub fn sift(network: &Network, budget: std::time::Duration) -> SiftResult {
-    let deadline = std::time::Instant::now() + budget;
+pub fn sift(network: &Network, budget: &Budget) -> SiftResult {
     let n = network.num_inputs();
     let mut order: Vec<usize> = (0..n).collect();
     let initial_size = build_sbdd(network, Some(&order)).shared_size();
@@ -109,7 +75,7 @@ pub fn sift(network: &Network, budget: std::time::Duration) -> SiftResult {
         let mut improved = false;
         // Sift variables one by one (in current-order sequence).
         for pos in 0..n {
-            if std::time::Instant::now() >= deadline {
+            if budget.check().is_err() {
                 let bdds = build_sbdd(network, Some(&order));
                 return SiftResult {
                     final_size: bdds.shared_size(),
@@ -155,6 +121,8 @@ pub fn sift(network: &Network, budget: std::time::Duration) -> SiftResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use flowc_logic::bench_suite::blocks::{input_bus, ripple_adder};
     use flowc_logic::{GateKind, Network};
 
@@ -183,8 +151,8 @@ mod tests {
     #[test]
     fn dfs_beats_natural_on_separated_adder() {
         let n = separated_adder();
-        let nat = build_with_heuristic(&n, OrderHeuristic::Natural);
-        let dfs = build_with_heuristic(&n, OrderHeuristic::DfsFanin);
+        let nat = build_sbdd(&n, None);
+        let dfs = build_sbdd(&n, Some(&dfs_fanin_order(&n)));
         assert!(
             dfs.shared_size() < nat.shared_size(),
             "DFS order should interleave the adder operands ({} vs {})",
@@ -222,7 +190,10 @@ mod tests {
             n.mark_output(s);
         }
         n.mark_output(cout);
-        let result = super::sift(&n, std::time::Duration::from_secs(30));
+        let result = super::sift(
+            &n,
+            &Budget::unlimited().with_deadline(Duration::from_secs(30)),
+        );
         assert!(result.final_size < result.initial_size, "{result:?}");
         // The interleaved reference order.
         let interleaved: Vec<usize> = (0..5).flat_map(|i| [i, i + 5]).chain([10]).collect();
@@ -248,24 +219,11 @@ mod tests {
         let ins = input_bus(&mut n, "x", 8);
         let f = n.add_gate(GateKind::Xor, &ins, "f").unwrap();
         n.mark_output(f);
-        let result = super::sift(&n, std::time::Duration::from_millis(0));
+        let result = super::sift(&n, &Budget::unlimited().with_deadline(Duration::ZERO));
         // Zero budget: must still return a consistent result.
         assert_eq!(
             result.final_size,
             build_sbdd(&n, Some(&result.order)).shared_size()
         );
-    }
-
-    #[test]
-    fn reorder_preserves_function() {
-        let n = separated_adder();
-        let order: Vec<usize> = (0..8).flat_map(|i| [i, i + 8]).chain([16]).collect();
-        let re = reorder(&n, &order);
-        let mut x = 7u64;
-        for _ in 0..64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let vals: Vec<bool> = (0..17).map(|i| x >> (i + 3) & 1 == 1).collect();
-            assert_eq!(re.eval(&vals), n.simulate(&vals).unwrap());
-        }
     }
 }

@@ -64,8 +64,9 @@ fn main() {
         let n = build_network(&bench_suite::by_name(name).expect("registered"));
         let natural = build_sbdd(&n, None).shared_size();
         let dfs = build_sbdd(&n, Some(&dfs_fanin_order(&n))).shared_size();
+        let cap = Budget::unlimited().with_deadline(budget.min(Duration::from_secs(20)));
         let t0 = Instant::now();
-        let sifted = sift(&n, budget.min(Duration::from_secs(20)));
+        let sifted = sift(&n, &cap);
         println!(
             "{:<11} {:>10} {:>10} {:>10} {:>9.1}s",
             name,

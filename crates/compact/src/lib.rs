@@ -72,7 +72,6 @@ pub use repair::{
 };
 pub use session::{
     gamma_sweep_tasks, synthesize_batch, synthesize_in, synthesize_in_budgeted, ArtifactKey,
-    BatchTask, CacheOutcome, CacheStats, Session, SessionConfig, StageKind, StageRecord,
-    StageTrace,
+    BatchTask, CacheStats, Session, SessionConfig, StageKind, StageTrace,
 };
 pub use supervisor::{synthesize_with_budget, DegradationReport, Rung, StageAttempt, Trigger};

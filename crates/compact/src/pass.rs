@@ -4,8 +4,8 @@
 //! Every pass has the shape `run(&self, &Session, input) -> Result<Output>`
 //! (the issue's `&mut Session` relaxed to `&Session` — session state is
 //! behind interior mutability so [`crate::session::synthesize_batch`]
-//! workers can share one session), records a [`StageRecord`] with
-//! wall-clock, item counts, and cache outcome, and checks or forwards the
+//! workers can share one session), counts its run, wall clock and cache
+//! outcome in the session's stage tally, and checks or forwards the
 //! budget. Cacheable passes ([`BddBuildPass`], [`GraphExtractPass`]) probe
 //! the session's content-addressed artifact store first and publish their
 //! output behind an [`Arc`].
@@ -13,9 +13,9 @@
 //! The VH-labeling and mapping stages are driven together by
 //! [`LadderPass`]: the degradation ladder interleaves them (a labeling
 //! that cannot be mapped sends the supervisor down a rung), so they cannot
-//! be sequenced as independent passes — but the pass still records
-//! *separate* [`StageKind::VhLabel`] and [`StageKind::Map`] trace entries
-//! from the per-stage walls the ladder measures.
+//! be sequenced as independent passes — but the pass still counts
+//! *separate* [`StageKind::VhLabel`] and [`StageKind::Map`] runs from the
+//! per-stage walls the ladder measures.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use crate::pipeline::{CompactError, Config};
 use crate::preprocess::BddGraph;
 use crate::session::{
     bdd_key, graph_key, label_key, ArtifactKey, CacheOutcome, Claim, LabelArtifact, Session,
-    SolveStats, StageKind, StageRecord,
+    StageKind,
 };
 use crate::supervisor::{
     ladder, panic_message, run_ladder, LadderOutcome, Rung, StageAttempt, Trigger,
@@ -43,13 +43,10 @@ use flowc_xbar::metrics::CrossbarMetrics;
 ///
 /// `run` uses the session budget; [`Pass::run_with_budget`] lets batch
 /// workers substitute a per-task slice while still sharing the session's
-/// cache and trace.
+/// cache and stage tally.
 pub trait Pass<I> {
     /// What the pass produces.
     type Output;
-
-    /// The stage this pass records under.
-    fn kind(&self) -> StageKind;
 
     /// Runs the stage under an explicit budget.
     ///
@@ -90,10 +87,6 @@ pub struct NormalizePass;
 impl Pass<&Network> for NormalizePass {
     type Output = NormalizeOutput;
 
-    fn kind(&self) -> StageKind {
-        StageKind::Normalize
-    }
-
     fn run_with_budget(
         &self,
         session: &Session,
@@ -108,14 +101,7 @@ impl Pass<&Network> for NormalizePass {
             .map(|&o| network.net_name(o).to_string())
             .collect();
         let key = ArtifactKey(network.content_hash());
-        session.record(StageRecord {
-            kind: StageKind::Normalize,
-            wall: sw.elapsed(),
-            cache: CacheOutcome::Uncached,
-            items: network.num_gates(),
-            key: Some(key),
-            solve: None,
-        });
+        session.record(StageKind::Normalize, sw.elapsed(), CacheOutcome::Uncached);
         Ok(NormalizeOutput {
             output_names,
             network_key: key,
@@ -147,10 +133,6 @@ pub struct BddBuildPass;
 impl Pass<(&Network, Option<&[usize]>)> for BddBuildPass {
     type Output = BddArtifact;
 
-    fn kind(&self) -> StageKind {
-        StageKind::BddBuild
-    }
-
     fn run_with_budget(
         &self,
         session: &Session,
@@ -165,14 +147,7 @@ impl Pass<(&Network, Option<&[usize]>)> for BddBuildPass {
         let ticket = match session.claim_bdd(key) {
             Claim::Ready(bdds) => {
                 let wall = sw.elapsed();
-                session.record(StageRecord {
-                    kind: StageKind::BddBuild,
-                    wall,
-                    cache: CacheOutcome::Hit,
-                    items: bdds.manager.reachable(&bdds.roots).len(),
-                    key: Some(key),
-                    solve: None,
-                });
+                session.record(StageKind::BddBuild, wall, CacheOutcome::Hit);
                 return Ok(BddArtifact {
                     bdds,
                     key,
@@ -230,14 +205,7 @@ impl Pass<(&Network, Option<&[usize]>)> for BddBuildPass {
         session.store_bdd(key, Arc::clone(&bdds));
         drop(ticket); // publish before waking claim waiters
         let wall = sw.elapsed();
-        session.record(StageRecord {
-            kind: StageKind::BddBuild,
-            wall,
-            cache: CacheOutcome::Miss,
-            items: bdds.manager.reachable(&bdds.roots).len(),
-            key: Some(key),
-            solve: None,
-        });
+        session.record(StageKind::BddBuild, wall, CacheOutcome::Miss);
         Ok(BddArtifact {
             bdds,
             key,
@@ -256,10 +224,6 @@ pub struct GraphExtractPass;
 impl Pass<(&Arc<NetworkBdds>, ArtifactKey)> for GraphExtractPass {
     type Output = Arc<BddGraph>;
 
-    fn kind(&self) -> StageKind {
-        StageKind::GraphExtract
-    }
-
     fn run_with_budget(
         &self,
         session: &Session,
@@ -270,14 +234,7 @@ impl Pass<(&Arc<NetworkBdds>, ArtifactKey)> for GraphExtractPass {
         let key = graph_key(bdd_key);
         let ticket = match session.claim_graph(key) {
             Claim::Ready(graph) => {
-                session.record(StageRecord {
-                    kind: StageKind::GraphExtract,
-                    wall: sw.elapsed(),
-                    cache: CacheOutcome::Hit,
-                    items: graph.num_nodes(),
-                    key: Some(key),
-                    solve: None,
-                });
+                session.record(StageKind::GraphExtract, sw.elapsed(), CacheOutcome::Hit);
                 return Ok(graph);
             }
             Claim::Build(ticket) => ticket,
@@ -285,21 +242,14 @@ impl Pass<(&Arc<NetworkBdds>, ArtifactKey)> for GraphExtractPass {
         let graph = Arc::new(BddGraph::from_bdds(bdds));
         session.store_graph(key, Arc::clone(&graph));
         drop(ticket); // publish before waking claim waiters
-        session.record(StageRecord {
-            kind: StageKind::GraphExtract,
-            wall: sw.elapsed(),
-            cache: CacheOutcome::Miss,
-            items: graph.num_nodes(),
-            key: Some(key),
-            solve: None,
-        });
+        session.record(StageKind::GraphExtract, sw.elapsed(), CacheOutcome::Miss);
         Ok(graph)
     }
 }
 
 /// Stages 4–5: the supervised VH-labeling degradation ladder plus crossbar
-/// mapping. One pass because the ladder interleaves them; records separate
-/// [`StageKind::VhLabel`] and [`StageKind::Map`] trace entries.
+/// mapping. One pass because the ladder interleaves them; counts separate
+/// [`StageKind::VhLabel`] and [`StageKind::Map`] runs.
 ///
 /// Labeling artifacts are cached under [`label_key`] when the outcome is
 /// budget-independent (proven optimal, or a deterministic heuristic
@@ -321,34 +271,21 @@ impl<'c> LadderPass<'c> {
         graph: &BddGraph,
         names: &[String],
         budget: &Budget,
-        key: ArtifactKey,
         artifact: &LabelArtifact,
     ) -> Result<LadderOutcome, CompactError> {
-        session.record(StageRecord {
-            kind: StageKind::VhLabel,
-            wall: std::time::Duration::ZERO,
-            cache: CacheOutcome::Hit,
-            items: graph.num_nodes(),
-            key: Some(key),
-            solve: Some(SolveStats {
-                nodes: 0,
-                gap: artifact.relative_gap,
-                warm_start: None,
-            }),
-        });
+        session.record_label(
+            std::time::Duration::ZERO,
+            CacheOutcome::Hit,
+            0,
+            artifact.relative_gap,
+            None,
+        );
         let map_sw = Stopwatch::unbudgeted();
         let crossbar =
             map_to_crossbar(graph, &artifact.labeling, names).map_err(CompactError::Map)?;
         let map_wall = map_sw.elapsed();
         let metrics = CrossbarMetrics::of(&crossbar);
-        session.record(StageRecord {
-            kind: StageKind::Map,
-            wall: map_wall,
-            cache: CacheOutcome::Uncached,
-            items: metrics.active_devices,
-            key: None,
-            solve: None,
-        });
+        session.record(StageKind::Map, map_wall, CacheOutcome::Uncached);
         Ok(LadderOutcome {
             crossbar,
             labeling: artifact.labeling.clone(),
@@ -377,10 +314,6 @@ impl<'c> LadderPass<'c> {
 impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPass<'c> {
     type Output = LadderOutcome;
 
-    fn kind(&self) -> StageKind {
-        StageKind::VhLabel
-    }
-
     fn run_with_budget(
         &self,
         session: &Session,
@@ -397,7 +330,7 @@ impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPa
         // wait it out; if its outcome was not cacheable, we solve too.
         let ticket = match session.claim_label(key) {
             Claim::Ready(artifact) => {
-                return self.ship_cached(session, graph, names, budget, key, &artifact)
+                return self.ship_cached(session, graph, names, budget, &artifact)
             }
             Claim::Build(ticket) => ticket,
         };
@@ -431,36 +364,25 @@ impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPa
             );
         }
         drop(ticket); // publish (or release) before waking claim waiters
-                      // Any shipped labeling seeds later solves over this graph; a fresh
-                      // proven-optimal OCT (γ-independent) serves every later sweep point.
+
+        // Any shipped labeling seeds later solves over this graph; a fresh
+        // proven-optimal OCT (γ-independent) serves every later sweep point.
         session.offer_warm_hint(graph_key, outcome.labeling.clone());
         if let Some(oct) = &outcome.oct {
             session.offer_oct_hint(graph_key, Arc::new(oct.clone()));
         }
-        session.record(StageRecord {
-            kind: StageKind::VhLabel,
-            wall: outcome.label_wall,
-            cache: if cacheable {
+        session.record_label(
+            outcome.label_wall,
+            if cacheable {
                 CacheOutcome::Miss
             } else {
                 CacheOutcome::Uncached
             },
-            items: graph.num_nodes(),
-            key: Some(key),
-            solve: Some(SolveStats {
-                nodes: outcome.solver_nodes,
-                gap: outcome.relative_gap,
-                warm_start: outcome.warm_start,
-            }),
-        });
-        session.record(StageRecord {
-            kind: StageKind::Map,
-            wall: outcome.map_wall,
-            cache: CacheOutcome::Uncached,
-            items: outcome.metrics.active_devices,
-            key: None,
-            solve: None,
-        });
+            outcome.solver_nodes,
+            outcome.relative_gap,
+            outcome.warm_start,
+        );
+        session.record(StageKind::Map, outcome.map_wall, CacheOutcome::Uncached);
         Ok(outcome)
     }
 }
@@ -476,10 +398,6 @@ pub struct VerifyPass {
 impl Pass<(&Crossbar, &Network)> for VerifyPass {
     type Output = ();
 
-    fn kind(&self) -> StageKind {
-        StageKind::Verify
-    }
-
     fn run_with_budget(
         &self,
         session: &Session,
@@ -491,14 +409,7 @@ impl Pass<(&Crossbar, &Network)> for VerifyPass {
         // turn into an error because the budget ran out before the check.
         let report =
             verify_functional(crossbar, network, self.samples).map_err(CompactError::Verify)?;
-        session.record(StageRecord {
-            kind: StageKind::Verify,
-            wall: sw.elapsed(),
-            cache: CacheOutcome::Uncached,
-            items: report.checked,
-            key: None,
-            solve: None,
-        });
+        session.record(StageKind::Verify, sw.elapsed(), CacheOutcome::Uncached);
         if !report.is_valid() {
             return Err(CompactError::Mismatch {
                 mismatches: report.mismatches.len(),

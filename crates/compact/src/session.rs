@@ -1,6 +1,5 @@
-//! The shared synthesis `Session`: budgets, seeded randomness, per-stage
-//! statistics, and a content-addressed artifact cache for the staged
-//! COMPACT pipeline.
+//! The shared synthesis `Session`: the budget, a per-stage tally, and
+//! bounded content-addressed caches for the staged COMPACT pipeline.
 //!
 //! The paper's flow (Figure 3: network → shared BDD → undirected graph →
 //! VH-labeling → crossbar) used to run as one monolithic `synthesize`
@@ -14,10 +13,11 @@
 //! - **Graph artifacts** ([`crate::BddGraph`]) are keyed by the BDD key.
 //!
 //! Both live behind [`Arc`] handles, so a cache hit is a refcount bump —
-//! no rebuild, no deep clone. Each stage execution is recorded in a
-//! [`StageTrace`] (wall-clock, item counts, cache hit/miss), which tests
-//! and the bench harness assert on: a 5-point γ sweep through one session
-//! performs exactly **one** BDD build and one graph extraction.
+//! no rebuild, no deep clone. Each stage execution is counted in the
+//! session's [`StageTrace`] tally (runs, cache hits and misses, wall
+//! clock), which tests and the bench harness assert on: a 5-point γ sweep
+//! through one session performs exactly **one** BDD build and one graph
+//! extraction.
 //!
 //! [`synthesize_batch`] runs many tasks (different networks, or γ /
 //! strategy points of one network) across `std::thread::scope` workers
@@ -25,15 +25,15 @@
 //! of scheduling.
 //!
 //! **Determinism contract.** Every stage is a deterministic function of
-//! its input artifact and configuration (no `RandomState`, seeded RNG
-//! streams only), so with solver time limits generous enough for every
-//! point to close — or with the deterministic heuristic strategies — a
-//! batch produces identical results at any thread count, in task order.
-//! Under tight wall-clock budgets the anytime solvers may stop at
-//! different incumbents run-to-run; that nondeterminism comes from the
-//! clock, not from the session or the batch machinery.
+//! its input artifact and configuration (no `RandomState`), so with
+//! solver time limits generous enough for every point to close — or with
+//! the deterministic heuristic strategies — a batch produces identical
+//! results at any thread count, in task order. Under tight wall-clock
+//! budgets the anytime solvers may stop at different incumbents
+//! run-to-run; that nondeterminism comes from the clock, not from the
+//! session or the batch machinery.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -172,86 +172,103 @@ impl fmt::Display for StageKind {
 
 /// Whether a stage execution was served from the artifact cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// The artifact was found in the cache; no work was done.
     Hit,
     /// The artifact was computed and inserted into the cache.
     Miss,
-    /// The stage's output is not cacheable (labeling, mapping, verify).
+    /// The stage's output is not cacheable (or this labeling was not).
     Uncached,
 }
 
-/// Branch & bound solver statistics attached to a [`StageKind::VhLabel`]
-/// record (the per-γ-point figures the `--gamma-sweep` report and the
-/// serve `/metrics` endpoint surface).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveStats {
-    /// Branch & bound nodes explored (0 for non-MIP rungs and cache hits).
-    pub nodes: u64,
-    /// Proven relative optimality gap at termination.
-    pub gap: f64,
-    /// Warm-start outcome: `None` when no warm start was offered,
-    /// `Some(accepted)` otherwise.
-    pub warm_start: Option<bool>,
+/// One stage kind's counters in a [`StageTrace`].
+#[derive(Debug, Clone, Copy, Default)]
+struct StageCount {
+    runs: usize,
+    hits: usize,
+    misses: usize,
+    wall: Duration,
 }
 
-/// One stage execution recorded by a session.
-#[derive(Debug, Clone)]
-pub struct StageRecord {
-    /// Which stage ran.
-    pub kind: StageKind,
-    /// Wall-clock time spent (≈0 for cache hits).
-    pub wall: Duration,
-    /// Cache interaction of this execution.
-    pub cache: CacheOutcome,
-    /// Stage-specific size figure: gates normalized, BDD nodes built,
-    /// graph nodes extracted/labeled, devices mapped, or assignments
-    /// verified.
-    pub items: usize,
-    /// The artifact key involved, when the stage is cacheable.
-    pub key: Option<ArtifactKey>,
-    /// Solver statistics, for [`StageKind::VhLabel`] records.
-    pub solve: Option<SolveStats>,
-}
-
-/// The per-stage execution log of a session, with counter views.
+/// The per-stage tally of a session: fixed-size counters that every stage
+/// execution adds to, so a session that runs for days holds no more
+/// bookkeeping than one that ran a single job.
 #[derive(Debug, Clone, Default)]
 pub struct StageTrace {
-    /// Every stage execution, in completion order.
-    pub records: Vec<StageRecord>,
+    /// Indexed by `StageKind as usize` (the order of [`StageKind::all`]).
+    stages: [StageCount; 6],
+    /// Branch & bound nodes explored across every labeling run.
+    pub bnb_nodes: u64,
+    /// Labeling runs whose offered warm start was accepted.
+    pub warm_hits: usize,
+    /// Labeling runs whose offered warm start was rejected.
+    pub warm_misses: usize,
+    /// The largest relative optimality gap a labeling run ended with.
+    pub worst_gap: f64,
 }
 
 impl StageTrace {
+    fn count(&self, kind: StageKind) -> &StageCount {
+        &self.stages[kind as usize]
+    }
+
+    fn add(&mut self, kind: StageKind, wall: Duration, cache: CacheOutcome) {
+        let count = &mut self.stages[kind as usize];
+        count.runs += 1;
+        count.wall += wall;
+        match cache {
+            CacheOutcome::Hit => count.hits += 1,
+            CacheOutcome::Miss => count.misses += 1,
+            CacheOutcome::Uncached => {}
+        }
+    }
+
+    /// Adds `other`'s counters to this tally (the worst gap is the larger
+    /// of the two) — how a sharded service sums its sessions.
+    pub fn absorb(&mut self, other: &StageTrace) {
+        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
+            mine.runs += theirs.runs;
+            mine.hits += theirs.hits;
+            mine.misses += theirs.misses;
+            mine.wall += theirs.wall;
+        }
+        self.bnb_nodes += other.bnb_nodes;
+        self.warm_hits += other.warm_hits;
+        self.warm_misses += other.warm_misses;
+        self.worst_gap = self.worst_gap.max(other.worst_gap);
+    }
+
     /// Number of times `kind` executed (cache hits included).
     pub fn runs(&self, kind: StageKind) -> usize {
-        self.records.iter().filter(|r| r.kind == kind).count()
+        self.count(kind).runs
     }
 
     /// Number of times `kind` actually computed its output (cache misses
     /// plus uncached executions) — the figure the γ-sweep reuse tests
     /// assert equals 1 for [`StageKind::BddBuild`].
     pub fn builds(&self, kind: StageKind) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind && r.cache != CacheOutcome::Hit)
-            .count()
+        let count = self.count(kind);
+        count.runs - count.hits
     }
 
     /// Number of cache hits for `kind`.
     pub fn hits(&self, kind: StageKind) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind && r.cache == CacheOutcome::Hit)
-            .count()
+        self.count(kind).hits
     }
 
     /// Total wall-clock time spent in `kind`.
     pub fn total_wall(&self, kind: StageKind) -> Duration {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .map(|r| r.wall)
-            .sum()
+        self.count(kind).wall
+    }
+
+    /// Cache hits across all cacheable stages.
+    pub fn cache_hits(&self) -> usize {
+        self.stages.iter().map(|c| c.hits).sum()
+    }
+
+    /// Cache misses (artifact computed and stored) across all stages.
+    pub fn cache_misses(&self) -> usize {
+        self.stages.iter().map(|c| c.misses).sum()
     }
 
     /// One line per stage kind with runs, builds, hits, and wall time —
@@ -298,12 +315,10 @@ pub struct CacheStats {
 pub struct SessionConfig {
     /// The shared resource budget for every stage run in the session.
     pub budget: Budget,
-    /// Seed for the session's deterministic RNG stream.
-    pub seed: u64,
-    /// Maximum cached artifacts per stage kind; oldest-inserted entries
-    /// are evicted first, so long-running consumers (the conform fuzzer
-    /// pushes thousands of distinct networks through one session) stay
-    /// bounded in memory.
+    /// Maximum entries per cache (BDDs, graphs, labelings, warm hints
+    /// and OCT hints each); oldest-inserted entries are evicted first, so
+    /// long-running consumers (the conform fuzzer pushes thousands of
+    /// distinct networks through one session) stay bounded in memory.
     pub cache_capacity: usize,
     /// When set, every synthesized design is functionally verified on
     /// this many assignments as a traced [`StageKind::Verify`] stage; a
@@ -330,7 +345,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             budget: Budget::unlimited(),
-            seed: 0xC0AC_7000_5EED,
             cache_capacity: 64,
             verify_samples: None,
             warm_labels: false,
@@ -446,10 +460,10 @@ fn label_from_json(payload: &Json) -> Option<LabelArtifact> {
     })
 }
 
-/// Mutable session state behind one lock: the artifact caches, the stage
-/// trace, the RNG stream, and hit/miss counters. One coarse mutex keeps
-/// lock ordering trivial; every critical section is a map probe or a
-/// record push, never a build (artifacts are computed outside the lock).
+/// Mutable session state behind one lock: the bounded caches and the
+/// stage tally. One coarse mutex keeps lock ordering trivial; every
+/// critical section is a map probe or a counter update, never a build
+/// (artifacts are computed outside the lock).
 #[derive(Debug)]
 struct SessionState {
     bdds: ArtifactCache<Arc<NetworkBdds>>,
@@ -458,17 +472,12 @@ struct SessionState {
     /// Best known labeling per *graph* key, offered as a branch & bound
     /// warm start to subsequent solves over the same graph (a γ sweep
     /// re-costs it under each point's objective).
-    warm_hints: HashMap<ArtifactKey, Labeling>,
+    warm_hints: ArtifactCache<Labeling>,
     /// Proven-optimal odd cycle transversals per *graph* key. The OCT is a
     /// pure, γ-independent function of the graph, so reuse never changes a
     /// result — it only skips the dominant stage of the anytime path.
-    /// Bounded FIFO: `oct_order` tracks insertion for eviction.
-    octs: HashMap<ArtifactKey, Arc<OctResult>>,
-    oct_order: VecDeque<ArtifactKey>,
+    octs: ArtifactCache<Arc<OctResult>>,
     trace: StageTrace,
-    rng_state: u64,
-    hits: usize,
-    misses: usize,
     disk_hits: usize,
     disk_corrupt: usize,
     /// Keys whose artifact is being built right now (single-flight): a
@@ -479,15 +488,14 @@ struct SessionState {
 
 /// A synthesis session: the shared context every pass runs in.
 ///
-/// Owns the [`Budget`], a seeded deterministic RNG stream, the per-stage
-/// [`StageTrace`], and the content-addressed artifact cache. All state is
-/// behind interior mutability (`&Session` suffices everywhere), so one
-/// session can be shared by [`synthesize_batch`] workers and by the
-/// conformance oracles without cloning artifacts.
+/// Owns the [`Budget`], the per-stage [`StageTrace`] tally, and the
+/// bounded content-addressed caches. All state is behind interior
+/// mutability (`&Session` suffices everywhere), so one session can be
+/// shared by [`synthesize_batch`] workers and by the conformance oracles
+/// without cloning artifacts.
 #[derive(Debug)]
 pub struct Session {
     budget: Budget,
-    seed: u64,
     verify_samples: Option<usize>,
     warm_labels: bool,
     disk_cache: Option<PathBuf>,
@@ -508,7 +516,6 @@ impl Session {
     pub fn new(config: SessionConfig) -> Self {
         Session {
             budget: config.budget,
-            seed: config.seed,
             verify_samples: config.verify_samples,
             warm_labels: config.warm_labels,
             disk_cache: config.disk_cache,
@@ -516,13 +523,9 @@ impl Session {
                 bdds: ArtifactCache::new(config.cache_capacity),
                 graphs: ArtifactCache::new(config.cache_capacity),
                 labels: ArtifactCache::new(config.cache_capacity),
-                warm_hints: HashMap::new(),
-                octs: HashMap::new(),
-                oct_order: VecDeque::new(),
+                warm_hints: ArtifactCache::new(config.cache_capacity),
+                octs: ArtifactCache::new(config.cache_capacity),
                 trace: StageTrace::default(),
-                rng_state: config.seed,
-                hits: 0,
-                misses: 0,
                 disk_hits: 0,
                 disk_corrupt: 0,
                 in_flight: HashSet::new(),
@@ -544,30 +547,12 @@ impl Session {
         &self.budget
     }
 
-    /// The seed the session's RNG stream started from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Assignments to verify each design on, when verification is enabled.
     pub fn verify_samples(&self) -> Option<usize> {
         self.verify_samples
     }
 
-    /// The next value of the session's deterministic RNG stream
-    /// (splitmix64). Consumers that need per-task seeds (defect
-    /// injection, sampling) draw here so a session replays bit-for-bit
-    /// from its seed.
-    pub fn next_seed(&self) -> u64 {
-        let mut state = self.lock();
-        state.rng_state = state.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A snapshot of the stage trace so far.
+    /// A snapshot of the stage tally so far.
     pub fn trace(&self) -> StageTrace {
         self.lock().trace.clone()
     }
@@ -576,8 +561,8 @@ impl Session {
     pub fn cache_stats(&self) -> CacheStats {
         let state = self.lock();
         CacheStats {
-            hits: state.hits,
-            misses: state.misses,
+            hits: state.trace.cache_hits(),
+            misses: state.trace.cache_misses(),
             entries: state.bdds.len() + state.graphs.len() + state.labels.len(),
             evicted: state.bdds.evicted + state.graphs.evicted + state.labels.evicted,
             disk_hits: state.disk_hits,
@@ -585,7 +570,7 @@ impl Session {
         }
     }
 
-    /// Drops every cached artifact and warm hint (the trace is kept).
+    /// Drops every cached artifact and hint (the tally is kept).
     pub fn clear_cache(&self) {
         let mut state = self.lock();
         state.bdds.clear();
@@ -593,7 +578,6 @@ impl Session {
         state.labels.clear();
         state.warm_hints.clear();
         state.octs.clear();
-        state.oct_order.clear();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
@@ -673,7 +657,7 @@ impl Session {
         if !self.warm_labels {
             return None;
         }
-        self.lock().warm_hints.get(&graph).cloned()
+        self.lock().warm_hints.get(graph)
     }
 
     /// Offers `labeling` as the warm hint for `graph`. Last writer wins:
@@ -686,37 +670,21 @@ impl Session {
         self.lock().warm_hints.insert(graph, labeling);
     }
 
-    /// Caps [`SessionState::octs`]: one entry per distinct graph is fine
-    /// for sweeps, but conformance/serve sessions stream thousands of
-    /// graphs through and must not grow without bound.
-    const OCT_HINT_CAP: usize = 256;
-
     /// The cached proven-optimal odd cycle transversal for `graph`, if any.
     /// Unlike warm labels this is not gated behind an opt-in: the OCT is
     /// deterministic per graph, so a hit returns exactly what a fresh
     /// solve would compute.
     pub(crate) fn oct_hint(&self, graph: ArtifactKey) -> Option<Arc<OctResult>> {
-        self.lock().octs.get(&graph).cloned()
+        self.lock().octs.get(graph)
     }
 
     /// Publishes a proven-optimal OCT for `graph` (first writer wins —
-    /// every writer would publish the same value). Evicts FIFO beyond
-    /// [`Session::OCT_HINT_CAP`] entries.
+    /// every writer would publish the same value).
     pub(crate) fn offer_oct_hint(&self, graph: ArtifactKey, oct: Arc<OctResult>) {
         let mut state = self.lock();
-        if state.octs.contains_key(&graph) {
-            return;
+        if state.octs.get(graph).is_none() {
+            state.octs.insert(graph, oct);
         }
-        while state.octs.len() >= Self::OCT_HINT_CAP {
-            match state.oct_order.pop_front() {
-                Some(old) => {
-                    state.octs.remove(&old);
-                }
-                None => break,
-            }
-        }
-        state.octs.insert(graph, oct);
-        state.oct_order.push_back(graph);
     }
 
     fn claim_with<T>(
@@ -756,14 +724,32 @@ impl Session {
         self.lock().labels.insert(key, label);
     }
 
-    pub(crate) fn record(&self, record: StageRecord) {
+    /// Counts one execution of `kind` in the stage tally.
+    pub(crate) fn record(&self, kind: StageKind, wall: Duration, cache: CacheOutcome) {
+        self.lock().trace.add(kind, wall, cache);
+    }
+
+    /// Counts one labeling run with its solver figures: branch & bound
+    /// `nodes`, the relative `gap` it ended with, and the warm-start
+    /// outcome (`None` when no warm start was offered).
+    pub(crate) fn record_label(
+        &self,
+        wall: Duration,
+        cache: CacheOutcome,
+        nodes: u64,
+        gap: f64,
+        warm_start: Option<bool>,
+    ) {
         let mut state = self.lock();
-        match record.cache {
-            CacheOutcome::Hit => state.hits += 1,
-            CacheOutcome::Miss => state.misses += 1,
-            CacheOutcome::Uncached => {}
+        let trace = &mut state.trace;
+        trace.add(StageKind::VhLabel, wall, cache);
+        trace.bnb_nodes += nodes;
+        match warm_start {
+            Some(true) => trace.warm_hits += 1,
+            Some(false) => trace.warm_misses += 1,
+            None => {}
         }
-        state.trace.records.push(record);
+        trace.worst_gap = trace.worst_gap.max(gap);
     }
 }
 
@@ -1156,22 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn session_rng_stream_is_deterministic() {
-        let a = Session::new(SessionConfig {
-            seed: 42,
-            ..SessionConfig::default()
-        });
-        let b = Session::new(SessionConfig {
-            seed: 42,
-            ..SessionConfig::default()
-        });
-        let xs: Vec<u64> = (0..4).map(|_| a.next_seed()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.next_seed()).collect();
-        assert_eq!(xs, ys);
-        assert_ne!(xs[0], xs[1]);
-    }
-
-    #[test]
     fn verify_samples_records_a_verify_stage() {
         let n = fig2_network();
         let session = Session::new(SessionConfig {
@@ -1181,11 +1151,7 @@ mod tests {
         synthesize_in(&session, &n, &Config::default()).unwrap();
         let trace = session.trace();
         assert_eq!(trace.runs(StageKind::Verify), 1);
-        // fig2 has 3 inputs, so verification is exhaustive: 8 assignments.
-        assert!(trace
-            .records
-            .iter()
-            .any(|r| r.kind == StageKind::Verify && r.items == 8));
+        assert_eq!(trace.builds(StageKind::Verify), 1, "verify is never cached");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use flowc_compact::pipeline::Config;
 use flowc_compact::session::bdd_key;
 use flowc_compact::{
     synthesize_in_budgeted, CompactError, CompactResult, EditError, EditSession, EditSessionConfig,
-    EditableNetlist, Rung, Session, SessionConfig, StageKind, VhStrategy,
+    EditableNetlist, Rung, Session, SessionConfig, StageKind, StageTrace, VhStrategy,
 };
 use flowc_logic::blif;
 use flowc_report::Json;
@@ -1032,65 +1032,41 @@ fn metrics_json(inner: &Arc<ServerInner>) -> Json {
     let trips = breaker.trips();
     drop(breaker);
 
-    // Aggregate the session shards: cache effectiveness + per-stage work.
-    let mut hits = 0usize;
-    let mut misses = 0usize;
+    // Sum the session shards: cache effectiveness, per-stage work, and
+    // the labeling solver's figures (branch & bound nodes, warm-start
+    // hit/miss, the worst gap) all come from each shard's stage tally.
+    let mut trace = StageTrace::default();
     let mut entries = 0usize;
     let mut evicted = 0usize;
     let mut disk_hits = 0usize;
     let mut disk_corrupt = 0usize;
-    let mut stages: Vec<(String, Json)> = Vec::new();
-    let mut per_stage: Vec<(StageKind, usize, usize, usize, Duration)> = StageKind::all()
-        .into_iter()
-        .map(|k| (k, 0, 0, 0, Duration::ZERO))
-        .collect();
-    // Labeling-solver figures ride along: branch & bound nodes, proven
-    // gaps, and warm-start hit/miss across every VhLabel record.
-    let mut solves = 0usize;
-    let mut bnb_nodes = 0u64;
-    let mut warm_hits = 0usize;
-    let mut warm_misses = 0usize;
-    let mut worst_gap = 0.0f64;
     for session in &inner.sessions {
         let stats = session.cache_stats();
-        hits += stats.hits;
-        misses += stats.misses;
         entries += stats.entries;
         evicted += stats.evicted;
         disk_hits += stats.disk_hits;
         disk_corrupt += stats.disk_corrupt;
-        let trace = session.trace();
-        for (kind, runs, builds, cache_hits, wall) in &mut per_stage {
-            *runs += trace.runs(*kind);
-            *builds += trace.builds(*kind);
-            *cache_hits += trace.hits(*kind);
-            *wall += trace.total_wall(*kind);
-        }
-        for solve in trace.records.iter().filter_map(|r| r.solve) {
-            solves += 1;
-            bnb_nodes += solve.nodes;
-            match solve.warm_start {
-                Some(true) => warm_hits += 1,
-                Some(false) => warm_misses += 1,
-                None => {}
-            }
-            worst_gap = worst_gap.max(solve.gap);
-        }
+        trace.absorb(&session.trace());
     }
-    for (kind, runs, builds, cache_hits, wall) in per_stage {
-        if runs == 0 {
-            continue;
-        }
-        stages.push((
-            kind.name().to_string(),
-            Json::Obj(vec![
-                ("runs".into(), Json::int(runs)),
-                ("builds".into(), Json::int(builds)),
-                ("cache_hits".into(), Json::int(cache_hits)),
-                ("wall_ms".into(), Json::Num(wall.as_millis() as f64)),
-            ]),
-        ));
-    }
+    let stages: Vec<(String, Json)> = StageKind::all()
+        .into_iter()
+        .filter(|&kind| trace.runs(kind) > 0)
+        .map(|kind| {
+            (
+                kind.name().to_string(),
+                Json::Obj(vec![
+                    ("runs".into(), Json::int(trace.runs(kind))),
+                    ("builds".into(), Json::int(trace.builds(kind))),
+                    ("cache_hits".into(), Json::int(trace.hits(kind))),
+                    (
+                        "wall_ms".into(),
+                        Json::Num(trace.total_wall(kind).as_millis() as f64),
+                    ),
+                ]),
+            )
+        })
+        .collect();
+    let (hits, misses) = (trace.cache_hits(), trace.cache_misses());
     let cache_total = hits + misses;
     let hit_rate = if cache_total == 0 {
         0.0
@@ -1121,11 +1097,14 @@ fn metrics_json(inner: &Arc<ServerInner>) -> Json {
         (
             "solver".into(),
             Json::Obj(vec![
-                ("label_solves".into(), Json::int(solves)),
-                ("bnb_nodes".into(), Json::Num(bnb_nodes as f64)),
-                ("warm_hits".into(), Json::int(warm_hits)),
-                ("warm_misses".into(), Json::int(warm_misses)),
-                ("worst_gap".into(), Json::Num(worst_gap)),
+                (
+                    "label_solves".into(),
+                    Json::int(trace.runs(StageKind::VhLabel)),
+                ),
+                ("bnb_nodes".into(), Json::Num(trace.bnb_nodes as f64)),
+                ("warm_hits".into(), Json::int(trace.warm_hits)),
+                ("warm_misses".into(), Json::int(trace.warm_misses)),
+                ("worst_gap".into(), Json::Num(trace.worst_gap)),
             ]),
         ),
     ];

@@ -115,10 +115,15 @@ fn sigkill_mid_workload_loses_no_job() {
     let m = metrics(addr);
     assert!(journal_metric(&m, "records_replayed") > 0);
     assert_eq!(journal_metric(&m, "checksum_failures"), 0);
-    assert_eq!(
-        journal_metric(&m, "restored_terminal"),
-        settled.len() as u64,
-        "every pre-kill terminal job is restored: {}",
+    // A job can finish between the last poll and the kill; the journal
+    // then rightly restores it as terminal too. So the count is bounded
+    // by the jobs seen terminal before the kill and the jobs admitted.
+    let restored = journal_metric(&m, "restored_terminal");
+    assert!(
+        restored >= settled.len() as u64 && restored <= ids.len() as u64,
+        "every pre-kill terminal job is restored ({} seen terminal, {} admitted): {}",
+        settled.len(),
+        ids.len(),
         m.to_compact()
     );
 

@@ -14,7 +14,7 @@ use flowc::baselines::{
 };
 use flowc::budget::Budget;
 use flowc::compact::constrained::{synthesize_constrained, ConstraintError, SizeLimits};
-use flowc::compact::{Config, Rung, VhStrategy};
+use flowc::compact::{CompactError, Config, Rung, VhStrategy};
 use flowc::conform::oracle::{differential_check, BackendOracle, DiffConfig, Oracle};
 use flowc::conform::Rng;
 use flowc::logic::{bench_suite, blif, Network};
@@ -250,5 +250,52 @@ fn robdd_diagonal_reports_an_exhausted_deadline_as_degraded() {
         );
         assert!(design.degraded, "deadline {deadline:?}");
         check_design("robdd-diagonal", &design, &network, 256);
+    }
+}
+
+fn cavlc() -> Network {
+    bench_suite::by_name("cavlc")
+        .expect("cavlc benchmark")
+        .network()
+        .expect("cavlc builds")
+}
+
+/// A deadline that passes while the partitioned backend packs its tiles
+/// reaches each tile's ladder: the job ships a valid tile schedule
+/// flagged `degraded` instead of failing, an already-expired deadline
+/// included, and a cancel still stops it with the typed error.
+#[test]
+fn partitioned_reports_an_exhausted_deadline_as_degraded() {
+    let network = cavlc();
+    let backend = Backend::parse("partitioned").expect("partitioned parses");
+    for deadline in [Duration::from_millis(200), Duration::ZERO] {
+        let ctx = SynthesisCtx::default().with_budget(Budget::unlimited().with_deadline(deadline));
+        let start = Instant::now();
+        let design = backend
+            .synthesize(&network, &ctx)
+            .unwrap_or_else(|e| panic!("deadline {deadline:?}: {e}"));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "deadline {deadline:?}"
+        );
+        assert!(design.degraded, "deadline {deadline:?}");
+        assert!(design.metrics.tiles > 1, "cavlc overflows one 64x64 tile");
+        check_design("partitioned", &design, &network, 256);
+    }
+
+    let cancelled = Budget::unlimited();
+    cancelled.cancel_handle().cancel();
+    match backend.synthesize(&network, &SynthesisCtx::default().with_budget(cancelled)) {
+        Err(BackendError::Compact(CompactError::Cancelled)) => {}
+        other => panic!("a cancel must stop the job, got {other:?}"),
+    }
+
+    // A cone that finds no fit once the budget is spent fails with the
+    // budget's error, not as infeasible: more time might have found one.
+    let spent =
+        SynthesisCtx::default().with_budget(Budget::unlimited().with_deadline(Duration::ZERO));
+    match partitioned_with_tile(3, 3).synthesize(&small_circuit(), &spent) {
+        Err(BackendError::Budget(_)) => {}
+        other => panic!("3x3 tiles on a spent budget must report it, got {other:?}"),
     }
 }

@@ -1,6 +1,6 @@
 //! Acceptance tests for the shared synthesis `Session` (DESIGN.md §11):
 //! artifact-cache correctness across a γ sweep, batch-vs-sequential
-//! determinism, and cached-vs-cold equivalence across seeds.
+//! determinism, cached-vs-cold equivalence, and the stage tally's sums.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,36 +51,98 @@ fn five_point_gamma_sweep_builds_the_bdd_once() {
 
 /// Two γ points in the same session synthesize from byte-identical shared
 /// artifacts, and each final crossbar matches what a cold (fresh-session)
-/// synthesis of the same configuration produces — across seeds.
+/// synthesis of the same configuration produces.
 #[test]
 fn cached_results_match_cold_synthesis_across_seeds() {
     let network = fig2_network();
-    for seed in [0u64, 1, 0xDEAD_BEEF] {
-        let session = Session::new(SessionConfig {
-            seed,
-            ..SessionConfig::default()
-        });
-        for &gamma in &[0.0, 1.0] {
-            let cached = synthesize_in(&session, &network, &Config::gamma(gamma)).unwrap();
-            let cold = synthesize(&network, &Config::gamma(gamma)).unwrap();
-            assert_eq!(
-                cached.crossbar, cold.crossbar,
-                "seed {seed} γ={gamma}: cached and cold designs diverge"
-            );
-            assert_eq!(cached.stats, cold.stats);
-        }
-        // Both γ points drew from the same cached artifacts: the BDD and
-        // graph keys recorded in the trace are identical across points.
-        let trace = session.trace();
-        let bdd_keys: Vec<_> = trace
-            .records
-            .iter()
-            .filter(|r| r.kind == StageKind::BddBuild)
-            .map(|r| r.key.expect("BDD stage is cacheable"))
-            .collect();
-        assert_eq!(bdd_keys.len(), 2);
-        assert_eq!(bdd_keys[0], bdd_keys[1]);
+    let session = Session::default();
+    for &gamma in &[0.0, 1.0] {
+        let cached = synthesize_in(&session, &network, &Config::gamma(gamma)).unwrap();
+        let cold = synthesize(&network, &Config::gamma(gamma)).unwrap();
+        assert_eq!(
+            cached.crossbar, cold.crossbar,
+            "γ={gamma}: cached and cold designs diverge"
+        );
+        assert_eq!(cached.stats, cold.stats);
     }
+    // Both γ points drew from the same cached BDD: one build, one hit.
+    let trace = session.trace();
+    assert_eq!(trace.builds(StageKind::BddBuild), 1, "{}", trace.summary());
+    assert_eq!(trace.hits(StageKind::BddBuild), 1);
+}
+
+/// A parity chain over `width` inputs: a cheap, structurally distinct
+/// network per width.
+fn parity_chain(width: usize) -> Network {
+    let mut n = Network::new(format!("parity{width}"));
+    let inputs: Vec<_> = (0..width).map(|i| n.add_input(format!("x{i}"))).collect();
+    let mut acc = inputs[0];
+    for (i, &x) in inputs.iter().enumerate().skip(1) {
+        acc = n
+            .add_gate(GateKind::Xor, &[acc, x], format!("p{i}"))
+            .unwrap();
+    }
+    n.mark_output(acc);
+    n
+}
+
+/// The stage tally stays consistent over a long mixed workload: 200
+/// `synthesize_in` calls over four networks and five γ values through one
+/// session count one run per call in every stage, split each stage's runs
+/// into builds and hits, and sum to the session's cache statistics.
+#[test]
+fn stage_tally_sums_match_cache_stats_over_two_hundred_calls() {
+    const ROUNDS: usize = 10;
+    let networks = [
+        fig2_network(),
+        parity_chain(3),
+        parity_chain(4),
+        parity_chain(5),
+    ];
+    let session = Session::new(SessionConfig {
+        verify_samples: Some(16),
+        ..SessionConfig::default()
+    });
+    let mut calls = 0;
+    for _ in 0..ROUNDS {
+        for network in &networks {
+            for &gamma in &GAMMAS {
+                synthesize_in(&session, network, &Config::gamma(gamma)).unwrap();
+                calls += 1;
+            }
+        }
+    }
+    assert_eq!(calls, ROUNDS * networks.len() * GAMMAS.len());
+    assert!(calls >= 200);
+
+    let trace = session.trace();
+    for kind in StageKind::all() {
+        assert_eq!(trace.runs(kind), calls, "{kind}: {}", trace.summary());
+        assert_eq!(trace.builds(kind) + trace.hits(kind), trace.runs(kind));
+    }
+    // Each network's BDD and graph are built once; every (network, γ)
+    // labeling closes optimally, is stored, and serves the later rounds.
+    assert_eq!(trace.builds(StageKind::BddBuild), networks.len());
+    assert_eq!(trace.builds(StageKind::GraphExtract), networks.len());
+    assert_eq!(
+        trace.builds(StageKind::VhLabel),
+        networks.len() * GAMMAS.len()
+    );
+    assert_eq!(trace.hits(StageKind::Map), 0, "mapping is never cached");
+
+    let cache = session.cache_stats();
+    let hits: usize = StageKind::all().into_iter().map(|k| trace.hits(k)).sum();
+    assert_eq!(cache.hits, hits);
+    assert_eq!(cache.hits, trace.cache_hits());
+    assert_eq!(cache.misses, trace.cache_misses());
+    assert_eq!(
+        cache.misses,
+        trace.builds(StageKind::BddBuild)
+            + trace.builds(StageKind::GraphExtract)
+            + trace.builds(StageKind::VhLabel),
+        "every computed BDD, graph and labeling is a cache miss"
+    );
+    assert_eq!(cache.evicted, 0);
 }
 
 /// `synthesize_batch` at 4 threads returns results in task order and each
