@@ -81,22 +81,26 @@ fn bench_variable_ordering() {
 }
 
 /// The Figure 7 move: how expensive is VH-addition hill climbing, and how
-/// much maximum dimension does it buy.
+/// much maximum dimension does it buy, from the minimum-semiperimeter
+/// labeling of circuits of 250 (int2float), 511 (dec) and 1344 (i2c)
+/// graph nodes.
 fn bench_hill_climb() {
-    let g = graph_of("int2float");
-    let base = min_semiperimeter(&g, &OctMethodConfig::default(), &secs(30)).labeling;
-    bench("hill_climb", "int2float", || {
-        let (improved, _) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
-        black_box(improved.stats().max_dimension)
-    });
-    // Quality datum printed once (the harness times it, humans read this).
-    let (improved, moves) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
-    eprintln!(
-        "[ablation] int2float hill climb: D {} -> {} with {} accepted moves",
-        base.stats().max_dimension,
-        improved.stats().max_dimension,
-        moves
-    );
+    for name in ["int2float", "dec", "i2c"] {
+        let g = graph_of(name);
+        let base = min_semiperimeter(&g, &OctMethodConfig::default(), &secs(30)).labeling;
+        bench("hill_climb", name, || {
+            let (improved, _) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
+            black_box(improved.stats().max_dimension)
+        });
+        // Quality datum printed once (the harness times it, humans read this).
+        let (improved, moves) = hill_climb(&g, &base, 0.5, true, &secs(2), |_| {});
+        eprintln!(
+            "[ablation] {name} hill climb: D {} -> {} with {} accepted moves",
+            base.stats().max_dimension,
+            improved.stats().max_dimension,
+            moves
+        );
+    }
 }
 
 fn main() {

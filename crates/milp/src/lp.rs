@@ -641,7 +641,9 @@ fn pivot(t: &mut [Vec<f64>], row: usize, col: usize, total: usize) {
     for cell in t[row].iter_mut().take(total + 1) {
         *cell /= piv;
     }
-    let pivot_row: Vec<f64> = t[row].clone();
+    // Take the pivot row out so the other rows can borrow it; it goes back
+    // unchanged.
+    let pivot_row = std::mem::take(&mut t[row]);
     for (ri, r) in t.iter_mut().enumerate() {
         if ri == row {
             continue;
@@ -653,6 +655,7 @@ fn pivot(t: &mut [Vec<f64>], row: usize, col: usize, total: usize) {
             }
         }
     }
+    t[row] = pivot_row;
 }
 
 #[cfg(test)]

@@ -207,3 +207,38 @@ fn warm_started_sweep_lands_on_the_cold_optima() {
         warm = Some(warmed.labeling);
     }
 }
+
+/// The 5-point γ sweeps of two anytime-path circuits keep their shapes:
+/// `(γ, S, D)` per point, one session, warm starts chained as
+/// `--gamma-sweep 5` runs them. A change to the hill climb that accepts a
+/// different move shows here.
+#[test]
+fn anytime_sweeps_keep_their_shapes() {
+    use std::sync::Arc;
+
+    use flowc::compact::{gamma_sweep_tasks, synthesize_in, Session};
+    use flowc::logic::bench_suite;
+
+    let golden: [(&str, [(usize, usize); 5]); 2] = [
+        ("dec", [(511, 341); 5]),
+        (
+            "int2float",
+            [(263, 132), (263, 132), (262, 133), (262, 133), (262, 133)],
+        ),
+    ];
+    let gammas = [0.0, 0.25, 0.5, 0.75, 1.0];
+    for (name, shape) in golden {
+        let network = Arc::new(bench_suite::by_name(name).unwrap().network().unwrap());
+        let session = Session::default();
+        for task in gamma_sweep_tasks(&network, &gammas, Duration::from_secs(30)) {
+            let r = synthesize_in(&session, &network, &task.config).unwrap();
+            let gamma = task.config.strategy.gamma();
+            let i = gammas.iter().position(|&g| g == gamma).unwrap();
+            assert_eq!(
+                (r.stats.semiperimeter, r.stats.max_dimension),
+                shape[i],
+                "{name} at γ {gamma}"
+            );
+        }
+    }
+}

@@ -16,8 +16,10 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use flowc::budget::Budget;
+use flowc::compact::balance::{balanced_labeling, MoveScorer};
+use flowc::compact::mip_method::hill_climb;
 use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
-use flowc::compact::BddGraph;
+use flowc::compact::{BddGraph, Labeling, VhLabel};
 use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
 use flowc::graph::{oct_heuristic, odd_cycle_transversal, two_color, ColorResult, UGraph};
@@ -214,6 +216,221 @@ fn oct_heuristic_sizes_on_registry_circuits_are_pinned() {
         let t = oct_heuristic(&graph.graph);
         assert_eq!(t.len(), k, "{name}");
         assert!(is_bipartite_without(&graph.graph, &t), "{name}");
+    }
+}
+
+/// VH-addition hill climbing scored the slow way: a full
+/// `balanced_labeling` of every candidate move. `hill_climb` must return
+/// exactly this labeling and accepted-move count.
+fn reference_hill_climb(
+    graph: &BddGraph,
+    start: &Labeling,
+    gamma: f64,
+    align: bool,
+) -> (Labeling, usize) {
+    let n = graph.num_nodes();
+    let mut vh: HashSet<usize> = (0..n)
+        .filter(|&v| matches!(start.label(v), VhLabel::Vh))
+        .collect();
+    let mut best = start.clone();
+    let mut best_obj = best.stats().objective(gamma);
+    let mut accepted = 0usize;
+    if gamma >= 1.0 {
+        return (best, 0); // adding VH nodes can only hurt S
+    }
+    loop {
+        let mut improved = false;
+        // Candidates: non-VH nodes, highest degree first (they reconnect the
+        // most components when removed).
+        let mut candidates: Vec<usize> = (0..n).filter(|v| !vh.contains(v)).collect();
+        candidates.sort_by_key(|&v| std::cmp::Reverse(graph.graph.degree(v)));
+        for v in candidates {
+            vh.insert(v);
+            let cand = balanced_labeling(graph, &vh, align);
+            let obj = cand.stats().objective(gamma);
+            if obj + 1e-9 < best_obj {
+                best = cand;
+                best_obj = obj;
+                accepted += 1;
+                improved = true;
+            } else {
+                vh.remove(&v);
+            }
+        }
+        if !improved {
+            return (best, accepted);
+        }
+    }
+}
+
+#[test]
+fn hill_climb_matches_the_rescoring_reference() {
+    let accepted = std::cell::Cell::new(0usize);
+    harness("hill_climb_matches_the_rescoring_reference").check_network(
+        &NetworkGen::new(8, 40),
+        |network, _rng| {
+            let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(network, None));
+            let greedy: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
+            for align in [false, true] {
+                let start = balanced_labeling(&graph, &greedy, align);
+                for gamma in [0.0, 0.25, 0.5, 0.75] {
+                    let (climbed, moves) =
+                        hill_climb(&graph, &start, gamma, align, &Budget::unlimited(), |_| {});
+                    assert_eq!(
+                        (climbed, moves),
+                        reference_hill_climb(&graph, &start, gamma, align),
+                        "align {align}, γ {gamma}"
+                    );
+                    accepted.set(accepted.get() + moves);
+                }
+            }
+        },
+    );
+    assert!(accepted.get() > 0, "no case accepted a move");
+}
+
+#[test]
+fn hill_climb_matches_the_rescoring_reference_on_registry_circuits() {
+    for name in ["int2float", "dec", "cavlc"] {
+        let network = flowc::logic::bench_suite::by_name(name)
+            .unwrap()
+            .network()
+            .unwrap();
+        let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None));
+        let greedy: HashSet<usize> = oct_heuristic(&graph.graph).into_iter().collect();
+        let start = balanced_labeling(&graph, &greedy, true);
+        for gamma in [0.0, 0.5] {
+            let climbed = hill_climb(&graph, &start, gamma, true, &Budget::unlimited(), |_| {});
+            assert_eq!(
+                climbed,
+                reference_hill_climb(&graph, &start, gamma, true),
+                "{name}, γ {gamma}"
+            );
+        }
+    }
+}
+
+/// A labeling instance for the move scorer: a random graph (dense, or a
+/// random tree with a few chords, whose many cut vertices the scorer must
+/// split correctly), sometimes a second graph beside it and a few isolated
+/// vertices; random roots and terminal; a valid transversal (the greedy
+/// one plus random extra nodes).
+fn gen_scoring_instance(rng: &mut Rng) -> (BddGraph, HashSet<usize>, bool) {
+    let gen_part = |rng: &mut Rng| {
+        let n = 1 + rng.below(30);
+        if rng.coin() {
+            return gen_small_graph(rng, n);
+        }
+        let mut g = UGraph::new(n);
+        for v in 1..n {
+            g.add_edge(v, rng.below(v));
+        }
+        for _ in 0..rng.below(n / 2 + 1) {
+            let (u, v) = (rng.below(n), rng.below(n));
+            if u != v {
+                g.add_edge(u, v);
+            }
+        }
+        g
+    };
+    let mut g = gen_part(rng);
+    if rng.coin() {
+        let h = gen_part(rng);
+        let offset = g.num_vertices();
+        for _ in 0..h.num_vertices() {
+            g.add_vertex();
+        }
+        for &(u, v) in h.edges() {
+            g.add_edge(u + offset, v + offset);
+        }
+    }
+    for _ in 0..rng.below(4) {
+        g.add_vertex();
+    }
+    let n = g.num_vertices();
+    let roots = (0..rng.below(5)).map(|_| Some(rng.below(n))).collect();
+    let terminal = rng.coin().then(|| rng.below(n));
+    let mut vh: HashSet<usize> = oct_heuristic(&g).into_iter().collect();
+    for v in 0..n {
+        if rng.chance(0.1) {
+            vh.insert(v);
+        }
+    }
+    let graph = BddGraph {
+        graph: g,
+        labels: std::collections::HashMap::new(),
+        terminal,
+        roots,
+        node_names: (0..n).map(|v| format!("n{v}")).collect(),
+        num_inputs: 0,
+    };
+    (graph, vh, rng.coin())
+}
+
+/// Connected components of `g` without the nodes in `removed`.
+fn components_without(g: &UGraph, removed: &HashSet<usize>) -> usize {
+    let keep: Vec<bool> = (0..g.num_vertices())
+        .map(|v| !removed.contains(&v))
+        .collect();
+    g.induced_subgraph(&keep).0.components().1
+}
+
+#[test]
+fn move_scorer_matches_a_full_relabeling() {
+    // Cases seen: several parts, an isolated node, an aligned cut vertex,
+    // a cut vertex that roots its part's DFS (the scorer starts each DFS
+    // at the part's lowest-index node).
+    let seen = [(); 4].map(|_| std::cell::Cell::new(0usize));
+    harness("move_scorer_matches_a_full_relabeling").check(|rng| {
+        let (graph, vh, align) = gen_scoring_instance(rng);
+        let g = &graph.graph;
+        let mut scorer = MoveScorer::new(&graph, &vh, align);
+        let parts = components_without(g, &vh);
+        let keep: Vec<bool> = (0..g.num_vertices()).map(|v| !vh.contains(&v)).collect();
+        let (sub, back) = g.induced_subgraph(&keep);
+        let (comp, _) = sub.components();
+        let mut part_min = vec![usize::MAX; parts];
+        for (s, &v) in back.iter().enumerate() {
+            part_min[comp[s]] = part_min[comp[s]].min(v);
+        }
+        let aligned: HashSet<usize> = graph
+            .roots
+            .iter()
+            .flatten()
+            .chain(&graph.terminal)
+            .copied()
+            .collect();
+        for (s, &v) in back.iter().enumerate() {
+            let mut with = vh.clone();
+            with.insert(v);
+            assert_eq!(
+                scorer.score(v),
+                balanced_labeling(&graph, &with, align).stats(),
+                "node {v}, align {align}, vh {vh:?}, edges {:?}",
+                g.edges()
+            );
+            let cut = components_without(g, &with) > parts;
+            let hits = [
+                parts >= 2,
+                sub.degree(s) == 0,
+                cut && align && aligned.contains(&v),
+                cut && part_min[comp[s]] == v,
+            ];
+            for (count, hit) in seen.iter().zip(hits) {
+                count.set(count.get() + usize::from(hit));
+            }
+        }
+    });
+    for (what, count) in [
+        "several parts",
+        "isolated node",
+        "aligned cut vertex",
+        "DFS root cut vertex",
+    ]
+    .iter()
+    .zip(&seen)
+    {
+        assert!(count.get() > 0, "no case scored a move on a {what}");
     }
 }
 
