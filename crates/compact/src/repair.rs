@@ -279,7 +279,13 @@ fn permutation_search(
     rounds: usize,
 ) -> (Vec<usize>, Vec<usize>, bool) {
     let (rows, cols) = (design.rows(), design.cols());
-    let cell = |r: usize, c: usize| design.get(r, c).expect("in range");
+    // The search reads every design cell per round, so it reads a dense
+    // grid built once rather than the sparse store.
+    let mut grid = vec![DeviceAssignment::Off; rows * cols];
+    for (r, c, a) in design.programmed_devices() {
+        grid[r * cols + c] = a;
+    }
+    let cell = |r: usize, c: usize| grid[r * cols + c];
     let mut col_perm: Vec<usize> = (0..cols).collect();
     let mut row_perm: Vec<usize> = (0..rows).collect();
     let mut perfect = false;

@@ -49,11 +49,18 @@ impl ElectricalModel {
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::NoInputPort`] when no input row is bound, or
-    /// [`XbarError::InputLen`] on a wrong-sized assignment.
+    /// Returns [`XbarError::NoInputPort`] when no input row is bound,
+    /// [`XbarError::InputLen`] on a wrong-sized assignment, or
+    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
+    /// of range.
     pub fn output_voltages(&self, xbar: &Crossbar, inputs: &[bool]) -> Result<Vec<f64>> {
         let input_row = xbar.input_row().ok_or(XbarError::NoInputPort)?;
-        let conducting = xbar.program(inputs)?;
+        if inputs.len() != xbar.num_inputs() {
+            return Err(XbarError::InputLen {
+                got: inputs.len(),
+                expected: xbar.num_inputs(),
+            });
+        }
         let rows = xbar.rows();
         let cols = xbar.cols();
         // Node numbering: rows 0..rows, cols rows..rows+cols. The input row
@@ -69,17 +76,14 @@ impl ElectricalModel {
         }
         let mut g = vec![vec![0.0f64; unknowns]; unknowns];
         let mut b = vec![0.0f64; unknowns];
-        for (i, node) in idx.iter().enumerate().take(total) {
-            if *node != usize::MAX {
-                g[*node][*node] += self.g_leak;
+        for &node in &idx {
+            if node != usize::MAX {
+                g[node][node] += self.g_leak;
             }
-            let _ = i;
         }
         // Junction resistors.
         for (r, c, a) in xbar.programmed_devices() {
-            let on = conducting[r * cols + c];
-            let _ = a;
-            let conductance = if on {
+            let conductance = if a.conducts_checked(inputs)? {
                 1.0 / self.r_on
             } else {
                 1.0 / self.r_off

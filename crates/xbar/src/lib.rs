@@ -8,7 +8,9 @@
 //! from the input wordline to each output wordline:
 //!
 //! - [`Crossbar::evaluate`] does this as graph reachability (the idealised
-//!   flow model the paper's mapping correctness rests on), and
+//!   flow model the paper's mapping correctness rests on) over the stored
+//!   programmed junctions, 64 assignments at a time through one
+//!   [`Evaluator`], and
 //! - [`circuit::ElectricalModel`] does it as DC nodal analysis of the full
 //!   resistive network with realistic on/off resistances and a sensing
 //!   resistor — our stand-in for the paper's SPICE validation.
@@ -35,7 +37,7 @@ pub mod svg;
 pub mod variation;
 pub mod verify;
 
-pub use model::{Crossbar, DeviceAssignment, Port, XbarError};
+pub use model::{Crossbar, DeviceAssignment, Evaluator, Port, XbarError};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, XbarError>;

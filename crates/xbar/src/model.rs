@@ -1,3 +1,4 @@
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// What a memristor junction is programmed from.
@@ -181,16 +182,24 @@ impl From<flowc_budget::BudgetExceeded> for XbarError {
 
 impl std::error::Error for XbarError {}
 
-/// A crossbar design: the device grid plus input/output port bindings.
+/// A crossbar design: the programmed junctions plus input/output port
+/// bindings.
 ///
 /// Rows are wordlines, columns are bitlines. `input_row` is the wordline
 /// driven with the supply voltage during evaluation (the paper drives the
 /// bottom-most wordline); each output is sensed on its own wordline.
+///
+/// Only the non-[`DeviceAssignment::Off`] junctions are stored: a COMPACT
+/// design programs one junction per BDD edge and one bridge per `VH` node,
+/// a tiny fraction of its `rows × cols` grid, so building, placing and
+/// evaluating a design costs O(rows + cols + devices).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,
-    devices: Vec<DeviceAssignment>,
+    /// The programmed junctions keyed by `(row, col)`, so iteration is
+    /// row-major; an absent key is an `Off` junction.
+    devices: BTreeMap<(usize, usize), DeviceAssignment>,
     num_inputs: usize,
     input_row: Option<usize>,
     outputs: Vec<Port>,
@@ -205,7 +214,7 @@ impl Crossbar {
         Crossbar {
             rows,
             cols,
-            devices: vec![DeviceAssignment::Off; rows * cols],
+            devices: BTreeMap::new(),
             num_inputs,
             input_row: None,
             outputs: Vec::new(),
@@ -245,14 +254,19 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Programs the junction at `(row, col)`.
+    /// Programs the junction at `(row, col)`; programming it
+    /// [`DeviceAssignment::Off`] unprograms it.
     ///
     /// # Errors
     ///
     /// Returns an error when either index is out of range.
     pub fn set(&mut self, row: usize, col: usize, a: DeviceAssignment) -> crate::Result<()> {
         self.check(row, col)?;
-        self.devices[row * self.cols + col] = a;
+        if a == DeviceAssignment::Off {
+            self.devices.remove(&(row, col));
+        } else {
+            self.devices.insert((row, col), a);
+        }
         Ok(())
     }
 
@@ -263,7 +277,7 @@ impl Crossbar {
     /// Returns an error when either index is out of range.
     pub fn get(&self, row: usize, col: usize) -> crate::Result<DeviceAssignment> {
         self.check(row, col)?;
-        Ok(self.devices[row * self.cols + col])
+        Ok(self.devices.get(&(row, col)).copied().unwrap_or_default())
     }
 
     /// Binds the input port (driven wordline).
@@ -354,38 +368,11 @@ impl Crossbar {
     }
 
     /// Iterates over all non-[`DeviceAssignment::Off`] junctions as
-    /// `(row, col, assignment)`.
+    /// `(row, col, assignment)`, in row-major order.
     pub fn programmed_devices(
         &self,
     ) -> impl Iterator<Item = (usize, usize, DeviceAssignment)> + '_ {
-        self.devices.iter().enumerate().filter_map(move |(i, &a)| {
-            if a == DeviceAssignment::Off {
-                None
-            } else {
-                Some((i / self.cols, i % self.cols, a))
-            }
-        })
-    }
-
-    /// Programs the crossbar for an input assignment: returns the conducting
-    /// state of each junction (row-major).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::InputLen`] on a wrong-sized assignment, or
-    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
-    /// of range.
-    pub fn program(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
-        if inputs.len() != self.num_inputs {
-            return Err(XbarError::InputLen {
-                got: inputs.len(),
-                expected: self.num_inputs,
-            });
-        }
-        self.devices
-            .iter()
-            .map(|a| a.conducts_checked(inputs))
-            .collect()
+        self.devices.iter().map(|(&(r, c), &a)| (r, c, a))
     }
 
     /// Flow-based evaluation: programs the devices and returns, for each
@@ -395,120 +382,80 @@ impl Crossbar {
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::NoInputPort`] when no input row is bound, or
-    /// [`XbarError::InputLen`] on a wrong-sized assignment.
+    /// Returns [`XbarError::NoInputPort`] when no input row is bound,
+    /// [`XbarError::InputLen`] on a wrong-sized assignment, or
+    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
+    /// of range.
     pub fn evaluate(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
         let reached = self.reachable_rows(inputs)?;
         Ok(self.outputs.iter().map(|p| reached[p.row]).collect())
     }
 
     /// The set of wordlines electrically connected to the input wordline
-    /// under an assignment (BFS over the bipartite wire graph).
+    /// under an assignment: lane 0 of the [`Evaluator`]'s reachability.
     ///
     /// # Errors
     ///
     /// See [`Crossbar::evaluate`].
     pub fn reachable_rows(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
-        let input_row = self.input_row.ok_or(XbarError::NoInputPort)?;
-        let conducting = self.program(inputs)?;
-        // Node ids: rows are 0..R, columns are R..R+C.
-        let mut row_adj: Vec<Vec<usize>> = vec![Vec::new(); self.rows];
-        let mut col_adj: Vec<Vec<usize>> = vec![Vec::new(); self.cols];
-        for (i, &on) in conducting.iter().enumerate() {
-            if on {
-                let (r, c) = (i / self.cols, i % self.cols);
-                row_adj[r].push(c);
-                col_adj[c].push(r);
-            }
-        }
-        let mut row_seen = vec![false; self.rows];
-        let mut col_seen = vec![false; self.cols];
-        let mut stack = vec![(true, input_row)];
-        row_seen[input_row] = true;
-        while let Some((is_row, idx)) = stack.pop() {
-            if is_row {
-                for &c in &row_adj[idx] {
-                    if !col_seen[c] {
-                        col_seen[c] = true;
-                        stack.push((false, c));
-                    }
-                }
-            } else {
-                for &r in &col_adj[idx] {
-                    if !row_seen[r] {
-                        row_seen[r] = true;
-                        stack.push((true, r));
-                    }
-                }
-            }
-        }
-        Ok(row_seen)
+        let words: Vec<u64> = inputs
+            .iter()
+            .map(|&b| if b { u64::MAX } else { 0 })
+            .collect();
+        let reach = self.evaluator().reach(&words)?;
+        Ok(reach[..self.rows].iter().map(|w| w & 1 == 1).collect())
     }
 
     /// Evaluates 64 input assignments at once: bit `k` of `input_words[i]`
     /// is input `i` in assignment `k`; bit `k` of output word `j` reports
-    /// output `j` under assignment `k`. Reachability is propagated as lane
-    /// masks to a fixpoint, so the cost is shared across all 64 lanes —
-    /// this is what makes large verification sweeps cheap.
+    /// output `j` under assignment `k`. Builds an [`Evaluator`] for the
+    /// one call; a caller evaluating many batches builds it once with
+    /// [`Crossbar::evaluator`].
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::NoInputPort`] when no input row is bound, or
-    /// [`XbarError::InputLen`] on a wrong-sized assignment.
+    /// See [`Evaluator::evaluate64`].
     pub fn evaluate64(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
-        let input_row = self.input_row.ok_or(XbarError::NoInputPort)?;
-        if input_words.len() != self.num_inputs {
-            return Err(XbarError::InputLen {
-                got: input_words.len(),
-                expected: self.num_inputs,
-            });
-        }
-        // Conductance mask per programmed device.
-        let mut devices: Vec<(usize, usize, u64)> = Vec::new();
+        self.evaluator().evaluate64(input_words)
+    }
+
+    /// The crossbar's wire graph as per-wire device lists, ready to
+    /// evaluate any number of 64-lane batches. Costs O(rows + cols +
+    /// devices).
+    pub fn evaluator(&self) -> Evaluator<'_> {
+        let wires = self.rows + self.cols;
+        let mut devices = Vec::with_capacity(self.devices.len());
+        let mut start = vec![0usize; wires + 1];
+        let mut bad_literal = None;
         for (r, c, a) in self.programmed_devices() {
-            let mask = match a {
-                DeviceAssignment::Off => 0,
-                DeviceAssignment::On => u64::MAX,
-                DeviceAssignment::Literal { input, negated } => {
-                    let word = *input_words.get(input).ok_or(XbarError::BadLiteral {
-                        input,
-                        num_inputs: input_words.len(),
-                    })?;
-                    if negated {
-                        !word
-                    } else {
-                        word
-                    }
+            start[r + 1] += 1;
+            start[self.rows + c + 1] += 1;
+            if let DeviceAssignment::Literal { input, .. } = a {
+                if input >= self.num_inputs && bad_literal.is_none() {
+                    bad_literal = Some(input);
                 }
-            };
-            if mask != 0 {
-                devices.push((r, c, mask));
             }
+            devices.push(a);
         }
-        let mut row_reach = vec![0u64; self.rows];
-        let mut col_reach = vec![0u64; self.cols];
-        row_reach[input_row] = u64::MAX;
-        // Fixpoint propagation over the bipartite wire graph; terminates in
-        // at most rows+cols sweeps (each sweep extends shortest paths).
-        loop {
-            let mut changed = false;
-            for &(r, c, mask) in &devices {
-                let to_col = row_reach[r] & mask & !col_reach[c];
-                if to_col != 0 {
-                    col_reach[c] |= to_col;
-                    changed = true;
-                }
-                let to_row = col_reach[c] & mask & !row_reach[r];
-                if to_row != 0 {
-                    row_reach[r] |= to_row;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
+        for w in 0..wires {
+            start[w + 1] += start[w];
         }
-        Ok(self.outputs.iter().map(|p| row_reach[p.row]).collect())
+        let mut fill = start.clone();
+        let mut adj = vec![(0usize, 0usize); start[wires]];
+        for (d, (r, c, _)) in self.programmed_devices().enumerate() {
+            let col = self.rows + c;
+            adj[fill[r]] = (col, d);
+            fill[r] += 1;
+            adj[fill[col]] = (r, d);
+            fill[col] += 1;
+        }
+        Evaluator {
+            xbar: self,
+            devices,
+            start,
+            adj,
+            bad_literal,
+        }
     }
 
     /// Re-places the design onto a (possibly larger) physical grid:
@@ -556,9 +503,10 @@ impl Crossbar {
         check_perm(row_perm, self.rows, phys_rows, "row")?;
         check_perm(col_perm, self.cols, phys_cols, "column")?;
         let mut placed = Crossbar::new(phys_rows, phys_cols, self.num_inputs);
-        for (r, c, a) in self.programmed_devices() {
-            placed.devices[row_perm[r] * phys_cols + col_perm[c]] = a;
-        }
+        placed.devices = self
+            .programmed_devices()
+            .map(|(r, c, a)| ((row_perm[r], col_perm[c]), a))
+            .collect();
         if let Some(input_row) = self.input_row {
             placed.input_row = Some(row_perm[input_row]);
         }
@@ -584,7 +532,7 @@ impl Crossbar {
         let mut out = String::new();
         for r in 0..self.rows {
             for c in 0..self.cols {
-                let a = self.devices[r * self.cols + c];
+                let a = self.devices.get(&(r, c)).copied().unwrap_or_default();
                 let _ = write!(out, "{:>4}", a.to_string());
             }
             let mut tags = Vec::new();
@@ -603,6 +551,97 @@ impl Crossbar {
             }
         }
         out
+    }
+}
+
+/// A crossbar's wire graph as per-wire device lists (one compressed sparse
+/// adjacency over wordlines `0..rows` and bitlines `rows..rows + cols`),
+/// built once by [`Crossbar::evaluator`]. Flow-based evaluation is graph
+/// reachability from the input wordline; [`Evaluator::evaluate64`] runs it
+/// for 64 assignments at once by propagating lane masks with a FIFO
+/// worklist, so each wire forwards only the lanes that newly reached it.
+#[derive(Debug, Clone)]
+pub struct Evaluator<'a> {
+    xbar: &'a Crossbar,
+    /// Programmed devices in row-major order, indexed by device id.
+    devices: Vec<DeviceAssignment>,
+    /// `adj[start[w]..start[w + 1]]` lists wire `w`'s `(other wire, device)`.
+    start: Vec<usize>,
+    adj: Vec<(usize, usize)>,
+    /// The first (row-major) literal whose input index the crossbar lacks.
+    bad_literal: Option<usize>,
+}
+
+impl Evaluator<'_> {
+    /// Evaluates 64 input assignments at once, in the lane layout of
+    /// [`Crossbar::evaluate64`]: bit `k` of output word `j` reports
+    /// output `j` under assignment `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XbarError::NoInputPort`] when no input row is bound,
+    /// [`XbarError::InputLen`] on a wrong-sized assignment, or
+    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
+    /// of range.
+    pub fn evaluate64(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
+        let reach = self.reach(input_words)?;
+        Ok(self.xbar.outputs.iter().map(|p| reach[p.row]).collect())
+    }
+
+    /// The lane masks reaching every wire (wordlines first): the least
+    /// fixpoint of propagation from the input wordline through conducting
+    /// devices.
+    fn reach(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
+        let input_row = self.xbar.input_row.ok_or(XbarError::NoInputPort)?;
+        if input_words.len() != self.xbar.num_inputs {
+            return Err(XbarError::InputLen {
+                got: input_words.len(),
+                expected: self.xbar.num_inputs,
+            });
+        }
+        if let Some(input) = self.bad_literal {
+            return Err(XbarError::BadLiteral {
+                input,
+                num_inputs: input_words.len(),
+            });
+        }
+        let masks: Vec<u64> = self
+            .devices
+            .iter()
+            .map(|&a| match a {
+                DeviceAssignment::Off => 0,
+                DeviceAssignment::On => u64::MAX,
+                DeviceAssignment::Literal { input, negated } => {
+                    let word = input_words[input];
+                    if negated {
+                        !word
+                    } else {
+                        word
+                    }
+                }
+            })
+            .collect();
+        // `pending[w]` holds the lanes that reached `w` but have not yet been
+        // forwarded; a wire is queued exactly while it has pending lanes.
+        let mut reach = vec![0u64; self.start.len() - 1];
+        let mut pending = reach.clone();
+        reach[input_row] = u64::MAX;
+        pending[input_row] = u64::MAX;
+        let mut queue = VecDeque::from([input_row]);
+        while let Some(w) = queue.pop_front() {
+            let fresh = std::mem::take(&mut pending[w]);
+            for &(v, d) in &self.adj[self.start[w]..self.start[w + 1]] {
+                let gained = fresh & masks[d] & !reach[v];
+                if gained != 0 {
+                    reach[v] |= gained;
+                    if pending[v] == 0 {
+                        queue.push_back(v);
+                    }
+                    pending[v] |= gained;
+                }
+            }
+        }
+        Ok(reach)
     }
 }
 
@@ -843,16 +882,12 @@ mod tests {
         x.set_input_row(0).unwrap();
         x.add_output("f", 1).unwrap();
         assert_eq!(
-            x.program(&[true]).unwrap_err(),
+            x.evaluate(&[true]).unwrap_err(),
             XbarError::BadLiteral {
                 input: 7,
                 num_inputs: 1
             }
         );
-        assert!(matches!(
-            x.evaluate(&[true]),
-            Err(XbarError::BadLiteral { input: 7, .. })
-        ));
         assert!(matches!(
             x.evaluate64(&[0]),
             Err(XbarError::BadLiteral { input: 7, .. })

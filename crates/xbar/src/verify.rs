@@ -54,20 +54,50 @@ impl VerifyReport {
     }
 }
 
-fn assignments(num_inputs: usize, samples: usize) -> Vec<Vec<bool>> {
-    if num_inputs <= 16 {
-        // Exhaustive when feasible.
-        (0..1usize << num_inputs)
-            .map(|v| (0..num_inputs).map(|i| v >> i & 1 == 1).collect())
-            .collect()
+/// The assignments [`verify_functional`] checks, drawn straight into lane
+/// words (the layout of [`pack_lanes`]): exhaustive for up to 16 inputs,
+/// otherwise `samples` seeded random draws, input by input. Returns the
+/// assignment count and the `(words, lanes)` chunks of up to 64
+/// assignments each.
+fn lane_chunks(
+    num_inputs: usize,
+    samples: usize,
+) -> (usize, impl Iterator<Item = (Vec<u64>, usize)>) {
+    let exhaustive = num_inputs <= 16;
+    // At least one draw: a zero sample count must not certify a design it
+    // never evaluated.
+    let total = if exhaustive {
+        1usize << num_inputs
     } else {
-        // At least one draw: a zero sample count must not certify a design
-        // it never evaluated.
-        let mut rng = crate::rng::XorShift64::new(0x005E_ED0F_F10C_u64 ^ (num_inputs as u64) << 32);
-        (0..samples.max(1))
-            .map(|_| (0..num_inputs).map(|_| rng.next_u64() & 1 == 1).collect())
-            .collect()
-    }
+        samples.max(1)
+    };
+    let mut rng = crate::rng::XorShift64::new(0x005E_ED0F_F10C_u64 ^ (num_inputs as u64) << 32);
+    let mut base = 0;
+    let chunks = std::iter::from_fn(move || {
+        let lanes = (total - base).min(64);
+        if lanes == 0 {
+            return None;
+        }
+        let mut words = vec![0u64; num_inputs];
+        for lane in 0..lanes {
+            for (i, w) in words.iter_mut().enumerate() {
+                let bit = if exhaustive {
+                    (base + lane) >> i & 1 == 1
+                } else {
+                    rng.next_u64() & 1 == 1
+                };
+                *w |= u64::from(bit) << lane;
+            }
+        }
+        base += lanes;
+        Some((words, lanes))
+    });
+    (total, chunks)
+}
+
+/// Assignment `lane` of a chunk of lane words.
+fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
+    words.iter().map(|w| w >> lane & 1 == 1).collect()
 }
 
 /// Packs up to 64 assignments into lane words: bit `lane` of word `i` is
@@ -125,7 +155,10 @@ pub fn verify_functional_budgeted(
     budget: &Budget,
 ) -> Result<VerifyReport> {
     check_inputs(xbar, reference)?;
-    verify_with(reference, samples, budget, |words| xbar.evaluate64(words))
+    let evaluator = xbar.evaluator();
+    verify_with(reference, samples, budget, |words| {
+        evaluator.evaluate64(words)
+    })
 }
 
 /// The one functional verifier: checks a 64-lane evaluator of
@@ -144,12 +177,10 @@ pub fn verify_with(
     budget: &Budget,
     mut evaluate: impl FnMut(&[u64]) -> Result<Vec<u64>>,
 ) -> Result<VerifyReport> {
-    let k = reference.num_inputs();
-    let assigns = assignments(k, samples);
+    let (checked, chunks) = lane_chunks(reference.num_inputs(), samples);
     let mut mismatches = Vec::new();
-    for chunk in assigns.chunks(64) {
+    for (words, lanes) in chunks {
         budget.check()?;
-        let words = pack_lanes(k, chunk);
         let got = evaluate(&words)?;
         let want = reference.simulate64(&words).expect("packed at its arity");
         let mut diff = got.iter().zip(&want).fold(0, |acc, (g, w)| acc | (g ^ w));
@@ -157,9 +188,9 @@ pub fn verify_with(
             diff = u64::MAX;
         }
         mismatches.extend(
-            (0..chunk.len())
+            (0..lanes)
                 .filter(|&lane| diff >> lane & 1 == 1)
-                .map(|lane| chunk[lane].clone()),
+                .map(|lane| unpack_lane(&words, lane)),
         );
         if mismatches.len() >= 10 {
             mismatches.truncate(10); // enough evidence
@@ -169,7 +200,7 @@ pub fn verify_with(
     mismatches.sort_unstable();
     mismatches.dedup();
     Ok(VerifyReport {
-        checked: assigns.len(),
+        checked,
         mismatches,
         electrical_margin: None,
     })
@@ -193,18 +224,20 @@ pub fn verify_electrical(
     samples: usize,
 ) -> Result<VerifyReport> {
     check_inputs(xbar, reference)?;
-    let assigns = assignments(xbar.num_inputs(), samples);
-    let checked = assigns.len();
+    let (checked, chunks) = lane_chunks(xbar.num_inputs(), samples);
     let mut min_on = f64::INFINITY;
     let mut max_off = f64::NEG_INFINITY;
-    for a in assigns {
-        let volts = model.output_voltages(xbar, &a)?;
-        let want = reference.simulate(&a).expect("input count checked");
-        for (v, w) in volts.iter().zip(&want) {
-            if *w {
-                min_on = min_on.min(*v);
-            } else {
-                max_off = max_off.max(*v);
+    for (words, lanes) in chunks {
+        for lane in 0..lanes {
+            let a = unpack_lane(&words, lane);
+            let volts = model.output_voltages(xbar, &a)?;
+            let want = reference.simulate(&a).expect("input count checked");
+            for (v, w) in volts.iter().zip(&want) {
+                if *w {
+                    min_on = min_on.min(*v);
+                } else {
+                    max_off = max_off.max(*v);
+                }
             }
         }
     }
@@ -321,6 +354,49 @@ mod tests {
         // An unlimited budget behaves like the plain entry point.
         let r = verify_functional_budgeted(&x, &n, 64, &Budget::unlimited()).unwrap();
         assert!(r.is_valid());
+    }
+
+    /// Every assignment as its own `Vec<bool>`, in the seeded draw order:
+    /// the reference `lane_chunks` must reproduce lane for lane.
+    fn materialized_assignments(num_inputs: usize, samples: usize) -> Vec<Vec<bool>> {
+        if num_inputs <= 16 {
+            (0..1usize << num_inputs)
+                .map(|v| (0..num_inputs).map(|i| v >> i & 1 == 1).collect())
+                .collect()
+        } else {
+            let mut rng =
+                crate::rng::XorShift64::new(0x005E_ED0F_F10C_u64 ^ (num_inputs as u64) << 32);
+            (0..samples.max(1))
+                .map(|_| (0..num_inputs).map(|_| rng.next_u64() & 1 == 1).collect())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn lane_chunks_draw_the_materialized_assignments_in_order() {
+        for (num_inputs, samples) in [
+            (0, 5),
+            (3, 0),
+            (7, 1),
+            (16, 9),
+            (17, 0),
+            (17, 65),
+            (40, 200),
+        ] {
+            let want = materialized_assignments(num_inputs, samples);
+            let (checked, chunks) = lane_chunks(num_inputs, samples);
+            assert_eq!(checked, want.len());
+            let mut got = Vec::new();
+            for (words, lanes) in chunks {
+                assert!(lanes <= 64 && words.len() == num_inputs);
+                assert_eq!(
+                    words,
+                    pack_lanes(num_inputs, &want[got.len()..got.len() + lanes])
+                );
+                got.extend((0..lanes).map(|lane| unpack_lane(&words, lane)));
+            }
+            assert_eq!(got, want, "{num_inputs} inputs, {samples} samples");
+        }
     }
 
     fn report_with_margin(margin: Option<(f64, f64)>) -> VerifyReport {

@@ -13,7 +13,7 @@
 //! persisted as replayable BLIF.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flowc::budget::Budget;
 use flowc::compact::balance::{balanced_labeling, MoveScorer};
@@ -23,7 +23,10 @@ use flowc::compact::{BddGraph, Labeling, VhLabel};
 use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
 use flowc::graph::{oct_heuristic, odd_cycle_transversal, two_color, ColorResult, UGraph};
-use flowc::logic::Network;
+use flowc::logic::{GateKind, Network};
+use flowc::xbar::fault::{apply_defects, CellState, DefectMap, Fault};
+use flowc::xbar::verify::verify_functional;
+use flowc::xbar::{Crossbar, DeviceAssignment, XbarError};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions")
@@ -637,7 +640,7 @@ fn vertex_cover_is_minimum_on_small_graphs() {
 // meaningful. This pins the stream layout.
 #[test]
 fn network_generator_is_bit_compatible_with_the_historical_one() {
-    use flowc::logic::{GateKind, NetId};
+    use flowc::logic::NetId;
     fn historical(rng: &mut Rng, num_inputs: usize, max_gates: usize) -> Network {
         let mut n = Network::new("random");
         let mut nets: Vec<NetId> = (0..num_inputs)
@@ -676,4 +679,348 @@ fn network_generator_is_bit_compatible_with_the_historical_one() {
             "seed {seed} designates different circuits"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The sparse crossbar store and its reachability evaluator.
+// ---------------------------------------------------------------------------
+
+/// A dense `rows × cols` junction grid: the reference the sparse store
+/// must match, cell for cell.
+#[derive(Clone, PartialEq)]
+struct DenseGrid {
+    rows: usize,
+    cols: usize,
+    cells: Vec<DeviceAssignment>,
+}
+
+impl DenseGrid {
+    fn new(rows: usize, cols: usize) -> Self {
+        DenseGrid {
+            rows,
+            cols,
+            cells: vec![DeviceAssignment::Off; rows * cols],
+        }
+    }
+
+    fn set(&mut self, row: usize, col: usize, a: DeviceAssignment) -> Result<(), XbarError> {
+        if row >= self.rows {
+            return Err(XbarError::RowOutOfRange {
+                row,
+                rows: self.rows,
+            });
+        }
+        if col >= self.cols {
+            return Err(XbarError::ColOutOfRange {
+                col,
+                cols: self.cols,
+            });
+        }
+        self.cells[row * self.cols + col] = a;
+        Ok(())
+    }
+
+    fn programmed(&self) -> Vec<(usize, usize, DeviceAssignment)> {
+        (0..self.rows * self.cols)
+            .map(|i| (i / self.cols, i % self.cols, self.cells[i]))
+            .filter(|&(_, _, a)| a != DeviceAssignment::Off)
+            .collect()
+    }
+
+    fn place(&self, row_perm: &[usize], col_perm: &[usize], rows: usize, cols: usize) -> Self {
+        let mut placed = DenseGrid::new(rows, cols);
+        for (r, c, a) in self.programmed() {
+            placed.cells[row_perm[r] * cols + col_perm[c]] = a;
+        }
+        placed
+    }
+
+    fn apply(&self, map: &DefectMap) -> Self {
+        let mut faulty = self.clone();
+        for (i, cell) in faulty.cells.iter_mut().enumerate() {
+            match map.cell_state(i / self.cols, i % self.cols) {
+                CellState::ForcedOff => *cell = DeviceAssignment::Off,
+                CellState::ForcedOn => *cell = DeviceAssignment::On,
+                CellState::Healthy => {}
+            }
+        }
+        faulty
+    }
+}
+
+/// Asserts `x` stores exactly `dense`'s junctions, in row-major order.
+fn assert_stores(x: &Crossbar, dense: &DenseGrid) {
+    assert_eq!((x.rows(), x.cols()), (dense.rows, dense.cols));
+    for r in 0..dense.rows {
+        for c in 0..dense.cols {
+            assert_eq!(
+                x.get(r, c),
+                Ok(dense.cells[r * dense.cols + c]),
+                "({r}, {c})"
+            );
+        }
+    }
+    assert_eq!(
+        x.programmed_devices().collect::<Vec<_>>(),
+        dense.programmed()
+    );
+}
+
+fn random_device(rng: &mut Rng, num_inputs: usize) -> DeviceAssignment {
+    match rng.below(4) {
+        0 => DeviceAssignment::Off,
+        1 => DeviceAssignment::On,
+        _ => DeviceAssignment::Literal {
+            input: rng.below(num_inputs),
+            negated: rng.coin(),
+        },
+    }
+}
+
+fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// `len` distinct lines out of `0..bound`, in random order.
+fn random_injection(rng: &mut Rng, len: usize, bound: usize) -> Vec<usize> {
+    let mut lines: Vec<usize> = (0..bound).collect();
+    shuffle(rng, &mut lines);
+    lines.truncate(len);
+    lines
+}
+
+#[test]
+fn sparse_crossbar_store_matches_a_dense_reference() {
+    // Cases seen: an `Off` write that unprograms a junction, a pair of
+    // crossbars told apart by `Eq`, a stuck-on fault that programs a cell.
+    let seen = [(); 3].map(|_| std::cell::Cell::new(0usize));
+    let bump = |i: usize| seen[i].set(seen[i].get() + 1);
+    harness("sparse_crossbar_store_matches_a_dense_reference").check(|rng| {
+        let (rows, cols, k) = (rng.range(1, 8), rng.range(1, 8), rng.range(1, 4));
+        let mut x = Crossbar::new(rows, cols, k);
+        let mut dense = DenseGrid::new(rows, cols);
+        for _ in 0..rng.below(3 * rows * cols) {
+            // One past the edge on either axis keeps the range checks honest.
+            let (r, c) = (rng.below(rows + 1), rng.below(cols + 1));
+            let a = random_device(rng, k);
+            if a == DeviceAssignment::Off && r < rows && c < cols && x.get(r, c).unwrap() != a {
+                bump(0);
+            }
+            let set = x.set(r, c, a);
+            assert_eq!(set, dense.set(r, c, a), "set ({r}, {c})");
+            assert_eq!(x.get(r, c), set.map(|()| a));
+        }
+        assert_stores(&x, &dense);
+
+        // `Eq` compares the junctions, not the order they were written in.
+        let mut writes = dense.programmed();
+        shuffle(rng, &mut writes);
+        let mut y = Crossbar::new(rows, cols, k);
+        for &(r, c, a) in &writes {
+            y.set(r, c, a).unwrap();
+        }
+        assert_eq!(x, y);
+        let (r, c, a) = (rng.below(rows), rng.below(cols), random_device(rng, k));
+        let mut other = dense.clone();
+        other.set(r, c, a).unwrap();
+        y.set(r, c, a).unwrap();
+        assert_eq!(x == y, dense == other);
+        if x != y {
+            bump(1);
+        }
+
+        let (phys_rows, phys_cols) = (rows + rng.below(3), cols + rng.below(3));
+        let row_perm = random_injection(rng, rows, phys_rows);
+        let col_perm = random_injection(rng, cols, phys_cols);
+        let placed = x.place(&row_perm, &col_perm, phys_rows, phys_cols).unwrap();
+        assert_stores(
+            &placed,
+            &dense.place(&row_perm, &col_perm, phys_rows, phys_cols),
+        );
+
+        let mut map = DefectMap::new(rows, cols);
+        for _ in 0..rng.below(5) {
+            let (row, col) = (rng.below(rows), rng.below(cols));
+            let fault = match rng.below(4) {
+                0 => Fault::StuckOff { row, col },
+                1 => Fault::StuckOn { row, col },
+                2 => Fault::OpenWordline { row },
+                _ => Fault::OpenBitline { col },
+            };
+            if matches!(fault, Fault::StuckOn { .. })
+                && x.get(row, col).unwrap() != DeviceAssignment::On
+            {
+                bump(2);
+            }
+            map.add(fault).unwrap();
+        }
+        assert_stores(&apply_defects(&x, &map).unwrap(), &dense.apply(&map));
+    });
+    for (what, count) in ["unprogramming write", "unequal pair", "stuck-on write"]
+        .iter()
+        .zip(&seen)
+    {
+        assert!(count.get() > 0, "no case exercised an {what}");
+    }
+}
+
+/// The wordlines connected to the input wordline under one assignment, by
+/// breadth-first search over the conducting junctions, with each reached
+/// wordline's distance from the input in wires.
+fn reference_reach(x: &Crossbar, inputs: &[bool]) -> Vec<Option<usize>> {
+    let mut row_adj = vec![Vec::new(); x.rows()];
+    let mut col_adj = vec![Vec::new(); x.cols()];
+    for (r, c, a) in x.programmed_devices() {
+        if a.conducts(inputs) {
+            row_adj[r].push(c);
+            col_adj[c].push(r);
+        }
+    }
+    let input = x.input_row().expect("input bound");
+    let mut row_dist = vec![None; x.rows()];
+    let mut col_seen = vec![false; x.cols()];
+    row_dist[input] = Some(0);
+    let mut queue = std::collections::VecDeque::from([input]);
+    while let Some(r) = queue.pop_front() {
+        let d = row_dist[r].expect("queued rows are reached");
+        for &c in &row_adj[r] {
+            if !std::mem::replace(&mut col_seen[c], true) {
+                for &next in &col_adj[c] {
+                    if row_dist[next].is_none() {
+                        row_dist[next] = Some(d + 2);
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
+    }
+    row_dist
+}
+
+#[test]
+fn sparse_crossbar_evaluator_matches_a_per_lane_bfs() {
+    // Cases seen: a cycle among the programmed junctions, an output
+    // reached through another wordline (a sneak path), an output that
+    // differs between lanes, a wire with no junction at all.
+    let seen = [(); 4].map(|_| std::cell::Cell::new(0usize));
+    let bump = |i: usize| seen[i].set(seen[i].get() + 1);
+    harness("sparse_crossbar_evaluator_matches_a_per_lane_bfs").check(|rng| {
+        let (rows, cols, k) = (rng.range(1, 14), rng.range(1, 14), rng.range(0, 6));
+        let mut x = Crossbar::new(rows, cols, k);
+        let density = rng.range(1, 6);
+        for r in 0..rows {
+            for c in 0..cols {
+                if rng.below(10) < density {
+                    let a = if k == 0 || rng.below(4) == 0 {
+                        DeviceAssignment::On
+                    } else {
+                        DeviceAssignment::Literal {
+                            input: rng.below(k),
+                            negated: rng.coin(),
+                        }
+                    };
+                    x.set(r, c, a).unwrap();
+                }
+            }
+        }
+        x.set_input_row(rng.below(rows)).unwrap();
+        for j in 0..rng.range(1, 4) {
+            x.add_output(format!("f{j}"), rng.below(rows)).unwrap();
+        }
+        let devices = x.programmed_devices().count();
+        if devices >= rows + cols {
+            bump(0);
+        }
+        let mut touched = vec![false; rows + cols];
+        for (r, c, _) in x.programmed_devices() {
+            touched[r] = true;
+            touched[rows + c] = true;
+        }
+        if touched.contains(&false) {
+            bump(3);
+        }
+
+        let evaluator = x.evaluator();
+        for batch in 0..4 {
+            let words: Vec<u64> = (0..k).map(|_| rng.next()).collect();
+            let wide = evaluator.evaluate64(&words).unwrap();
+            assert_eq!(wide.len(), x.outputs().len());
+            if batch == 0 {
+                assert_eq!(wide, x.evaluate64(&words).unwrap());
+            }
+            for lane in 0..64 {
+                let inputs: Vec<bool> = words.iter().map(|w| w >> lane & 1 == 1).collect();
+                let reach = reference_reach(&x, &inputs);
+                for (j, port) in x.outputs().iter().enumerate() {
+                    assert_eq!(
+                        wide[j] >> lane & 1 == 1,
+                        reach[port.row].is_some(),
+                        "lane {lane}, output {j} on row {}:\n{}",
+                        port.row,
+                        x.render()
+                    );
+                    if reach[port.row].is_some_and(|d| d >= 4) {
+                        bump(1);
+                    }
+                }
+                if lane == 0 {
+                    let reached: Vec<bool> = reach.iter().map(Option::is_some).collect();
+                    assert_eq!(x.reachable_rows(&inputs).unwrap(), reached);
+                    let lane0: Vec<bool> = wide.iter().map(|w| w & 1 == 1).collect();
+                    assert_eq!(x.evaluate(&inputs).unwrap(), lane0);
+                }
+            }
+            if wide.iter().any(|&w| w != 0 && w != u64::MAX) {
+                bump(2);
+            }
+        }
+    });
+    for (what, count) in ["cycle", "sneak path", "lane-dependent output", "bare wire"]
+        .iter()
+        .zip(&seen)
+    {
+        assert!(count.get() > 0, "no case exercised a {what}");
+    }
+}
+
+#[test]
+fn sparse_crossbar_of_50000_wires_a_side_places_evaluates_and_verifies_in_milliseconds() {
+    // f = x0 ∧ ¬x1 on a 50 000 × 50 000 array with four junctions: a dense
+    // store of 16-byte junctions would need 40 GB here.
+    const SIDE: usize = 50_000;
+    let mut n = Network::new("guard");
+    let a = n.add_input("a");
+    let b = n.add_input("b");
+    let not_b = n.add_gate(GateKind::Not, &[b], "nb").unwrap();
+    let f = n.add_gate(GateKind::And, &[a, not_b], "f").unwrap();
+    n.mark_output(f);
+
+    let start = Instant::now();
+    let mut x = Crossbar::new(SIDE, SIDE, 2);
+    let lit = |input, negated| DeviceAssignment::Literal { input, negated };
+    x.set(SIDE - 1, 0, lit(0, false)).unwrap();
+    x.set(7, 0, DeviceAssignment::On).unwrap();
+    x.set(7, SIDE - 1, lit(1, true)).unwrap();
+    x.set(0, SIDE - 1, DeviceAssignment::On).unwrap();
+    x.set_input_row(SIDE - 1).unwrap();
+    x.add_output("f", 0).unwrap();
+    assert!(verify_functional(&x, &n, 64).unwrap().is_valid());
+
+    // Reversed onto a larger physical array.
+    let phys = SIDE + 1_000;
+    let reversed: Vec<usize> = (0..SIDE).map(|i| phys - 1 - i).collect();
+    let placed = x.place(&reversed, &reversed, phys, phys).unwrap();
+    assert_eq!(placed.programmed_devices().count(), 4);
+    assert_eq!(placed.get(phys - 8, phys - 1), Ok(DeviceAssignment::On));
+    assert_eq!(placed.evaluate(&[true, false]).unwrap(), vec![true]);
+    assert_eq!(placed.evaluate(&[true, true]).unwrap(), vec![false]);
+    let report = verify_functional(&placed, &n, 64).unwrap();
+    assert!(report.is_valid() && report.checked == 4);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a 4-device design took {elapsed:?}: something scans the whole grid"
+    );
 }
