@@ -286,6 +286,13 @@ fn permutation_search(
         grid[r * cols + c] = a;
     }
     let cell = |r: usize, c: usize| grid[r * cols + c];
+    // Likewise the physical cell states: one sparse lookup per cell, not
+    // one per (logical line, physical line, cell) per round.
+    let phys: Vec<CellState> = (0..phys_rows)
+        .flat_map(|pr| (0..phys_cols).map(move |pc| (pr, pc)))
+        .map(|(pr, pc)| defects.cell_state(pr, pc))
+        .collect();
+    let state = |pr: usize, pc: usize| phys[pr * phys_cols + pc];
     let mut col_perm: Vec<usize> = (0..cols).collect();
     let mut row_perm: Vec<usize> = (0..rows).collect();
     let mut perfect = false;
@@ -296,11 +303,7 @@ fn permutation_search(
                 (0..phys_rows)
                     .filter(|&pr| {
                         (0..cols).all(|lc| {
-                            cell_compatible(
-                                cell(lr, lc),
-                                defects.cell_state(pr, col_perm[lc]),
-                                strict,
-                            )
+                            cell_compatible(cell(lr, lc), state(pr, col_perm[lc]), strict)
                         })
                     })
                     .collect()
@@ -314,11 +317,7 @@ fn permutation_search(
                 (0..phys_cols)
                     .filter(|&pc| {
                         (0..rows).all(|lr| {
-                            cell_compatible(
-                                cell(lr, lc),
-                                defects.cell_state(row_perm[lr], pc),
-                                strict,
-                            )
+                            cell_compatible(cell(lr, lc), state(row_perm[lr], pc), strict)
                         })
                     })
                     .collect()

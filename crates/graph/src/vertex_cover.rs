@@ -8,6 +8,13 @@
 //! forced into / out of some optimum cover). BDD-derived graphs are nearly
 //! bipartite, so this kernelization usually collapses the instance and the
 //! residual branch & bound tree stays small.
+//!
+//! The branch & bound is incremental. One residual graph and one matching
+//! of its bipartite double live for the whole search: branching edits them
+//! in place and backtracking restores them from an undo trail. Each node's
+//! LP bound warm-starts Hopcroft–Karp from the matching its parent left, and
+//! the reductions look only at the vertices whose degree changed. The tree
+//! is the one a solver that rebuilds all of this per node would expand.
 
 use flowc_budget::Budget;
 
@@ -56,26 +63,13 @@ pub fn greedy_cover(g: &UGraph) -> Vec<usize> {
     cover
 }
 
-/// The half-integral vertex-cover LP bound: half the maximum-matching size
-/// of the bipartite double graph, restricted to `alive` vertices (pass all
-/// `true` for the whole graph).
-fn lp_bound_masked(g: &UGraph, alive: &[bool]) -> f64 {
-    let n = g.num_vertices();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(u, v) in g.edges() {
-        if alive[u] && alive[v] {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-    }
-    let m = hopcroft_karp(&adj, n);
-    m.size as f64 / 2.0
-}
-
 /// The vertex-cover LP lower bound of the whole graph (half-integral, equal
 /// to half the maximum matching of the bipartite double).
 pub fn lp_lower_bound(g: &UGraph) -> f64 {
-    lp_bound_masked(g, &vec![true; g.num_vertices()])
+    let adj: Vec<Vec<usize>> = (0..g.num_vertices())
+        .map(|v| g.neighbors(v).to_vec())
+        .collect();
+    hopcroft_karp(&adj, g.num_vertices()).size as f64 / 2.0
 }
 
 /// The Nemhauser–Trotter partition derived from an optimal half-integral LP
@@ -119,10 +113,36 @@ pub fn nt_kernel(g: &UGraph) -> NtKernel {
 
 const NIL: usize = usize::MAX;
 
-/// Branch & bound over one kernelized component. All bound evaluations run
-/// over scratch buffers owned by the solver — the search allocates only when
-/// branching, which keeps the per-node cost at "a few graph scans" instead
-/// of "rebuild the adjacency structure".
+/// One reversible edit of the search state. Branching logs its edits on a
+/// trail and backtracking pops them, so the search never copies its state
+/// per level.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// `v` left the residual graph with alive degree `deg`.
+    Kill { v: usize, deg: usize },
+    /// `pair_left[u]` held `old`.
+    Left { u: usize, old: usize },
+    /// `pair_right[v]` held `old`.
+    Right { v: usize, old: usize },
+}
+
+/// A search state to backtrack to: the trail length plus the two counters
+/// that the trail does not log.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    trail: usize,
+    chosen: usize,
+    matched: usize,
+}
+
+/// Branch & bound over one kernelized component.
+///
+/// The fields hold the current node's residual graph and a matching of its
+/// bipartite double; popping the trail undoes a branch. `kill` drops the
+/// killed vertex's pairs, so the matching always fits the residual graph
+/// and a node's LP bound pays only for what its branch changed. `reduce`
+/// visits only the `dirty` vertices, in the order full sweeps would, so the
+/// search tree is the one a from-scratch solver expands.
 struct Solver<'g> {
     g: &'g UGraph,
     n: usize,
@@ -133,17 +153,33 @@ struct Solver<'g> {
     open_bound: Option<usize>,
     /// Branch & bound nodes expanded.
     nodes: u64,
-    // Scratch, valid only within one bound evaluation.
-    mate: Vec<usize>,
+    // The residual graph of the current node.
+    alive: Vec<bool>,
+    deg: Vec<usize>,
+    chosen: Vec<usize>,
+    /// Bitset of the vertices whose alive degree changed since `reduce`
+    /// last looked at them.
+    dirty: Vec<u64>,
+    // A matching of the residual graph's bipartite double (the double is
+    // symmetric, so left = right = V): left `u` is matched to right
+    // `pair_left[u]`, and `matched` counts the pairs.
     pair_left: Vec<usize>,
     pair_right: Vec<usize>,
+    matched: usize,
+    trail: Vec<Undo>,
+    // Scratch, valid only within one bound evaluation.
     dist: Vec<usize>,
-    queue: std::collections::VecDeque<usize>,
+    queue: Vec<usize>,
 }
 
 impl<'g> Solver<'g> {
     fn new(g: &'g UGraph, best_cover: Vec<usize>, budget: Budget) -> Self {
         let n = g.num_vertices();
+        // The root's reduce looks at every vertex.
+        let mut dirty = vec![0u64; n.div_ceil(64)];
+        for v in 0..n {
+            dirty[v / 64] |= 1 << (v % 64);
+        }
         Solver {
             g,
             n,
@@ -152,174 +188,226 @@ impl<'g> Solver<'g> {
             timed_out: false,
             open_bound: None,
             nodes: 0,
-            mate: vec![NIL; n],
+            alive: vec![true; n],
+            deg: (0..n).map(|v| g.degree(v)).collect(),
+            chosen: Vec::new(),
+            dirty,
             pair_left: vec![NIL; n],
             pair_right: vec![NIL; n],
+            matched: 0,
+            trail: Vec::new(),
             dist: vec![0; n],
-            queue: std::collections::VecDeque::new(),
+            queue: Vec::new(),
         }
     }
 
-    /// Removes `v` from the residual graph, maintaining alive degrees.
-    fn kill(&self, alive: &mut [bool], deg: &mut [usize], v: usize) {
-        alive[v] = false;
-        for &w in self.g.neighbors(v) {
-            if alive[w] {
-                deg[w] -= 1;
+    fn mark(&self) -> Mark {
+        Mark {
+            trail: self.trail.len(),
+            chosen: self.chosen.len(),
+            matched: self.matched,
+        }
+    }
+
+    /// Restores the state recorded by `mark`.
+    fn undo(&mut self, mark: Mark) {
+        let g = self.g;
+        while self.trail.len() > mark.trail {
+            match self.trail.pop().expect("trail is longer than the mark") {
+                Undo::Kill { v, deg } => {
+                    if deg > 0 {
+                        for &w in g.neighbors(v) {
+                            if self.alive[w] {
+                                self.deg[w] += 1;
+                            }
+                        }
+                    }
+                    self.alive[v] = true;
+                    self.deg[v] = deg;
+                }
+                Undo::Left { u, old } => self.pair_left[u] = old,
+                Undo::Right { v, old } => self.pair_right[v] = old,
             }
         }
-        deg[v] = 0;
+        self.chosen.truncate(mark.chosen);
+        self.matched = mark.matched;
+    }
+
+    fn set_left(&mut self, u: usize, v: usize) {
+        self.trail.push(Undo::Left {
+            u,
+            old: self.pair_left[u],
+        });
+        self.pair_left[u] = v;
+    }
+
+    fn set_right(&mut self, v: usize, u: usize) {
+        self.trail.push(Undo::Right {
+            v,
+            old: self.pair_right[v],
+        });
+        self.pair_right[v] = u;
+    }
+
+    /// Removes `v` from the residual graph: drops its matching pairs,
+    /// maintains alive degrees and marks the neighbors it touched dirty.
+    fn kill(&mut self, v: usize) {
+        let right = self.pair_left[v];
+        if right != NIL {
+            self.set_left(v, NIL);
+            self.set_right(right, NIL);
+            self.matched -= 1;
+        }
+        let left = self.pair_right[v];
+        if left != NIL {
+            self.set_right(v, NIL);
+            self.set_left(left, NIL);
+            self.matched -= 1;
+        }
+        let deg = self.deg[v];
+        self.trail.push(Undo::Kill { v, deg });
+        self.alive[v] = false;
+        self.deg[v] = 0;
+        if deg > 0 {
+            for &w in self.g.neighbors(v) {
+                if self.alive[w] {
+                    self.deg[w] -= 1;
+                    self.dirty[w / 64] |= 1 << (w % 64);
+                }
+            }
+        }
+    }
+
+    /// Clears and returns the first dirty vertex at or after `from`,
+    /// wrapping around to vertex 0 past the end.
+    fn take_dirty(&mut self, from: usize) -> Option<usize> {
+        let first = |dirty: &[u64], from: usize| {
+            (from / 64..dirty.len()).find_map(|i| {
+                let mut word = dirty[i];
+                if i == from / 64 {
+                    word &= !0u64 << (from % 64);
+                }
+                (word != 0).then(|| i * 64 + word.trailing_zeros() as usize)
+            })
+        };
+        let v = first(&self.dirty, from).or_else(|| first(&self.dirty, 0))?;
+        self.dirty[v / 64] &= !(1 << (v % 64));
+        Some(v)
     }
 
     /// Applies degree-0/degree-1 reductions plus the triangle rule (a
     /// degree-2 vertex with adjacent neighbors puts both neighbors into
-    /// some minimum cover) until none fires.
-    fn reduce(&self, alive: &mut [bool], deg: &mut [usize], chosen: &mut Vec<usize>) {
-        loop {
-            let mut changed = false;
-            for v in 0..self.n {
-                if !alive[v] {
-                    continue;
-                }
-                match deg[v] {
-                    0 => {
-                        alive[v] = false;
-                        changed = true;
-                    }
-                    1 => {
-                        // Pendant vertex: take the neighbor.
-                        let w = self
-                            .g
-                            .neighbors(v)
-                            .iter()
-                            .copied()
-                            .find(|&w| alive[w])
-                            .expect("degree-1 vertex has an alive neighbor");
-                        chosen.push(w);
-                        self.kill(alive, deg, w);
-                        alive[v] = false;
-                        changed = true;
-                    }
-                    2 => {
-                        let mut nbrs = self.g.neighbors(v).iter().copied().filter(|&w| alive[w]);
-                        let a = nbrs.next().expect("degree-2 vertex");
-                        let b = nbrs.next().expect("degree-2 vertex");
-                        if self.g.has_edge(a, b) {
-                            chosen.push(a);
-                            chosen.push(b);
-                            self.kill(alive, deg, a);
-                            self.kill(alive, deg, b);
-                            alive[v] = false;
-                            changed = true;
-                        }
-                    }
-                    _ => {}
-                }
+    /// some minimum cover) until none fires. A rule can newly fire only
+    /// where the alive degree changed, so this visits the dirty vertices in
+    /// the order repeated full sweeps would: one dirtied ahead of the
+    /// cursor in this sweep, one dirtied behind it in the next.
+    fn reduce(&mut self) {
+        let g = self.g;
+        let mut cursor = 0;
+        while let Some(v) = self.take_dirty(cursor) {
+            cursor = v + 1;
+            if !self.alive[v] {
+                continue;
             }
-            if !changed {
-                return;
+            match self.deg[v] {
+                0 => self.kill(v),
+                1 => {
+                    // Pendant vertex: take the neighbor.
+                    let w = g
+                        .neighbors(v)
+                        .iter()
+                        .copied()
+                        .find(|&w| self.alive[w])
+                        .expect("degree-1 vertex has an alive neighbor");
+                    self.chosen.push(w);
+                    self.kill(w);
+                    self.kill(v);
+                }
+                2 => {
+                    let mut nbrs = g.neighbors(v).iter().copied().filter(|&w| self.alive[w]);
+                    let a = nbrs.next().expect("degree-2 vertex");
+                    let b = nbrs.next().expect("degree-2 vertex");
+                    if g.has_edge(a, b) {
+                        self.chosen.push(a);
+                        self.chosen.push(b);
+                        self.kill(a);
+                        self.kill(b);
+                        self.kill(v);
+                    }
+                }
+                _ => {}
             }
         }
     }
 
-    /// A maximal matching of the residual graph. Its edges are disjoint and
-    /// each needs a cover vertex, so the size is a valid (cheap, O(E))
-    /// lower bound on the residual cover.
-    fn greedy_matching_bound(&mut self, alive: &[bool]) -> usize {
-        for v in 0..self.n {
-            self.mate[v] = NIL;
-        }
-        let mut size = 0;
-        for v in 0..self.n {
-            if !alive[v] || self.mate[v] != NIL {
-                continue;
-            }
-            for i in 0..self.g.neighbors(v).len() {
-                let w = self.g.neighbors(v)[i];
-                if alive[w] && self.mate[w] == NIL {
-                    self.mate[v] = w;
-                    self.mate[w] = v;
-                    size += 1;
-                    break;
-                }
-            }
-        }
-        size
-    }
-
-    /// The half-integral LP bound of the residual graph: half the maximum
-    /// matching of its bipartite double, by Hopcroft–Karp over the solver's
-    /// scratch buffers (the double is symmetric, so left = right = V).
-    fn lp_bound(&mut self, alive: &[bool]) -> usize {
-        for v in 0..self.n {
-            self.pair_left[v] = NIL;
-            self.pair_right[v] = NIL;
-        }
-        let mut size = 0usize;
-        // Greedy seed cuts the number of augmentation phases.
-        for u in 0..self.n {
-            if !alive[u] {
-                continue;
-            }
-            for i in 0..self.g.neighbors(u).len() {
-                let v = self.g.neighbors(u)[i];
-                if alive[v] && self.pair_right[v] == NIL {
-                    self.pair_left[u] = v;
-                    self.pair_right[v] = u;
-                    size += 1;
-                    break;
-                }
-            }
-        }
+    /// Whether the half-integral LP bound, half the maximum matching of
+    /// the residual graph's bipartite double, prunes the node. Hopcroft–Karp
+    /// phases grow the kept matching and stop as soon as
+    /// `chosen + ⌈size/2⌉` reaches the incumbent: any matching bounds the
+    /// cover, so the node prunes exactly when the maximum one would.
+    fn lp_prunes(&mut self) -> bool {
+        let g = self.g;
+        let need = self.best_cover.len() - self.chosen.len();
         loop {
-            // BFS layering from free alive vertices.
+            if self.matched.div_ceil(2) >= need {
+                return true;
+            }
+            // BFS layering from free alive vertices, stopped after the
+            // first layer that reaches a free vertex.
             self.queue.clear();
-            let mut found = false;
-            for (u, &live) in alive.iter().enumerate().take(self.n) {
-                if live && self.pair_left[u] == NIL {
+            for u in 0..self.n {
+                if self.alive[u] && self.pair_left[u] == NIL {
                     self.dist[u] = 0;
-                    self.queue.push_back(u);
+                    self.queue.push(u);
                 } else {
                     self.dist[u] = NIL;
                 }
             }
-            while let Some(u) = self.queue.pop_front() {
-                for i in 0..self.g.neighbors(u).len() {
-                    let v = self.g.neighbors(u)[i];
-                    if !alive[v] {
+            let mut found = NIL;
+            let mut head = 0;
+            while head < self.queue.len() {
+                let u = self.queue[head];
+                head += 1;
+                if self.dist[u] > found {
+                    break;
+                }
+                for &v in g.neighbors(u) {
+                    if !self.alive[v] {
                         continue;
                     }
                     let w = self.pair_right[v];
                     if w == NIL {
-                        found = true;
-                    } else if self.dist[w] == NIL {
+                        found = self.dist[u];
+                    } else if self.dist[w] == NIL && self.dist[u] < found {
                         self.dist[w] = self.dist[u] + 1;
-                        self.queue.push_back(w);
+                        self.queue.push(w);
                     }
                 }
             }
-            if !found {
-                break;
+            if found == NIL {
+                return false;
             }
             for u in 0..self.n {
-                if alive[u] && self.pair_left[u] == NIL && self.augment(u, alive) {
-                    size += 1;
+                if self.alive[u] && self.pair_left[u] == NIL && self.augment(u) {
+                    self.matched += 1;
+                    if self.matched.div_ceil(2) >= need {
+                        return true;
+                    }
                 }
             }
         }
-        size.div_ceil(2)
     }
 
-    fn augment(&mut self, u: usize, alive: &[bool]) -> bool {
-        for i in 0..self.g.neighbors(u).len() {
-            let v = self.g.neighbors(u)[i];
-            if !alive[v] {
+    fn augment(&mut self, u: usize) -> bool {
+        let g = self.g;
+        for &v in g.neighbors(u) {
+            if !self.alive[v] {
                 continue;
             }
             let w = self.pair_right[v];
-            if w == NIL || (self.dist[w] == self.dist[u] + 1 && self.augment(w, alive)) {
-                self.pair_left[u] = v;
-                self.pair_right[v] = u;
+            if w == NIL || (self.dist[w] == self.dist[u] + 1 && self.augment(w)) {
+                self.set_left(u, v);
+                self.set_right(v, u);
                 return true;
             }
         }
@@ -327,67 +415,59 @@ impl<'g> Solver<'g> {
         false
     }
 
-    fn rec(&mut self, mut alive: Vec<bool>, mut deg: Vec<usize>, mut chosen: Vec<usize>) {
+    /// Expands the current node. The state it leaves behind is undone by
+    /// the caller.
+    fn rec(&mut self) {
         self.nodes += 1;
         if self.budget.check().is_err() {
             self.timed_out = true;
             // This subtree stays open: its chosen-so-far size is a valid
             // subtree lower bound contribution.
-            let lb = chosen.len();
+            let lb = self.chosen.len();
             self.open_bound = Some(self.open_bound.map_or(lb, |b| b.min(lb)));
             return;
         }
-        self.reduce(&mut alive, &mut deg, &mut chosen);
-        if chosen.len() >= self.best_cover.len() {
+        self.reduce();
+        if self.chosen.len() >= self.best_cover.len() {
             return; // cannot improve
         }
         // Branch on the highest-degree alive vertex; edge-free residuals
         // close the node with a strictly better cover.
+        let deg = &self.deg;
         let branch_vertex = match (0..self.n).filter(|&v| deg[v] > 0).max_by_key(|&v| deg[v]) {
             Some(v) => v,
             None => {
-                self.best_cover = chosen;
+                self.best_cover = self.chosen.clone();
                 return;
             }
         };
-        // Two-tier bound: the maximal-matching bound is nearly free and
-        // prunes most nodes; survivors pay for the exact LP bound.
-        let cheap = chosen.len() + self.greedy_matching_bound(&alive);
-        if cheap >= self.best_cover.len() {
+        if self.lp_prunes() {
             return;
         }
-        if chosen.len() + self.lp_bound(&alive) >= self.best_cover.len() {
-            return;
-        }
+        let mark = self.mark();
         // Branch include-N(v) first: stronger when the branch vertex has
         // high degree, which the selection maximizes.
-        {
-            let mut a = alive.clone();
-            let mut d = deg.clone();
-            let mut c = chosen.clone();
-            for i in 0..self.g.neighbors(branch_vertex).len() {
-                let w = self.g.neighbors(branch_vertex)[i];
-                if a[w] {
-                    c.push(w);
-                    self.kill(&mut a, &mut d, w);
-                }
+        let g = self.g;
+        for &w in g.neighbors(branch_vertex) {
+            if self.alive[w] {
+                self.chosen.push(w);
+                self.kill(w);
             }
-            a[branch_vertex] = false;
-            self.rec(a, d, c);
         }
-        {
-            chosen.push(branch_vertex);
-            self.kill(&mut alive, &mut deg, branch_vertex);
-            self.rec(alive, deg, chosen);
-        }
+        self.kill(branch_vertex);
+        self.rec();
+        self.undo(mark);
+        self.chosen.push(branch_vertex);
+        self.kill(branch_vertex);
+        self.rec();
     }
 }
 
 /// Computes a minimum vertex cover of `g`, component by component:
 /// bipartite components are solved exactly in polynomial time
 /// (Hopcroft–Karp + König), non-bipartite components go through
-/// Nemhauser–Trotter kernelization and branch & bound with greedy-matching
-/// and half-integral LP bounds. The branch & bound checks `budget`'s
+/// Nemhauser–Trotter kernelization and branch & bound with a warm-started
+/// half-integral LP bound. The branch & bound checks `budget`'s
 /// cancellation and deadline at every recursion step; within the budget
 /// the result is proven optimal, and on exhaustion the best cover found so
 /// far is returned with `optimal == false` and a valid global lower bound.
@@ -539,22 +619,18 @@ fn vc_nonbipartite(g: &UGraph, budget: &Budget, seed: Option<&[usize]>) -> VcRes
         }
     }
     let mut solver = Solver::new(&kernel_graph, incumbent, budget.clone());
-    let alive = vec![true; kernel_graph.num_vertices()];
-    let deg: Vec<usize> = (0..kernel_graph.num_vertices())
-        .map(|v| kernel_graph.degree(v))
-        .collect();
-    solver.rec(alive, deg, Vec::new());
+    solver.rec();
 
     let mut cover: Vec<usize> = nt.forced_in.clone();
     cover.extend(solver.best_cover.iter().map(|&v| back[v]));
     cover.sort_unstable();
     cover.dedup();
 
-    let kernel_lp = lp_lower_bound(&kernel_graph).ceil() as usize;
     let kernel_lb = if solver.timed_out {
         // The optimum is min(best found, optima of subtrees left open); each
         // open subtree's optimum is at least its chosen-so-far size. The LP
         // bound is always valid, so take the stronger of the two.
+        let kernel_lp = lp_lower_bound(&kernel_graph).ceil() as usize;
         let open = solver
             .open_bound
             .map_or(solver.best_cover.len(), |b| b.min(solver.best_cover.len()));

@@ -22,7 +22,11 @@ use flowc::compact::pipeline::{synthesize, Config, VhStrategy};
 use flowc::compact::{BddGraph, Labeling, VhLabel};
 use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
-use flowc::graph::{oct_heuristic, odd_cycle_transversal, two_color, ColorResult, UGraph};
+use flowc::graph::{
+    cartesian_with_k2, greedy_cover, hopcroft_karp, konig_cover, lp_lower_bound,
+    minimum_vertex_cover, nt_kernel, oct_heuristic, odd_cycle_transversal, two_color, ColorResult,
+    UGraph, VcResult,
+};
 use flowc::logic::{GateKind, Network};
 use flowc::xbar::fault::{apply_defects, CellState, DefectMap, Fault};
 use flowc::xbar::verify::verify_functional;
@@ -632,6 +636,531 @@ fn vertex_cover_is_minimum_on_small_graphs() {
         assert_eq!(r.cover.len(), best);
         assert_eq!(r.lower_bound, best);
     });
+}
+
+const NIL: usize = usize::MAX;
+
+/// The vertex-cover branch & bound computed from scratch at every node: a
+/// fresh Hopcroft–Karp matching per bound, a greedy-matching tier before
+/// it, full-sweep `reduce` and per-level copies of the residual graph.
+struct ReferenceVcSolver<'g> {
+    g: &'g UGraph,
+    n: usize,
+    best_cover: Vec<usize>,
+    budget: Budget,
+    timed_out: bool,
+    /// Smallest unexplored lower bound among pruned-by-timeout subtrees.
+    open_bound: Option<usize>,
+    /// Branch & bound nodes expanded.
+    nodes: u64,
+    // Scratch, valid only within one bound evaluation.
+    mate: Vec<usize>,
+    pair_left: Vec<usize>,
+    pair_right: Vec<usize>,
+    dist: Vec<usize>,
+    queue: std::collections::VecDeque<usize>,
+}
+
+impl<'g> ReferenceVcSolver<'g> {
+    fn new(g: &'g UGraph, best_cover: Vec<usize>, budget: Budget) -> Self {
+        let n = g.num_vertices();
+        ReferenceVcSolver {
+            g,
+            n,
+            best_cover,
+            budget,
+            timed_out: false,
+            open_bound: None,
+            nodes: 0,
+            mate: vec![NIL; n],
+            pair_left: vec![NIL; n],
+            pair_right: vec![NIL; n],
+            dist: vec![0; n],
+            queue: std::collections::VecDeque::new(),
+        }
+    }
+
+    /// Removes `v` from the residual graph, maintaining alive degrees.
+    fn kill(&self, alive: &mut [bool], deg: &mut [usize], v: usize) {
+        alive[v] = false;
+        for &w in self.g.neighbors(v) {
+            if alive[w] {
+                deg[w] -= 1;
+            }
+        }
+        deg[v] = 0;
+    }
+
+    /// Applies degree-0/degree-1 reductions plus the triangle rule (a
+    /// degree-2 vertex with adjacent neighbors puts both neighbors into
+    /// some minimum cover) until none fires.
+    fn reduce(&self, alive: &mut [bool], deg: &mut [usize], chosen: &mut Vec<usize>) {
+        loop {
+            let mut changed = false;
+            for v in 0..self.n {
+                if !alive[v] {
+                    continue;
+                }
+                match deg[v] {
+                    0 => {
+                        alive[v] = false;
+                        changed = true;
+                    }
+                    1 => {
+                        // Pendant vertex: take the neighbor.
+                        let w = self
+                            .g
+                            .neighbors(v)
+                            .iter()
+                            .copied()
+                            .find(|&w| alive[w])
+                            .expect("degree-1 vertex has an alive neighbor");
+                        chosen.push(w);
+                        self.kill(alive, deg, w);
+                        alive[v] = false;
+                        changed = true;
+                    }
+                    2 => {
+                        let mut nbrs = self.g.neighbors(v).iter().copied().filter(|&w| alive[w]);
+                        let a = nbrs.next().expect("degree-2 vertex");
+                        let b = nbrs.next().expect("degree-2 vertex");
+                        if self.g.has_edge(a, b) {
+                            chosen.push(a);
+                            chosen.push(b);
+                            self.kill(alive, deg, a);
+                            self.kill(alive, deg, b);
+                            alive[v] = false;
+                            changed = true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                return;
+            }
+        }
+    }
+
+    /// A maximal matching of the residual graph. Its edges are disjoint and
+    /// each needs a cover vertex, so the size is a valid (cheap, O(E))
+    /// lower bound on the residual cover.
+    fn greedy_matching_bound(&mut self, alive: &[bool]) -> usize {
+        for v in 0..self.n {
+            self.mate[v] = NIL;
+        }
+        let mut size = 0;
+        for v in 0..self.n {
+            if !alive[v] || self.mate[v] != NIL {
+                continue;
+            }
+            for i in 0..self.g.neighbors(v).len() {
+                let w = self.g.neighbors(v)[i];
+                if alive[w] && self.mate[w] == NIL {
+                    self.mate[v] = w;
+                    self.mate[w] = v;
+                    size += 1;
+                    break;
+                }
+            }
+        }
+        size
+    }
+
+    /// The half-integral LP bound of the residual graph: half the maximum
+    /// matching of its bipartite double, by Hopcroft–Karp over the solver's
+    /// scratch buffers (the double is symmetric, so left = right = V).
+    fn lp_bound(&mut self, alive: &[bool]) -> usize {
+        for v in 0..self.n {
+            self.pair_left[v] = NIL;
+            self.pair_right[v] = NIL;
+        }
+        let mut size = 0usize;
+        // Greedy seed cuts the number of augmentation phases.
+        for u in 0..self.n {
+            if !alive[u] {
+                continue;
+            }
+            for i in 0..self.g.neighbors(u).len() {
+                let v = self.g.neighbors(u)[i];
+                if alive[v] && self.pair_right[v] == NIL {
+                    self.pair_left[u] = v;
+                    self.pair_right[v] = u;
+                    size += 1;
+                    break;
+                }
+            }
+        }
+        loop {
+            // BFS layering from free alive vertices.
+            self.queue.clear();
+            let mut found = false;
+            for (u, &live) in alive.iter().enumerate().take(self.n) {
+                if live && self.pair_left[u] == NIL {
+                    self.dist[u] = 0;
+                    self.queue.push_back(u);
+                } else {
+                    self.dist[u] = NIL;
+                }
+            }
+            while let Some(u) = self.queue.pop_front() {
+                for i in 0..self.g.neighbors(u).len() {
+                    let v = self.g.neighbors(u)[i];
+                    if !alive[v] {
+                        continue;
+                    }
+                    let w = self.pair_right[v];
+                    if w == NIL {
+                        found = true;
+                    } else if self.dist[w] == NIL {
+                        self.dist[w] = self.dist[u] + 1;
+                        self.queue.push_back(w);
+                    }
+                }
+            }
+            if !found {
+                break;
+            }
+            for u in 0..self.n {
+                if alive[u] && self.pair_left[u] == NIL && self.augment(u, alive) {
+                    size += 1;
+                }
+            }
+        }
+        size.div_ceil(2)
+    }
+
+    fn augment(&mut self, u: usize, alive: &[bool]) -> bool {
+        for i in 0..self.g.neighbors(u).len() {
+            let v = self.g.neighbors(u)[i];
+            if !alive[v] {
+                continue;
+            }
+            let w = self.pair_right[v];
+            if w == NIL || (self.dist[w] == self.dist[u] + 1 && self.augment(w, alive)) {
+                self.pair_left[u] = v;
+                self.pair_right[v] = u;
+                return true;
+            }
+        }
+        self.dist[u] = NIL;
+        false
+    }
+
+    fn rec(&mut self, mut alive: Vec<bool>, mut deg: Vec<usize>, mut chosen: Vec<usize>) {
+        self.nodes += 1;
+        if self.budget.check().is_err() {
+            self.timed_out = true;
+            // This subtree stays open: its chosen-so-far size is a valid
+            // subtree lower bound contribution.
+            let lb = chosen.len();
+            self.open_bound = Some(self.open_bound.map_or(lb, |b| b.min(lb)));
+            return;
+        }
+        self.reduce(&mut alive, &mut deg, &mut chosen);
+        if chosen.len() >= self.best_cover.len() {
+            return; // cannot improve
+        }
+        // Branch on the highest-degree alive vertex; edge-free residuals
+        // close the node with a strictly better cover.
+        let branch_vertex = match (0..self.n).filter(|&v| deg[v] > 0).max_by_key(|&v| deg[v]) {
+            Some(v) => v,
+            None => {
+                self.best_cover = chosen;
+                return;
+            }
+        };
+        // Two-tier bound: the maximal-matching bound is nearly free and
+        // prunes most nodes; survivors pay for the exact LP bound.
+        let cheap = chosen.len() + self.greedy_matching_bound(&alive);
+        if cheap >= self.best_cover.len() {
+            return;
+        }
+        if chosen.len() + self.lp_bound(&alive) >= self.best_cover.len() {
+            return;
+        }
+        // Branch include-N(v) first: stronger when the branch vertex has
+        // high degree, which the selection maximizes.
+        {
+            let mut a = alive.clone();
+            let mut d = deg.clone();
+            let mut c = chosen.clone();
+            for i in 0..self.g.neighbors(branch_vertex).len() {
+                let w = self.g.neighbors(branch_vertex)[i];
+                if a[w] {
+                    c.push(w);
+                    self.kill(&mut a, &mut d, w);
+                }
+            }
+            a[branch_vertex] = false;
+            self.rec(a, d, c);
+        }
+        {
+            chosen.push(branch_vertex);
+            self.kill(&mut alive, &mut deg, branch_vertex);
+            self.rec(alive, deg, chosen);
+        }
+    }
+}
+
+/// `minimum_vertex_cover` on one thread over `ReferenceVcSolver`. The
+/// incremental solver must expand the same search tree: the same cover,
+/// node count, lower bound and optimality flag.
+fn reference_vertex_cover(g: &UGraph, budget: &Budget, seed: Option<&[usize]>) -> VcResult {
+    let (comp, count) = g.components();
+    let mut cover = Vec::new();
+    let mut lower_bound = 0usize;
+    let mut optimal = true;
+    let mut nodes = 0u64;
+    // König-solvable bipartite components are handled inline; branch &
+    // bound components are collected and solved in component order.
+    let mut hard: Vec<(UGraph, Vec<usize>, Option<Vec<usize>>)> = Vec::new();
+    for c in 0..count {
+        let keep: Vec<bool> = comp.iter().map(|&x| x == c).collect();
+        let (sub, back) = g.induced_subgraph(&keep);
+        if sub.num_edges() == 0 {
+            continue;
+        }
+        match two_color(&sub) {
+            ColorResult::Bipartite(colors) => {
+                let local = reference_bipartite_cover(&sub, &colors);
+                lower_bound += local.len();
+                cover.extend(local.into_iter().map(|v| back[v]));
+            }
+            ColorResult::OddCycle(_) => {
+                let local_seed = seed.map(|seed| {
+                    let mut inv = vec![NIL; g.num_vertices()];
+                    for (k, &orig) in back.iter().enumerate() {
+                        inv[orig] = k;
+                    }
+                    seed.iter()
+                        .filter_map(|&v| (inv[v] != NIL).then_some(inv[v]))
+                        .collect()
+                });
+                hard.push((sub, back, local_seed));
+            }
+        }
+    }
+    let solved: Vec<VcResult> = hard
+        .iter()
+        .map(|(sub, _back, local_seed)| {
+            reference_vc_nonbipartite(sub, budget, local_seed.as_deref())
+        })
+        .collect();
+    for ((_sub, back, _seed), local) in hard.iter().zip(solved) {
+        lower_bound += local.lower_bound;
+        optimal &= local.optimal;
+        nodes += local.nodes;
+        cover.extend(local.cover.into_iter().map(|v| back[v]));
+    }
+    cover.sort_unstable();
+    cover.dedup();
+    VcResult {
+        cover,
+        optimal,
+        lower_bound,
+        nodes,
+    }
+}
+
+/// Exact minimum vertex cover of a bipartite graph via König's theorem.
+fn reference_bipartite_cover(g: &UGraph, colors: &[u8]) -> Vec<usize> {
+    // Left = color-0 vertices, right = color-1 vertices.
+    let n = g.num_vertices();
+    let mut left_ids = Vec::new();
+    let mut right_ids = Vec::new();
+    let mut pos = vec![usize::MAX; n];
+    for v in 0..n {
+        if colors[v] == 0 {
+            pos[v] = left_ids.len();
+            left_ids.push(v);
+        } else {
+            pos[v] = right_ids.len();
+            right_ids.push(v);
+        }
+    }
+    let mut adj = vec![Vec::new(); left_ids.len()];
+    for &(u, v) in g.edges() {
+        let (l, r) = if colors[u] == 0 { (u, v) } else { (v, u) };
+        adj[pos[l]].push(pos[r]);
+    }
+    let m = hopcroft_karp(&adj, right_ids.len());
+    let (cl, cr) = konig_cover(&adj, &m);
+    let mut cover = Vec::new();
+    for (i, &inc) in cl.iter().enumerate() {
+        if inc {
+            cover.push(left_ids[i]);
+        }
+    }
+    for (i, &inc) in cr.iter().enumerate() {
+        if inc {
+            cover.push(right_ids[i]);
+        }
+    }
+    cover
+}
+
+/// NT kernelization + branch & bound for one non-bipartite component.
+fn reference_vc_nonbipartite(g: &UGraph, budget: &Budget, seed: Option<&[usize]>) -> VcResult {
+    let nt = nt_kernel(g);
+    // Solve the kernel.
+    let mut keep = vec![false; g.num_vertices()];
+    for &v in &nt.kernel {
+        keep[v] = true;
+    }
+    let (kernel_graph, back) = g.induced_subgraph(&keep);
+    let mut incumbent = greedy_cover(&kernel_graph);
+    if let Some(seed) = seed {
+        // A cover of `g` restricted to the kernel covers the kernel graph.
+        let mut inv = vec![NIL; g.num_vertices()];
+        for (k, &orig) in back.iter().enumerate() {
+            inv[orig] = k;
+        }
+        let restricted: Vec<usize> = seed
+            .iter()
+            .filter_map(|&v| (inv[v] != NIL).then_some(inv[v]))
+            .collect();
+        if restricted.len() < incumbent.len() {
+            incumbent = restricted;
+        }
+    }
+    let mut solver = ReferenceVcSolver::new(&kernel_graph, incumbent, budget.clone());
+    let alive = vec![true; kernel_graph.num_vertices()];
+    let deg: Vec<usize> = (0..kernel_graph.num_vertices())
+        .map(|v| kernel_graph.degree(v))
+        .collect();
+    solver.rec(alive, deg, Vec::new());
+
+    let mut cover: Vec<usize> = nt.forced_in.clone();
+    cover.extend(solver.best_cover.iter().map(|&v| back[v]));
+    cover.sort_unstable();
+    cover.dedup();
+
+    let kernel_lp = lp_lower_bound(&kernel_graph).ceil() as usize;
+    let kernel_lb = if solver.timed_out {
+        // The optimum is min(best found, optima of subtrees left open); each
+        // open subtree's optimum is at least its chosen-so-far size. The LP
+        // bound is always valid, so take the stronger of the two.
+        let open = solver
+            .open_bound
+            .map_or(solver.best_cover.len(), |b| b.min(solver.best_cover.len()));
+        kernel_lp.max(open.min(solver.best_cover.len()))
+    } else {
+        solver.best_cover.len()
+    };
+    VcResult {
+        optimal: !solver.timed_out,
+        lower_bound: nt.forced_in.len() + kernel_lb,
+        cover,
+        nodes: solver.nodes,
+    }
+}
+
+/// A vertex cover of `g` that need not be minimum: the complement of a
+/// maximal independent set grown in random order. It sometimes beats the
+/// greedy cover, so seeding it changes the incumbent.
+fn random_cover(g: &UGraph, rng: &mut Rng) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..g.num_vertices()).collect();
+    shuffle(rng, &mut order);
+    let mut independent = vec![false; g.num_vertices()];
+    for v in order {
+        if g.neighbors(v).iter().all(|&w| !independent[w]) {
+            independent[v] = true;
+        }
+    }
+    (0..g.num_vertices()).filter(|&v| !independent[v]).collect()
+}
+
+/// Solves `g` unseeded and seeded with a random cover, by
+/// `minimum_vertex_cover` and by the reference, and asserts the results
+/// agree. Returns whether some search branched.
+fn assert_vertex_cover_matches_the_reference(g: &UGraph, rng: &mut Rng) -> bool {
+    let cover = random_cover(g, rng);
+    let mut branched = false;
+    for seed in [None, Some(cover.as_slice())] {
+        let want = reference_vertex_cover(g, &Budget::unlimited(), seed);
+        let got = minimum_vertex_cover(g, 1, &Budget::unlimited(), seed);
+        assert_eq!(
+            (&got.cover, got.nodes, got.lower_bound, got.optimal),
+            (&want.cover, want.nodes, want.lower_bound, want.optimal),
+            "seeded: {}",
+            seed.is_some()
+        );
+        branched |= want.nodes > 1;
+    }
+    branched
+}
+
+#[test]
+fn vertex_cover_matches_the_reference_on_random_graphs() {
+    let branched = std::cell::Cell::new(false);
+    harness("vertex_cover_matches_the_reference_on_random_graphs").check(|rng| {
+        let g = if rng.coin() {
+            let n = 1 + rng.below(40);
+            gen_small_graph(rng, n)
+        } else {
+            let n = 1 + rng.below(20);
+            cartesian_with_k2(&gen_small_graph(rng, n))
+        };
+        if assert_vertex_cover_matches_the_reference(&g, rng) {
+            branched.set(true);
+        }
+    });
+    assert!(branched.get(), "no case branched");
+}
+
+#[test]
+fn vertex_cover_matches_the_reference_on_bdd_graphs() {
+    let branched = std::cell::Cell::new(false);
+    harness("vertex_cover_matches_the_reference_on_bdd_graphs").check_network(
+        &NetworkGen::new(6, 30),
+        |network, rng| {
+            let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(network, None)).graph;
+            for g in [cartesian_with_k2(&graph), graph] {
+                if assert_vertex_cover_matches_the_reference(&g, rng) {
+                    branched.set(true);
+                }
+            }
+        },
+    );
+    assert!(branched.get(), "no case branched");
+}
+
+#[test]
+fn odd_cycle_transversal_searches_on_registry_circuits_are_pinned() {
+    for (name, size, nodes) in [("int2float", 11, 627), ("ctrl", 1, 3), ("priority", 1, 3)] {
+        let network = flowc::logic::bench_suite::by_name(name)
+            .unwrap()
+            .network()
+            .unwrap();
+        let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None));
+        let r = odd_cycle_transversal(&graph.graph, 1, &Budget::unlimited());
+        assert!(r.optimal, "{name}");
+        assert_eq!((r.transversal.len(), r.nodes), (size, nodes), "{name}");
+        assert!(is_bipartite_without(&graph.graph, &r.transversal), "{name}");
+    }
+}
+
+#[test]
+fn an_interrupted_vertex_cover_is_a_cover_with_a_valid_bound() {
+    let network = flowc::logic::bench_suite::by_name("int2float")
+        .unwrap()
+        .network()
+        .unwrap();
+    let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None)).graph;
+    let product = cartesian_with_k2(&graph);
+    // Lemma 1: VC(G □ K₂) = n + OCT(G), and int2float's OCT is 11.
+    let optimum = graph.num_vertices() + 11;
+    for micros in [500, 1000, 2000, 4000, 8000] {
+        let budget = Budget::unlimited().with_deadline(Duration::from_micros(micros));
+        let r = minimum_vertex_cover(&product, 1, &budget, None);
+        let set: HashSet<usize> = r.cover.iter().copied().collect();
+        for &(u, v) in product.edges() {
+            assert!(set.contains(&u) || set.contains(&v), "{micros} µs");
+        }
+        assert!(r.lower_bound <= optimum, "{micros} µs");
+        assert!(r.cover.len() >= optimum, "{micros} µs");
+    }
 }
 
 // The old private gen_network drew its gate count as `range(1, max_gates)`
