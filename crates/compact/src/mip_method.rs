@@ -310,10 +310,11 @@ pub fn hill_climb(
 /// Graphs of at most this many nodes get the LP-bounded branch & bound;
 /// larger ones go straight to the anytime path. The dense `lp::Simplex`
 /// stops at the budget's deadline, but its cost grows fast with the
-/// model: on int2float (250 nodes, 986 columns) the root LP alone did not
-/// finish in 120 s, and a 71-node per-output graph takes 11 s. Above this
-/// size the search would spend its whole budget on the root bound, where
-/// the anytime path answers in milliseconds.
+/// model: a 71-node per-output graph of int2float takes about 20 ms at
+/// the root, its 111-node output 0.2 s, and the whole 250-node graph
+/// (986 columns) 2.1 s. Above this size the search would spend much of
+/// its budget on root bounds, where the anytime path answers in
+/// milliseconds.
 const EXACT_NODE_LIMIT: usize = 80;
 
 /// Solves the weighted VH-labeling problem (the paper's Method B, Eq. 4)

@@ -16,6 +16,8 @@
 //! the reductions look only at the vertices whose degree changed. The tree
 //! is the one a solver that rebuilds all of this per node would expand.
 
+use std::collections::BinaryHeap;
+
 use flowc_budget::Budget;
 
 use crate::matching::{hopcroft_karp, konig_cover};
@@ -35,19 +37,27 @@ pub struct VcResult {
 }
 
 /// Greedy max-degree vertex cover (upper bound / warm start).
+///
+/// Each pick is the alive vertex of largest degree, the highest index
+/// among ties. A max-heap keyed by `(degree, index)` finds it; degrees
+/// only fall, so an entry whose degree is no longer the vertex's own is
+/// stale and skipped when it surfaces.
 pub fn greedy_cover(g: &UGraph) -> Vec<usize> {
     let n = g.num_vertices();
     let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
     let mut alive = vec![true; n];
+    let mut heap: BinaryHeap<(usize, usize)> = (0..n)
+        .filter(|&v| deg[v] > 0)
+        .map(|v| (deg[v], v))
+        .collect();
     let mut cover = Vec::new();
     let mut remaining = g.num_edges();
     while remaining > 0 {
-        let v = (0..n)
-            .filter(|&v| alive[v])
-            .max_by_key(|&v| deg[v])
-            .expect("edges remain, so a vertex does too");
-        if deg[v] == 0 {
-            break;
+        let (d, v) = heap
+            .pop()
+            .expect("edges remain, so a vertex of degree > 0 does too");
+        if !alive[v] || d != deg[v] {
+            continue;
         }
         cover.push(v);
         alive[v] = false;
@@ -55,6 +65,9 @@ pub fn greedy_cover(g: &UGraph) -> Vec<usize> {
             if alive[w] {
                 deg[w] -= 1;
                 remaining -= 1;
+                if deg[w] > 0 {
+                    heap.push((deg[w], w));
+                }
             }
         }
         deg[v] = 0;

@@ -76,7 +76,8 @@ pub trait Bounder {
     }
 }
 
-/// LP-relaxation bounding via the dense two-phase [`Simplex`].
+/// LP-relaxation bounding via the dense bounded-variable dual [`Simplex`],
+/// solved from scratch at every node.
 #[derive(Debug, Default, Clone)]
 pub struct LpBounder {
     simplex: Simplex,

@@ -8,7 +8,8 @@
 //!
 //! - [`Model`]: a row/column model builder (binary and continuous variables,
 //!   `<=`/`>=`/`=` linear constraints, minimization objective);
-//! - [`lp::Simplex`]: a dense two-phase primal simplex for LP relaxations;
+//! - [`lp::Simplex`]: a dense bounded-variable dual simplex for LP
+//!   relaxations, behind a presolve;
 //! - [`BranchBound`]: best-first branch & bound over the binary variables
 //!   with LP bounding, activity-based constraint propagation, rounding
 //!   heuristics, a wall-clock limit, and a [`SolveTrace`] recording the

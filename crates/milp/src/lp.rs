@@ -1,9 +1,19 @@
-//! A dense two-phase primal simplex for linear-programming relaxations.
+//! A dense bounded-variable dual simplex for linear-programming
+//! relaxations.
 //!
 //! The solver targets the LP relaxations that arise in this workspace
 //! (vertex-cover kernels, small weighted VH-labeling models, unit tests);
 //! it trades sparsity for simplicity and is intentionally dense. Larger
 //! instances go through the combinatorial [`crate::Bounder`] path instead.
+//!
+//! A solve presolves the model (see [`Simplex::solve`]), then runs the
+//! dual simplex on one flat tableau over the surviving columns plus one
+//! logical column per row. Bounds stay implicit: a nonbasic column sits at
+//! one of its bounds and the logicals' bounds encode the row senses, so
+//! there are no bound rows and no artificials. The start is the
+//! all-logical basis with each column at the bound its cost prefers, which
+//! is dual feasible, so there is no phase 1 either: each pivot repairs the
+//! most violated row until the basis is primal feasible, hence optimal.
 
 use flowc_budget::Budget;
 
@@ -32,8 +42,12 @@ pub enum LpResult {
 const EPS: f64 = 1e-9;
 /// Iteration budget multiplier before declaring a stall (switch to Bland).
 const DANTZIG_LIMIT_FACTOR: usize = 4;
+/// The upper bound given to a column with a negative cost and none of its
+/// own. A bounded LP whose optimum needs such a column above this value
+/// reads as unbounded; no model in this workspace comes near it.
+const ARTIFICIAL_BOUND: f64 = 1e7;
 
-/// A dense two-phase primal simplex solver. Construct with
+/// A dense bounded-variable dual simplex solver. Construct with
 /// [`Simplex::new`], then call [`Simplex::solve`].
 #[derive(Debug, Default, Clone)]
 pub struct Simplex {
@@ -59,6 +73,13 @@ impl Simplex {
     ///
     /// Fixed assignments can be imposed by passing `fixed`, a slice of
     /// `(var_index, value)` pairs that overrides those variables' bounds.
+    ///
+    /// Presolve first substitutes fixed columns out, drops rows every box
+    /// point satisfies, and eliminates zero-cost bounded columns (at a
+    /// favorable bound, or by bounded Fourier–Motzkin between one opposing
+    /// pair of `≥` rows). Eliminated columns come back at an integral
+    /// endpoint of their feasible interval where one exists, which is what
+    /// leaves Eq. 4's orientation binaries at 0 or 1 in the returned point.
     pub fn solve(&self, model: &Model, fixed: &[(usize, f64)]) -> LpResult {
         // Effective bounds per variable.
         let n = model.num_vars();
@@ -119,176 +140,42 @@ impl Simplex {
             return LpResult::Infeasible;
         }
 
-        // Compact the live columns and append their upper-bound rows.
+        // The live columns. One with a negative cost and no finite upper
+        // bound gets an artificial one, so the all-logical start is dual
+        // feasible; the LP is unbounded when the optimum leaves it at that
+        // bound with a reduced cost that still wants it higher.
         let cols: Vec<usize> = (0..n)
             .filter(|&i| range[i] > EPS && !eliminated[i])
             .collect();
-        let k = cols.len();
-        let mut trows: Vec<TRow> = Vec::with_capacity(rows.len() + k);
-        for row in rows.iter().filter(|r| r.alive) {
-            trows.push(TRow {
-                coeffs: cols.iter().map(|&i| row.coeffs[i]).collect(),
-                sense: row.sense,
-                rhs: row.rhs,
-            });
-        }
-        for (ci, &i) in cols.iter().enumerate() {
-            if range[i].is_finite() {
-                let mut coeffs = vec![0.0; k];
-                coeffs[ci] = 1.0;
-                trows.push(TRow {
-                    coeffs,
-                    sense: Sense::Le,
-                    rhs: range[i],
-                });
-            }
-        }
-
-        // Normalize to nonnegative rhs.
-        for r in &mut trows {
-            if r.rhs < 0.0 {
-                for c in &mut r.coeffs {
-                    *c = -*c;
+        let cost: Vec<f64> = cols.iter().map(|&i| model.vars[i].obj).collect();
+        let upper: Vec<f64> = cols
+            .iter()
+            .zip(&cost)
+            .map(|(&i, &c)| {
+                if c < 0.0 && !range[i].is_finite() {
+                    ARTIFICIAL_BOUND
+                } else {
+                    range[i]
                 }
-                r.rhs = -r.rhs;
-                r.sense = match r.sense {
-                    Sense::Le => Sense::Ge,
-                    Sense::Ge => Sense::Le,
-                    Sense::Eq => Sense::Eq,
-                };
-            }
-        }
-
-        let m = trows.len();
-        // Column layout: [structural k][slack/surplus s][artificial a][rhs].
-        let num_slack = trows
-            .iter()
-            .filter(|r| !matches!(r.sense, Sense::Eq))
-            .count();
-        // A `≥` row with zero rhs needs no artificial: negating it turns
-        // the surplus into a plain basic slack at value zero, so only
-        // strictly positive `≥` rows (and equations) enter phase 1.
-        let num_art = trows
-            .iter()
-            .filter(|r| match r.sense {
-                Sense::Le => false,
-                Sense::Ge => r.rhs > EPS,
-                Sense::Eq => true,
             })
-            .count();
-        let total = k + num_slack + num_art;
-        let mut t = vec![vec![0.0f64; total + 1]; m + 1];
-        let mut basis = vec![usize::MAX; m];
-        let mut slack_idx = k;
-        let mut art_idx = k + num_slack;
-        let mut art_cols: Vec<usize> = Vec::new();
-        for (ri, row) in trows.iter().enumerate() {
-            t[ri][..k].copy_from_slice(&row.coeffs);
-            t[ri][total] = row.rhs;
-            match row.sense {
-                Sense::Le => {
-                    t[ri][slack_idx] = 1.0;
-                    basis[ri] = slack_idx;
-                    slack_idx += 1;
-                }
-                Sense::Ge if row.rhs <= EPS => {
-                    // a·x ≥ 0  ⇔  −a·x + s = 0 with s ≥ 0 basic.
-                    for cell in t[ri].iter_mut().take(k) {
-                        *cell = -*cell;
-                    }
-                    t[ri][total] = 0.0;
-                    t[ri][slack_idx] = 1.0;
-                    basis[ri] = slack_idx;
-                    slack_idx += 1;
-                }
-                Sense::Ge => {
-                    t[ri][slack_idx] = -1.0;
-                    slack_idx += 1;
-                    t[ri][art_idx] = 1.0;
-                    basis[ri] = art_idx;
-                    art_cols.push(art_idx);
-                    art_idx += 1;
-                }
-                Sense::Eq => {
-                    t[ri][art_idx] = 1.0;
-                    basis[ri] = art_idx;
-                    art_cols.push(art_idx);
-                    art_idx += 1;
-                }
-            }
-        }
-
-        // Phase 1: minimize the sum of artificials.
-        if !art_cols.is_empty() {
-            for &c in &art_cols {
-                t[m][c] = 1.0;
-            }
-            // Price out the artificial basis.
-            for ri in 0..m {
-                if art_cols.contains(&basis[ri]) {
-                    let pivot_row: Vec<f64> = t[ri].clone();
-                    for (j, obj) in t[m].iter_mut().enumerate() {
-                        *obj -= pivot_row[j];
-                    }
-                }
-            }
-            match run_simplex(&mut t, &mut basis, total, self.budget.as_ref()) {
-                Pivots::Optimal => {}
-                // Phase-1 objective is bounded by construction; unbounded
-                // here indicates numerical trouble — treat as infeasible.
-                Pivots::Unbounded => return LpResult::Infeasible,
-                Pivots::Interrupted => return LpResult::Interrupted,
-            }
-            if -t[m][total] > 1e-6 {
-                return LpResult::Infeasible;
-            }
-            // Drive any remaining artificial out of the basis if possible.
-            for ri in 0..m {
-                if art_cols.contains(&basis[ri]) {
-                    if let Some(j) = (0..k + num_slack).find(|&j| t[ri][j].abs() > 1e-7) {
-                        pivot(&mut t, ri, j, total);
-                        basis[ri] = j;
-                    }
-                }
-            }
-            // Zero the phase-1 objective row and forbid artificial columns.
-            for cell in t[m].iter_mut().take(total + 1) {
-                *cell = 0.0;
-            }
-            for row in t.iter_mut().take(m) {
-                for &c in &art_cols {
-                    row[c] = 0.0;
-                }
-            }
-        }
-
-        // Phase 2 objective (shifted model objective over structurals).
-        for (ci, &i) in cols.iter().enumerate() {
-            t[m][ci] = model.vars[i].obj;
-        }
-        // Price out basic structural columns.
-        for ri in 0..m {
-            let b = basis[ri];
-            if t[m][b].abs() > 0.0 {
-                let coeff = t[m][b];
-                let pivot_row: Vec<f64> = t[ri].clone();
-                for (j, obj) in t[m].iter_mut().enumerate() {
-                    *obj -= coeff * pivot_row[j];
-                }
-            }
-        }
-        match run_simplex(&mut t, &mut basis, total, self.budget.as_ref()) {
+            .collect();
+        let live: Vec<&Row> = rows.iter().filter(|r| r.alive).collect();
+        let mut dual = DualSimplex::new(&live, &cols, &cost, upper);
+        match dual.run(self.budget.as_ref()) {
             Pivots::Optimal => {}
-            Pivots::Unbounded => return LpResult::Unbounded,
+            Pivots::Infeasible => return LpResult::Infeasible,
             Pivots::Interrupted => return LpResult::Interrupted,
         }
+        let unbounded = (0..cols.len())
+            .any(|c| dual.upper[c] == ARTIFICIAL_BOUND && dual.at_upper[c] && dual.d[c] < -EPS);
+        if unbounded {
+            return LpResult::Unbounded;
+        }
 
-        // Extract solution (shifted basics mapped back to model columns).
+        // Map the shifted values back to model columns.
         let mut x = lb.clone();
-        for ri in 0..m {
-            if basis[ri] < k {
-                x[cols[basis[ri]]] = lb[cols[basis[ri]]] + t[ri][total];
-            }
+        for (&i, value) in cols.iter().zip(dual.values()) {
+            x[i] = lb[i] + value;
         }
         // Reconstruct eliminated columns in reverse elimination order: a
         // later elimination's rows never mention an earlier eliminated
@@ -335,13 +222,6 @@ struct Row {
     sense: Sense,
     rhs: f64,
     alive: bool,
-}
-
-/// A compacted tableau row (dense over the surviving columns).
-struct TRow {
-    coeffs: Vec<f64>,
-    sense: Sense,
-    rhs: f64,
 }
 
 /// Record of a presolve column elimination, for solution reconstruction.
@@ -567,95 +447,236 @@ fn presolve(
     Ok(())
 }
 
-/// How a run of simplex iterations ended.
+/// How a dual simplex run ended.
 enum Pivots {
     Optimal,
-    Unbounded,
+    Infeasible,
     Interrupted,
 }
 
-/// Runs primal simplex iterations on the tableau until optimal or
-/// unbounded, or until `budget` is spent.
-fn run_simplex(
-    t: &mut [Vec<f64>],
-    basis: &mut [usize],
-    total: usize,
-    budget: Option<&Budget>,
-) -> Pivots {
-    let m = t.len() - 1;
-    let dantzig_limit = DANTZIG_LIMIT_FACTOR * (m + total) + 200;
-    let mut iters = 0usize;
-    loop {
-        if budget.is_some_and(|b| b.check().is_err()) {
-            return Pivots::Interrupted;
-        }
-        iters += 1;
-        let bland = iters > dantzig_limit;
-        // Entering column: most negative reduced cost (Dantzig), or first
-        // negative (Bland, guaranteed finite).
-        let mut enter = usize::MAX;
-        let mut best = -EPS;
-        for (j, &rc) in t[m].iter().enumerate().take(total) {
-            if rc < -EPS {
-                if bland {
-                    enter = j;
-                    break;
-                }
-                if rc < best {
-                    best = rc;
-                    enter = j;
-                }
-            }
-        }
-        if enter == usize::MAX {
-            return Pivots::Optimal;
-        }
-        // Leaving row: minimum ratio, ties by smallest basis index (Bland).
-        let mut leave = usize::MAX;
-        let mut best_ratio = f64::INFINITY;
-        for ri in 0..m {
-            let a = t[ri][enter];
-            if a > EPS {
-                let ratio = t[ri][total] / a;
-                if ratio < best_ratio - EPS
-                    || (ratio < best_ratio + EPS
-                        && (leave == usize::MAX || basis[ri] < basis[leave]))
-                {
-                    best_ratio = ratio;
-                    leave = ri;
-                }
-            }
-        }
-        if leave == usize::MAX {
-            return Pivots::Unbounded;
-        }
-        pivot(t, leave, enter, total);
-        basis[leave] = enter;
-    }
+/// A bounded-variable dual simplex on one flat tableau `B⁻¹[A | I]`.
+///
+/// Columns are the live structurals, then one logical per row. In the
+/// shifted space every column's lower bound is 0: a structural's upper
+/// bound is its range, and row `i`'s logical `sᵢ = bᵢ − aᵢ·x` is boxed by
+/// its sense (`≥` rows are negated to `≤` first, so an inequality's
+/// logical is `[0, ∞)` and an equation's is `[0, 0]`). A nonbasic column
+/// sits at one of its bounds; nothing else encodes a bound.
+struct DualSimplex {
+    /// Number of rows.
+    m: usize,
+    /// Number of columns: structurals then logicals.
+    width: usize,
+    /// The tableau, `m × width`, row-major.
+    t: Vec<f64>,
+    /// Reduced costs, one per column (0 on basic columns).
+    d: Vec<f64>,
+    /// Value of the basic column of each row.
+    beta: Vec<f64>,
+    /// The basic column of each row.
+    basis: Vec<usize>,
+    basic: Vec<bool>,
+    upper: Vec<f64>,
+    /// Whether a column is nonbasic at its upper bound (else basic or
+    /// at 0).
+    at_upper: Vec<bool>,
 }
 
-/// Gauss-Jordan pivot on (`row`, `col`).
-fn pivot(t: &mut [Vec<f64>], row: usize, col: usize, total: usize) {
-    let piv = t[row][col];
-    debug_assert!(piv.abs() > EPS, "pivot too small");
-    for cell in t[row].iter_mut().take(total + 1) {
-        *cell /= piv;
-    }
-    // Take the pivot row out so the other rows can borrow it; it goes back
-    // unchanged.
-    let pivot_row = std::mem::take(&mut t[row]);
-    for (ri, r) in t.iter_mut().enumerate() {
-        if ri == row {
-            continue;
+impl DualSimplex {
+    /// The all-logical basis, with each structural at the bound that makes
+    /// its reduced cost (its cost) dual feasible. `upper` holds the
+    /// structurals' upper bounds and must be finite wherever `cost` is
+    /// negative.
+    fn new(rows: &[&Row], cols: &[usize], cost: &[f64], mut upper: Vec<f64>) -> Self {
+        let (m, k) = (rows.len(), cols.len());
+        let width = k + m;
+        let mut t = vec![0.0; m * width];
+        let mut beta = vec![0.0; m];
+        let at_upper: Vec<bool> = (0..width).map(|c| c < k && cost[c] < 0.0).collect();
+        for (i, row) in rows.iter().enumerate() {
+            let sign = if row.sense == Sense::Ge { -1.0 } else { 1.0 };
+            let cells = &mut t[i * width..(i + 1) * width];
+            let mut value = sign * row.rhs;
+            for (c, &j) in cols.iter().enumerate() {
+                cells[c] = sign * row.coeffs[j];
+                if at_upper[c] {
+                    value -= cells[c] * upper[c];
+                }
+            }
+            cells[k + i] = 1.0;
+            beta[i] = value;
         }
-        let factor = r[col];
-        if factor.abs() > 0.0 {
-            for j in 0..=total {
-                r[j] -= factor * pivot_row[j];
+        let mut d = vec![0.0; width];
+        d[..k].copy_from_slice(cost);
+        upper.extend(rows.iter().map(|row| match row.sense {
+            Sense::Eq => 0.0,
+            Sense::Le | Sense::Ge => f64::INFINITY,
+        }));
+        let mut basic = vec![false; width];
+        basic[k..].fill(true);
+        DualSimplex {
+            m,
+            width,
+            t,
+            d,
+            beta,
+            basis: (k..width).collect(),
+            basic,
+            upper,
+            at_upper,
+        }
+    }
+
+    /// Pivots until the basis is primal feasible (optimal, since every
+    /// pivot keeps it dual feasible), or a row proves the rows infeasible,
+    /// or `budget` is spent. Dantzig-like pricing (largest infeasibility)
+    /// switches to Bland's rule once the run is long enough to suspect a
+    /// cycle.
+    fn run(&mut self, budget: Option<&Budget>) -> Pivots {
+        let bland_after = DANTZIG_LIMIT_FACTOR * (self.m + self.width) + 200;
+        let mut pivot_row: Vec<(usize, f64)> = Vec::with_capacity(self.width);
+        let mut pivots = 0usize;
+        loop {
+            if budget.is_some_and(|b| b.check().is_err()) {
+                return Pivots::Interrupted;
+            }
+            let bland = pivots >= bland_after;
+            let Some(r) = self.leaving_row(bland) else {
+                return Pivots::Optimal;
+            };
+            let Some(q) = self.entering_column(r, bland) else {
+                return Pivots::Infeasible;
+            };
+            self.pivot(r, q, &mut pivot_row);
+            pivots += 1;
+        }
+    }
+
+    /// The row whose basic column is furthest outside its bounds (the
+    /// lowest such column under Bland's rule), if any.
+    fn leaving_row(&self, bland: bool) -> Option<usize> {
+        let mut leave = None;
+        let mut worst = EPS;
+        for (r, &p) in self.basis.iter().enumerate() {
+            let v = self.beta[r];
+            let off = (-v).max(v - self.upper[p]);
+            if off <= EPS {
+                continue;
+            }
+            let better = match leave {
+                None => true,
+                Some(l) if bland => p < self.basis[l],
+                Some(_) => off > worst,
+            };
+            if better {
+                leave = Some(r);
+                worst = off;
             }
         }
+        leave
     }
-    t[row] = pivot_row;
+
+    /// The value of every structural column (the first `width − m`).
+    fn values(&self) -> Vec<f64> {
+        let mut x: Vec<f64> = (0..self.width)
+            .map(|j| if self.at_upper[j] { self.upper[j] } else { 0.0 })
+            .collect();
+        for (&j, &v) in self.basis.iter().zip(&self.beta) {
+            x[j] = v;
+        }
+        x.truncate(self.width - self.m);
+        x
+    }
+
+    /// The dual ratio test on row `r`: among the nonbasic columns that can
+    /// move the leaving column toward its violated bound, the one whose
+    /// reduced cost reaches zero first, ties by the larger |pivot| (by the
+    /// lowest index under Bland's rule). `None` proves the rows infeasible.
+    fn entering_column(&self, r: usize, bland: bool) -> Option<usize> {
+        let row = &self.t[r * self.width..(r + 1) * self.width];
+        // +1 when the leaving column must rise to 0, −1 when it must fall
+        // to its upper bound.
+        let dir = if self.beta[r] < 0.0 { 1.0 } else { -1.0 };
+        let mut enter = None;
+        let (mut best_ratio, mut best_pivot) = (f64::INFINITY, 0.0f64);
+        for (j, &alpha) in row.iter().enumerate() {
+            if self.basic[j] || alpha.abs() <= EPS || self.upper[j] == 0.0 {
+                continue;
+            }
+            // Raising a column at 0 moves the leaving one by −alpha per
+            // unit; lowering one at its upper bound moves it by +alpha.
+            let slack = if self.at_upper[j] {
+                if dir * alpha <= 0.0 {
+                    continue;
+                }
+                -self.d[j]
+            } else {
+                if dir * alpha >= 0.0 {
+                    continue;
+                }
+                self.d[j]
+            };
+            let ratio = slack.max(0.0) / alpha.abs();
+            let better = if ratio < best_ratio - EPS {
+                true
+            } else {
+                ratio <= best_ratio + EPS && !bland && alpha.abs() > best_pivot
+            };
+            if better {
+                enter = Some(j);
+                best_ratio = ratio.min(best_ratio);
+                best_pivot = alpha.abs();
+            }
+        }
+        enter
+    }
+
+    /// Moves the leaving column of row `r` to its violated bound by moving
+    /// column `q`, then makes `q` basic in row `r` (a Gauss-Jordan pivot of
+    /// the tableau and the reduced costs). `pivot_row` is scratch space.
+    fn pivot(&mut self, r: usize, q: usize, pivot_row: &mut Vec<(usize, f64)>) {
+        let w = self.width;
+        let p = self.basis[r];
+        let alpha = self.t[r * w + q];
+        let to_upper = self.beta[r] > 0.0;
+        let target = if to_upper { self.upper[p] } else { 0.0 };
+        let step = (self.beta[r] - target) / alpha;
+        for i in 0..self.m {
+            self.beta[i] -= self.t[i * w + q] * step;
+        }
+        self.beta[r] = if self.at_upper[q] { self.upper[q] } else { 0.0 } + step;
+        self.basis[r] = q;
+        self.basic[q] = true;
+        self.basic[p] = false;
+        self.at_upper[q] = false;
+        self.at_upper[p] = to_upper;
+
+        // Only the pivot row's nonzeros touch the other rows.
+        pivot_row.clear();
+        for (j, cell) in self.t[r * w..(r + 1) * w].iter_mut().enumerate() {
+            if *cell != 0.0 {
+                *cell /= alpha;
+                pivot_row.push((j, *cell));
+            }
+        }
+        for (i, cells) in self.t.chunks_exact_mut(w).enumerate() {
+            let factor = cells[q];
+            if i == r || factor == 0.0 {
+                continue;
+            }
+            for &(j, v) in pivot_row.iter() {
+                cells[j] -= factor * v;
+            }
+            cells[q] = 0.0;
+        }
+        let factor = self.d[q];
+        if factor != 0.0 {
+            for &(j, v) in pivot_row.iter() {
+                self.d[j] -= factor * v;
+            }
+            self.d[q] = 0.0;
+        }
+    }
 }
 
 #[cfg(test)]

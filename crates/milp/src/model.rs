@@ -161,6 +161,21 @@ impl Model {
         self.vars[v.index()].obj
     }
 
+    /// Iterator over every variable id, in column order.
+    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
+        (0..self.vars.len()).map(|i| VarId(i as u32))
+    }
+
+    /// The `i`-th constraint: its terms, sense and right-hand side.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= self.num_constraints()`.
+    pub fn constraint(&self, i: usize) -> (&[(VarId, f64)], Sense, f64) {
+        let c = &self.cons[i];
+        (&c.terms, c.sense, c.rhs)
+    }
+
     /// Iterator over binary variable ids.
     pub fn binaries(&self) -> impl Iterator<Item = VarId> + '_ {
         self.vars
@@ -234,6 +249,8 @@ mod tests {
         assert_eq!(m.objective_coeff(y), -2.0);
         assert!(matches!(m.var_kind(a), VarKind::Binary));
         assert_eq!(m.binaries().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(m.var_ids().collect::<Vec<_>>(), vec![a, y]);
+        assert_eq!(m.constraint(0), (&[(a, 1.0), (y, 1.0)][..], Sense::Le, 5.0));
     }
 
     #[test]

@@ -472,12 +472,9 @@ mod tests {
             let got = warm.solve_with(&m, hybrid_cover(&m));
             check(format!("cover{seed}-hybrid-warm"), got, hybrid);
         }
-        for (seed, nodes, obj) in [
-            (1, 6, 14.0),
-            (2, 26, 15.0),
-            (3, 5, 13.0),
-            (4, 6, 12.999999999999995),
-        ] {
+        // These relaxations have several optimal vertices, and the one the
+        // LP returns steers branching: the counts pin the LP's choice.
+        for (seed, nodes, obj) in [(1, 5, 14.0), (2, 28, 15.0), (3, 11, 13.0), (4, 4, 13.0)] {
             let m = set_cover_model(seed, 40, 60);
             let want = Some((nodes, obj, obj, Optimal));
             check(format!("setcover{seed}"), one.solve(&m), want);

@@ -177,6 +177,11 @@ fn one_and_four_thread_solves_agree_on_conform_seeded_covers() {
     }
 }
 
+/// ctrl's 5-point sweep closes at the root at every γ, cold and warm, on
+/// pinned shapes: S/D 42/29, except 45/29 for the cold solve at γ = 0. The LP
+/// presolve's integral reconstruction of the eliminated orientation
+/// binaries is what lets the root close; without it the relaxation point
+/// leaves them at ½ and the search branches.
 #[test]
 fn warm_started_sweep_lands_on_the_cold_optima() {
     use flowc::bdd::build_sbdd;
@@ -198,6 +203,22 @@ fn warm_started_sweep_lands_on_the_cold_optima() {
         let (warmed, _) = mip_solve(&graph, &config, &budget, warm.as_ref(), None);
         assert_eq!(warmed.warm_start.is_some(), warm.is_some(), "γ={gamma}");
         assert!(cold.optimal && warmed.optimal, "γ={gamma} must close");
+        for (kind, out) in [("cold", &cold), ("warm", &warmed)] {
+            // At γ = 0 only D counts: the cold root lands on S = 45, while
+            // the warm start keeps the S = 42 labeling of γ = 0.25.
+            let shape = if gamma == 0.0 && kind == "cold" {
+                (45, 29)
+            } else {
+                (42, 29)
+            };
+            let stats = out.labeling.stats();
+            assert!(out.nodes <= 1, "γ={gamma} {kind}: {} nodes", out.nodes);
+            assert_eq!(
+                (stats.semiperimeter, stats.max_dimension),
+                shape,
+                "γ={gamma} {kind}"
+            );
+        }
         assert!(
             (cold.objective - warmed.objective).abs() < 1e-6,
             "γ={gamma}: cold {} vs warm {}",

@@ -28,6 +28,8 @@ use flowc::graph::{
     UGraph, VcResult,
 };
 use flowc::logic::{GateKind, Network};
+use flowc::milp::lp::{LpResult, Simplex};
+use flowc::milp::{Model, Sense, VarId, VarKind};
 use flowc::xbar::fault::{apply_defects, CellState, DefectMap, Fault};
 use flowc::xbar::verify::verify_functional;
 use flowc::xbar::{Crossbar, DeviceAssignment, XbarError};
@@ -1124,6 +1126,890 @@ fn vertex_cover_matches_the_reference_on_bdd_graphs() {
         },
     );
     assert!(branched.get(), "no case branched");
+}
+
+/// The greedy cover as it was written before its max-degree pick went
+/// through a heap: every pick rescans all vertices for the last maximum
+/// degree. Kept verbatim; `greedy_cover` must make exactly its picks.
+fn reference_greedy_cover(g: &UGraph) -> Vec<usize> {
+    let n = g.num_vertices();
+    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let mut alive = vec![true; n];
+    let mut cover = Vec::new();
+    let mut remaining = g.num_edges();
+    while remaining > 0 {
+        let v = (0..n)
+            .filter(|&v| alive[v])
+            .max_by_key(|&v| deg[v])
+            .expect("edges remain, so a vertex does too");
+        if deg[v] == 0 {
+            break;
+        }
+        cover.push(v);
+        alive[v] = false;
+        for &w in g.neighbors(v) {
+            if alive[w] {
+                deg[w] -= 1;
+                remaining -= 1;
+            }
+        }
+        deg[v] = 0;
+    }
+    cover.sort_unstable();
+    cover
+}
+
+#[test]
+fn greedy_cover_matches_the_rescanning_reference() {
+    harness("greedy_cover_matches_the_rescanning_reference").check(|rng| {
+        let n = 1 + rng.below(60);
+        let g = gen_small_graph(rng, n);
+        for g in [cartesian_with_k2(&g), g] {
+            assert_eq!(greedy_cover(&g), reference_greedy_cover(&g));
+        }
+    });
+}
+
+/// The dense two-phase primal simplex the bounded dual simplex replaced,
+/// kept as it was (presolve, upper-bound rows, phase 1, Dantzig with a
+/// Bland fallback) minus its budget checks. `Simplex` must agree with it
+/// on status and objective.
+mod reference_lp {
+    use flowc::milp::lp::LpResult;
+    use flowc::milp::{Model, Sense, VarId, VarKind};
+
+    /// Numerical tolerance used throughout the simplex.
+    const EPS: f64 = 1e-9;
+    /// Iteration budget multiplier before declaring a stall (switch to Bland).
+    const DANTZIG_LIMIT_FACTOR: usize = 4;
+
+    pub fn reference_simplex(model: &Model, fixed: &[(usize, f64)]) -> LpResult {
+        let ids: Vec<VarId> = model.var_ids().collect();
+        let obj: Vec<f64> = ids.iter().map(|&v| model.objective_coeff(v)).collect();
+        // Effective bounds per variable.
+        let n = model.num_vars();
+        let mut lb = vec![0.0f64; n];
+        let mut ub = vec![f64::INFINITY; n];
+        for (i, &v) in ids.iter().enumerate() {
+            match model.var_kind(v) {
+                VarKind::Binary => {
+                    lb[i] = 0.0;
+                    ub[i] = 1.0;
+                }
+                VarKind::Continuous { lb: l, ub: u } => {
+                    lb[i] = l;
+                    ub[i] = u;
+                }
+            }
+        }
+        for &(i, val) in fixed {
+            lb[i] = val;
+            ub[i] = val;
+        }
+        for i in 0..n {
+            if lb[i] > ub[i] + EPS {
+                return LpResult::Infeasible;
+            }
+            if !lb[i].is_finite() {
+                // Free-below variables are not produced by this workspace;
+                // clamp to a large negative box to stay dense-friendly.
+                lb[i] = -1e12;
+            }
+        }
+
+        // Shift x = lb + x', x' in [0, ub-lb]. Rewrite rows accordingly;
+        // columns with zero range (fixed variables) are substituted out —
+        // their shifted value is identically zero.
+        let range: Vec<f64> = (0..n).map(|i| (ub[i] - lb[i]).max(0.0)).collect();
+        let mut rows: Vec<Row> = Vec::with_capacity(model.num_constraints());
+        for ci in 0..model.num_constraints() {
+            let (terms, sense, rhs) = model.constraint(ci);
+            let mut coeffs = vec![0.0; n];
+            let mut rhs = rhs;
+            for &(v, a) in terms {
+                rhs -= a * lb[v.index()];
+                if range[v.index()] > EPS {
+                    coeffs[v.index()] += a;
+                }
+            }
+            rows.push(Row {
+                coeffs,
+                sense,
+                rhs,
+                alive: true,
+            });
+        }
+
+        let mut eliminated = vec![false; n];
+        let mut elims: Vec<Elim> = Vec::new();
+        if presolve(&obj, &range, &mut rows, &mut eliminated, &mut elims).is_err() {
+            return LpResult::Infeasible;
+        }
+
+        // Compact the live columns and append their upper-bound rows.
+        let cols: Vec<usize> = (0..n)
+            .filter(|&i| range[i] > EPS && !eliminated[i])
+            .collect();
+        let k = cols.len();
+        let mut trows: Vec<TRow> = Vec::with_capacity(rows.len() + k);
+        for row in rows.iter().filter(|r| r.alive) {
+            trows.push(TRow {
+                coeffs: cols.iter().map(|&i| row.coeffs[i]).collect(),
+                sense: row.sense,
+                rhs: row.rhs,
+            });
+        }
+        for (ci, &i) in cols.iter().enumerate() {
+            if range[i].is_finite() {
+                let mut coeffs = vec![0.0; k];
+                coeffs[ci] = 1.0;
+                trows.push(TRow {
+                    coeffs,
+                    sense: Sense::Le,
+                    rhs: range[i],
+                });
+            }
+        }
+
+        // Normalize to nonnegative rhs.
+        for r in &mut trows {
+            if r.rhs < 0.0 {
+                for c in &mut r.coeffs {
+                    *c = -*c;
+                }
+                r.rhs = -r.rhs;
+                r.sense = match r.sense {
+                    Sense::Le => Sense::Ge,
+                    Sense::Ge => Sense::Le,
+                    Sense::Eq => Sense::Eq,
+                };
+            }
+        }
+
+        let m = trows.len();
+        // Column layout: [structural k][slack/surplus s][artificial a][rhs].
+        let num_slack = trows
+            .iter()
+            .filter(|r| !matches!(r.sense, Sense::Eq))
+            .count();
+        // A `≥` row with zero rhs needs no artificial: negating it turns
+        // the surplus into a plain basic slack at value zero, so only
+        // strictly positive `≥` rows (and equations) enter phase 1.
+        let num_art = trows
+            .iter()
+            .filter(|r| match r.sense {
+                Sense::Le => false,
+                Sense::Ge => r.rhs > EPS,
+                Sense::Eq => true,
+            })
+            .count();
+        let total = k + num_slack + num_art;
+        let mut t = vec![vec![0.0f64; total + 1]; m + 1];
+        let mut basis = vec![usize::MAX; m];
+        let mut slack_idx = k;
+        let mut art_idx = k + num_slack;
+        let mut art_cols: Vec<usize> = Vec::new();
+        for (ri, row) in trows.iter().enumerate() {
+            t[ri][..k].copy_from_slice(&row.coeffs);
+            t[ri][total] = row.rhs;
+            match row.sense {
+                Sense::Le => {
+                    t[ri][slack_idx] = 1.0;
+                    basis[ri] = slack_idx;
+                    slack_idx += 1;
+                }
+                Sense::Ge if row.rhs <= EPS => {
+                    // a·x ≥ 0  ⇔  −a·x + s = 0 with s ≥ 0 basic.
+                    for cell in t[ri].iter_mut().take(k) {
+                        *cell = -*cell;
+                    }
+                    t[ri][total] = 0.0;
+                    t[ri][slack_idx] = 1.0;
+                    basis[ri] = slack_idx;
+                    slack_idx += 1;
+                }
+                Sense::Ge => {
+                    t[ri][slack_idx] = -1.0;
+                    slack_idx += 1;
+                    t[ri][art_idx] = 1.0;
+                    basis[ri] = art_idx;
+                    art_cols.push(art_idx);
+                    art_idx += 1;
+                }
+                Sense::Eq => {
+                    t[ri][art_idx] = 1.0;
+                    basis[ri] = art_idx;
+                    art_cols.push(art_idx);
+                    art_idx += 1;
+                }
+            }
+        }
+
+        // Phase 1: minimize the sum of artificials.
+        if !art_cols.is_empty() {
+            for &c in &art_cols {
+                t[m][c] = 1.0;
+            }
+            // Price out the artificial basis.
+            for ri in 0..m {
+                if art_cols.contains(&basis[ri]) {
+                    let pivot_row: Vec<f64> = t[ri].clone();
+                    for (j, obj) in t[m].iter_mut().enumerate() {
+                        *obj -= pivot_row[j];
+                    }
+                }
+            }
+            match run_simplex(&mut t, &mut basis, total) {
+                Pivots::Optimal => {}
+                // Phase-1 objective is bounded by construction; unbounded
+                // here indicates numerical trouble — treat as infeasible.
+                Pivots::Unbounded => return LpResult::Infeasible,
+            }
+            if -t[m][total] > 1e-6 {
+                return LpResult::Infeasible;
+            }
+            // Drive any remaining artificial out of the basis if possible.
+            for ri in 0..m {
+                if art_cols.contains(&basis[ri]) {
+                    if let Some(j) = (0..k + num_slack).find(|&j| t[ri][j].abs() > 1e-7) {
+                        pivot(&mut t, ri, j, total);
+                        basis[ri] = j;
+                    }
+                }
+            }
+            // Zero the phase-1 objective row and forbid artificial columns.
+            for cell in t[m].iter_mut().take(total + 1) {
+                *cell = 0.0;
+            }
+            for row in t.iter_mut().take(m) {
+                for &c in &art_cols {
+                    row[c] = 0.0;
+                }
+            }
+        }
+
+        // Phase 2 objective (shifted model objective over structurals).
+        for (ci, &i) in cols.iter().enumerate() {
+            t[m][ci] = obj[i];
+        }
+        // Price out basic structural columns.
+        for ri in 0..m {
+            let b = basis[ri];
+            if t[m][b].abs() > 0.0 {
+                let coeff = t[m][b];
+                let pivot_row: Vec<f64> = t[ri].clone();
+                for (j, obj) in t[m].iter_mut().enumerate() {
+                    *obj -= coeff * pivot_row[j];
+                }
+            }
+        }
+        match run_simplex(&mut t, &mut basis, total) {
+            Pivots::Optimal => {}
+            Pivots::Unbounded => return LpResult::Unbounded,
+        }
+
+        // Extract solution (shifted basics mapped back to model columns).
+        let mut x = lb.clone();
+        for ri in 0..m {
+            if basis[ri] < k {
+                x[cols[basis[ri]]] = lb[cols[basis[ri]]] + t[ri][total];
+            }
+        }
+        // Reconstruct eliminated columns in reverse elimination order: a
+        // later elimination's rows never mention an earlier eliminated
+        // variable, so each step sees fully reconstructed neighbors.
+        for e in elims.iter().rev() {
+            match e {
+                Elim::AtValue { var, value } => x[*var] = lb[*var] + value,
+                Elim::Pair {
+                    var,
+                    range: r,
+                    pos,
+                    pos_coeff,
+                    pos_rhs,
+                    neg,
+                    neg_coeff,
+                    neg_rhs,
+                } => {
+                    let eval = |terms: &[(usize, f64)]| -> f64 {
+                        terms.iter().map(|&(v, c)| c * (x[v] - lb[v])).sum()
+                    };
+                    let lo = ((pos_rhs - eval(pos)) / pos_coeff).max(0.0);
+                    let hi = ((eval(neg) - neg_rhs) / neg_coeff).min(*r);
+                    // Prefer an integral endpoint of the feasible interval.
+                    let value = if lo <= EPS {
+                        0.0
+                    } else if hi >= r - EPS {
+                        *r
+                    } else {
+                        lo.min(*r)
+                    };
+                    x[*var] = lb[*var] + value;
+                }
+            }
+        }
+        let objective = model.objective_value(&x);
+        LpResult::Optimal { x, objective }
+    }
+
+    /// A shifted model row during presolve (dense coefficients over all
+    /// structural columns; `alive == false` once dropped or replaced).
+    struct Row {
+        coeffs: Vec<f64>,
+        sense: Sense,
+        rhs: f64,
+        alive: bool,
+    }
+
+    /// A compacted tableau row (dense over the surviving columns).
+    struct TRow {
+        coeffs: Vec<f64>,
+        sense: Sense,
+        rhs: f64,
+    }
+
+    /// Record of a presolve column elimination, for solution reconstruction.
+    /// All coefficients and right-hand sides live in the *shifted* space
+    /// (`x' = x − lb`), and `AtValue`/interval values are shifted too.
+    enum Elim {
+        /// The column was set to a fixed shifted value (favorable bound of a
+        /// zero-cost variable, or an unconstrained column pinned at zero).
+        AtValue { var: usize, value: f64 },
+        /// Bounded Fourier–Motzkin elimination of a zero-cost column from one
+        /// positive-coefficient `≥` row (`pos`) and one negative-coefficient
+        /// `≥` row (`neg`); `pos_coeff`/`neg_coeff` are the magnitudes.
+        Pair {
+            var: usize,
+            range: f64,
+            pos: Vec<(usize, f64)>,
+            pos_coeff: f64,
+            pos_rhs: f64,
+            neg: Vec<(usize, f64)>,
+            neg_coeff: f64,
+            neg_rhs: f64,
+        },
+    }
+
+    /// Minimum and maximum activity of a shifted row over the box
+    /// `x' ∈ [0, range]`, skipping numerically-zero coefficients.
+    fn activity(coeffs: &[f64], range: &[f64]) -> (f64, f64) {
+        let mut lo = 0.0f64;
+        let mut hi = 0.0f64;
+        for (i, &c) in coeffs.iter().enumerate() {
+            if c > EPS {
+                hi += c * range[i];
+            } else if c < -EPS {
+                lo += c * range[i];
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Drops a row as redundant if every box point satisfies it; reports
+    /// `Err(())` if no box point can. Returns whether the row stays alive.
+    fn vet_row(row: &mut Row, range: &[f64]) -> Result<(), ()> {
+        let (lo, hi) = activity(&row.coeffs, range);
+        match row.sense {
+            Sense::Ge => {
+                if hi < row.rhs - 1e-6 {
+                    return Err(());
+                }
+                if lo >= row.rhs - EPS {
+                    row.alive = false;
+                }
+            }
+            Sense::Le => {
+                if lo > row.rhs + 1e-6 {
+                    return Err(());
+                }
+                if hi <= row.rhs + EPS {
+                    row.alive = false;
+                }
+            }
+            Sense::Eq => {
+                if hi < row.rhs - 1e-6 || lo > row.rhs + 1e-6 {
+                    return Err(());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Presolve on the shifted rows: activity-based row dropping with quick
+    /// infeasibility detection, then elimination of zero-objective bounded
+    /// columns that the relaxation can always set freely — either at a
+    /// favorable bound (all occurrences relax the same way) or via bounded
+    /// Fourier–Motzkin when the column sits between exactly one pair of
+    /// opposing `≥` rows (the Eq. 4 orientation binaries). Returns `Err(())`
+    /// when the rows are infeasible over the box.
+    fn presolve(
+        obj: &[f64],
+        range: &[f64],
+        rows: &mut Vec<Row>,
+        eliminated: &mut [bool],
+        elims: &mut Vec<Elim>,
+    ) -> Result<(), ()> {
+        let n = obj.len();
+        for row in rows.iter_mut() {
+            vet_row(row, range)?;
+        }
+        for j in 0..n {
+            if obj[j] != 0.0 || range[j] <= EPS || !range[j].is_finite() {
+                continue;
+            }
+            let occ: Vec<usize> = (0..rows.len())
+                .filter(|&ri| rows[ri].alive && rows[ri].coeffs[j].abs() > EPS)
+                .collect();
+            // Direction each occurrence relaxes toward: +1 if the row loosens
+            // as x_j grows, −1 if it tightens, 0 for equations (never touched).
+            let dir = |ri: usize| -> i8 {
+                let c = rows[ri].coeffs[j];
+                match rows[ri].sense {
+                    Sense::Eq => 0,
+                    Sense::Ge => {
+                        if c > 0.0 {
+                            1
+                        } else {
+                            -1
+                        }
+                    }
+                    Sense::Le => {
+                        if c > 0.0 {
+                            -1
+                        } else {
+                            1
+                        }
+                    }
+                }
+            };
+            if occ.is_empty() {
+                eliminated[j] = true;
+                elims.push(Elim::AtValue { var: j, value: 0.0 });
+            } else if occ.iter().all(|&ri| dir(ri) == 1) {
+                // Every row loosens as x_j grows: pin at the upper bound.
+                for &ri in &occ {
+                    let c = rows[ri].coeffs[j];
+                    rows[ri].rhs -= c * range[j];
+                    rows[ri].coeffs[j] = 0.0;
+                    vet_row(&mut rows[ri], range)?;
+                }
+                eliminated[j] = true;
+                elims.push(Elim::AtValue {
+                    var: j,
+                    value: range[j],
+                });
+            } else if occ.iter().all(|&ri| dir(ri) == -1) {
+                // Every row loosens as x_j shrinks: pin at zero.
+                for &ri in &occ {
+                    rows[ri].coeffs[j] = 0.0;
+                    vet_row(&mut rows[ri], range)?;
+                }
+                eliminated[j] = true;
+                elims.push(Elim::AtValue { var: j, value: 0.0 });
+            } else if occ.len() == 2
+                && rows[occ[0]].sense == Sense::Ge
+                && rows[occ[1]].sense == Sense::Ge
+                && (rows[occ[0]].coeffs[j] > 0.0) != (rows[occ[1]].coeffs[j] > 0.0)
+            {
+                let (pi, ni) = if rows[occ[0]].coeffs[j] > 0.0 {
+                    (occ[0], occ[1])
+                } else {
+                    (occ[1], occ[0])
+                };
+                let a1 = rows[pi].coeffs[j];
+                let a2 = -rows[ni].coeffs[j];
+                let sparse = |ri: usize| -> Vec<(usize, f64)> {
+                    rows[ri]
+                        .coeffs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(v, &c)| v != j && c.abs() > EPS)
+                        .map(|(v, &c)| (v, c))
+                        .collect()
+                };
+                let (pos, neg) = (sparse(pi), sparse(ni));
+                let (pos_rhs, neg_rhs) = (rows[pi].rhs, rows[ni].rhs);
+                rows[pi].alive = false;
+                rows[ni].alive = false;
+                // x_j ∈ [0, u] exists between the two rows iff:
+                //   pos at x_j = u:   rest_pos ≥ pos_rhs − a1·u
+                //   neg at x_j = 0:   rest_neg ≥ neg_rhs
+                //   cross pair:       a2·rest_pos + a1·rest_neg ≥ a2·pos_rhs + a1·neg_rhs
+                let mut fresh = Vec::with_capacity(3);
+                let mut at_upper = vec![0.0; n];
+                for &(v, c) in &pos {
+                    at_upper[v] = c;
+                }
+                fresh.push(Row {
+                    coeffs: at_upper,
+                    sense: Sense::Ge,
+                    rhs: pos_rhs - a1 * range[j],
+                    alive: true,
+                });
+                let mut at_zero = vec![0.0; n];
+                for &(v, c) in &neg {
+                    at_zero[v] = c;
+                }
+                fresh.push(Row {
+                    coeffs: at_zero,
+                    sense: Sense::Ge,
+                    rhs: neg_rhs,
+                    alive: true,
+                });
+                let mut cross = vec![0.0; n];
+                for &(v, c) in &pos {
+                    cross[v] += a2 * c;
+                }
+                for &(v, c) in &neg {
+                    cross[v] += a1 * c;
+                }
+                fresh.push(Row {
+                    coeffs: cross,
+                    sense: Sense::Ge,
+                    rhs: a2 * pos_rhs + a1 * neg_rhs,
+                    alive: true,
+                });
+                for mut row in fresh {
+                    vet_row(&mut row, range)?;
+                    if row.alive {
+                        rows.push(row);
+                    }
+                }
+                eliminated[j] = true;
+                elims.push(Elim::Pair {
+                    var: j,
+                    range: range[j],
+                    pos,
+                    pos_coeff: a1,
+                    pos_rhs,
+                    neg,
+                    neg_coeff: a2,
+                    neg_rhs,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// How a run of simplex iterations ended.
+    enum Pivots {
+        Optimal,
+        Unbounded,
+    }
+
+    /// Runs primal simplex iterations on the tableau until optimal or
+    /// unbounded.
+    fn run_simplex(t: &mut [Vec<f64>], basis: &mut [usize], total: usize) -> Pivots {
+        let m = t.len() - 1;
+        let dantzig_limit = DANTZIG_LIMIT_FACTOR * (m + total) + 200;
+        let mut iters = 0usize;
+        loop {
+            iters += 1;
+            let bland = iters > dantzig_limit;
+            // Entering column: most negative reduced cost (Dantzig), or first
+            // negative (Bland, guaranteed finite).
+            let mut enter = usize::MAX;
+            let mut best = -EPS;
+            for (j, &rc) in t[m].iter().enumerate().take(total) {
+                if rc < -EPS {
+                    if bland {
+                        enter = j;
+                        break;
+                    }
+                    if rc < best {
+                        best = rc;
+                        enter = j;
+                    }
+                }
+            }
+            if enter == usize::MAX {
+                return Pivots::Optimal;
+            }
+            // Leaving row: minimum ratio, ties by smallest basis index (Bland).
+            let mut leave = usize::MAX;
+            let mut best_ratio = f64::INFINITY;
+            for ri in 0..m {
+                let a = t[ri][enter];
+                if a > EPS {
+                    let ratio = t[ri][total] / a;
+                    if ratio < best_ratio - EPS
+                        || (ratio < best_ratio + EPS
+                            && (leave == usize::MAX || basis[ri] < basis[leave]))
+                    {
+                        best_ratio = ratio;
+                        leave = ri;
+                    }
+                }
+            }
+            if leave == usize::MAX {
+                return Pivots::Unbounded;
+            }
+            pivot(t, leave, enter, total);
+            basis[leave] = enter;
+        }
+    }
+
+    /// Gauss-Jordan pivot on (`row`, `col`).
+    fn pivot(t: &mut [Vec<f64>], row: usize, col: usize, total: usize) {
+        let piv = t[row][col];
+        debug_assert!(piv.abs() > EPS, "pivot too small");
+        for cell in t[row].iter_mut().take(total + 1) {
+            *cell /= piv;
+        }
+        // Take the pivot row out so the other rows can borrow it; it goes back
+        // unchanged.
+        let pivot_row = std::mem::take(&mut t[row]);
+        for (ri, r) in t.iter_mut().enumerate() {
+            if ri == row {
+                continue;
+            }
+            let factor = r[col];
+            if factor.abs() > 0.0 {
+                for j in 0..=total {
+                    r[j] -= factor * pivot_row[j];
+                }
+            }
+        }
+        t[row] = pivot_row;
+    }
+}
+
+/// Whether `x` satisfies `model`'s relaxation under `fixed`: every column
+/// within its bounds (binaries in `[0, 1]`), every fixing and every row, to
+/// `tol` scaled by the row's magnitude.
+fn lp_feasible(model: &Model, fixed: &[(usize, f64)], x: &[f64], tol: f64) -> bool {
+    let in_bounds = model
+        .var_ids()
+        .zip(x)
+        .all(|(v, &xi)| match model.var_kind(v) {
+            VarKind::Binary => (-tol..=1.0 + tol).contains(&xi),
+            VarKind::Continuous { lb, ub } => xi >= lb - tol && xi <= ub + tol,
+        });
+    let fixings = fixed.iter().all(|&(i, val)| (x[i] - val).abs() <= tol);
+    let rows = (0..model.num_constraints()).all(|ci| {
+        let (terms, sense, rhs) = model.constraint(ci);
+        let lhs: f64 = terms.iter().map(|&(v, a)| a * x[v.index()]).sum();
+        let scale = 1.0 + rhs.abs() + terms.iter().map(|&(_, a)| a.abs()).sum::<f64>();
+        match sense {
+            Sense::Le => lhs <= rhs + tol * scale,
+            Sense::Ge => lhs >= rhs - tol * scale,
+            Sense::Eq => (lhs - rhs).abs() <= tol * scale,
+        }
+    });
+    in_bounds && fixings && rows
+}
+
+/// Solves `model` under `fixed` with both simplexes and checks they agree:
+/// the same status, objectives within 1e-6, and a point the model accepts.
+/// Returns the status the two agree on.
+fn assert_lp_matches_the_reference(model: &Model, fixed: &[(usize, f64)]) -> LpResult {
+    let want = reference_lp::reference_simplex(model, fixed);
+    let got = Simplex::new().solve(model, fixed);
+    match (&got, &want) {
+        (
+            LpResult::Optimal { x, objective },
+            LpResult::Optimal {
+                objective: reference,
+                ..
+            },
+        ) => {
+            assert!(
+                (objective - reference).abs() <= 1e-6 * reference.abs().max(1.0),
+                "objective {objective} vs reference {reference}"
+            );
+            assert!(
+                (model.objective_value(x) - objective).abs() <= 1e-9 * objective.abs().max(1.0),
+                "objective {objective} is not the point's"
+            );
+            assert!(lp_feasible(model, fixed, x, 1e-6), "infeasible point {x:?}");
+        }
+        (got, want) => assert_eq!(got, want),
+    }
+    got
+}
+
+/// Fixes each binary of `model` to a random 0 or 1 with probability `p`.
+fn random_fixings(model: &Model, rng: &mut Rng, p: f64) -> Vec<(usize, f64)> {
+    let mut fixed = Vec::new();
+    for v in model.binaries() {
+        if rng.chance(p) {
+            fixed.push((v.index(), rng.below(2) as f64));
+        }
+    }
+    fixed
+}
+
+/// A column of a random model: a binary or a boxed continuous, whose cost
+/// may be negative when `negative` is set, or a continuous with no upper
+/// bound and a nonnegative cost (`random_ray_model` adds the negative one).
+fn random_column(m: &mut Model, rng: &mut Rng, i: usize, negative: bool) -> VarId {
+    let cost = rng.below(9) as f64 - if negative { 4.0 } else { 0.0 };
+    match rng.below(4) {
+        0 | 1 => m.add_binary(format!("b{i}"), cost),
+        2 => {
+            let lb = rng.below(3) as f64 - 1.0;
+            m.add_continuous(format!("c{i}"), lb, lb + 1.0 + rng.below(4) as f64, cost)
+        }
+        _ => m.add_continuous(format!("u{i}"), 0.0, f64::INFINITY, cost.abs()),
+    }
+}
+
+/// Random covering (`≥`, nonnegative terms), packing (`≤`, nonnegative
+/// terms) and mixed-sign rows of every sense over mixed columns. Most rows
+/// admit a hidden integral point of the box; one in twenty is unrestricted
+/// and may make the model infeasible.
+fn random_mixed_model(rng: &mut Rng) -> Model {
+    let mut m = Model::new();
+    let n = rng.range(1, 13);
+    let negative = rng.coin();
+    let vars: Vec<VarId> = (0..n)
+        .map(|i| random_column(&mut m, rng, i, negative))
+        .collect();
+    let hidden: Vec<f64> = vars
+        .iter()
+        .map(|&v| match m.var_kind(v) {
+            VarKind::Binary => rng.below(2) as f64,
+            VarKind::Continuous { lb, ub } => {
+                lb + rng.below(ub.min(lb + 3.0) as usize - lb as usize + 1) as f64
+            }
+        })
+        .collect();
+    for _ in 0..rng.below(2 * n + 2) {
+        let kind = rng.below(4);
+        let mut terms: Vec<(VarId, f64)> = vars
+            .iter()
+            .filter_map(|&v| {
+                let a = 1.0 + rng.below(3) as f64;
+                let a = if kind == 3 && rng.coin() { -a } else { a };
+                rng.chance(0.4).then_some((v, a))
+            })
+            .collect();
+        if terms.is_empty() {
+            terms.push((vars[rng.below(n)], 1.0));
+        }
+        let at_hidden: f64 = terms.iter().map(|&(v, a)| a * hidden[v.index()]).sum();
+        let rhs = if rng.chance(0.05) {
+            rng.below(5) as f64 - 1.0
+        } else {
+            at_hidden
+        };
+        let slack = rng.below(3) as f64;
+        match kind {
+            0 => m.add_constraint(&terms, Sense::Ge, rhs - slack),
+            1 => m.add_constraint(&terms, Sense::Le, rhs + slack),
+            2 => m.add_constraint(&terms, Sense::Eq, rhs),
+            _ => {
+                let sense = [Sense::Le, Sense::Ge, Sense::Eq][rng.below(3)];
+                m.add_constraint(&terms, sense, rhs);
+            }
+        }
+    }
+    m
+}
+
+/// A knapsack: binaries and boxed continuous items of negative cost
+/// (value) under one or two capacity rows, sometimes with a demand row
+/// that no packing meets.
+fn random_knapsack(rng: &mut Rng) -> Model {
+    let mut m = Model::new();
+    let n = rng.range(1, 16);
+    let items: Vec<VarId> = (0..n)
+        .map(|i| {
+            let value = -(1.0 + rng.below(20) as f64);
+            if rng.chance(0.8) {
+                m.add_binary(format!("x{i}"), value)
+            } else {
+                m.add_continuous(format!("y{i}"), 0.0, 1.0 + rng.below(3) as f64, value)
+            }
+        })
+        .collect();
+    let mut total = 0.0;
+    for _ in 0..rng.range(1, 3) {
+        let terms: Vec<(VarId, f64)> = items
+            .iter()
+            .map(|&v| (v, 1.0 + rng.below(10) as f64))
+            .collect();
+        let weight: f64 = terms.iter().map(|&(_, w)| w).sum();
+        total = weight * 3.0;
+        m.add_constraint(&terms, Sense::Le, (weight / 2.0).floor());
+    }
+    if rng.chance(0.2) {
+        let all: Vec<(VarId, f64)> = items.iter().map(|&v| (v, 1.0)).collect();
+        m.add_constraint(&all, Sense::Ge, total);
+    }
+    m
+}
+
+/// A negative-cost column with no upper bound beside a random model: rows
+/// that it only loosens leave the relaxation unbounded below, unless a
+/// packing row caps it (then the artificial bound must not show).
+fn random_ray_model(rng: &mut Rng) -> Model {
+    let mut m = random_mixed_model(rng);
+    let others: Vec<VarId> = m.var_ids().collect();
+    let ray = m.add_continuous("ray", 0.0, f64::INFINITY, -(1.0 + rng.below(3) as f64));
+    for _ in 0..rng.below(3) {
+        let mut terms: Vec<(VarId, f64)> = others
+            .iter()
+            .filter(|_| rng.coin())
+            .map(|&v| (v, 1.0))
+            .collect();
+        terms.push((ray, 1.0 + rng.below(2) as f64));
+        m.add_constraint(&terms, Sense::Ge, rng.below(4) as f64);
+    }
+    if rng.coin() {
+        let mut terms = vec![(ray, 1.0 + rng.below(3) as f64)];
+        terms.extend(others.iter().filter(|_| rng.coin()).map(|&v| (v, 1.0)));
+        m.add_constraint(&terms, Sense::Le, 2.0 + rng.below(30) as f64);
+    }
+    m
+}
+
+#[test]
+fn lp_matches_the_reference_on_random_models() {
+    let seen = std::cell::RefCell::new(HashSet::new());
+    harness("lp_matches_the_reference_on_random_models").check(|rng| {
+        let model = match rng.below(3) {
+            0 => random_mixed_model(rng),
+            1 => random_knapsack(rng),
+            _ => random_ray_model(rng),
+        };
+        for p in [0.0, 0.3] {
+            let fixed = random_fixings(&model, rng, p);
+            let status = assert_lp_matches_the_reference(&model, &fixed);
+            seen.borrow_mut().insert(std::mem::discriminant(&status));
+        }
+    });
+    // Optimal, infeasible and unbounded all occur at the default case count.
+    assert_eq!(seen.borrow().len(), 3, "not every LP status occurred");
+}
+
+#[test]
+fn lp_matches_the_reference_on_eq4_models() {
+    use flowc::compact::mip_method::build_model;
+    harness("lp_matches_the_reference_on_eq4_models").check_network(
+        &NetworkGen::new(6, 30),
+        |network, rng| {
+            let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(network, None));
+            let gamma = rng.below(5) as f64 / 4.0;
+            let (model, _) = build_model(&graph, gamma, rng.coin());
+            for p in [0.0, 0.1, 0.4] {
+                let fixed = random_fixings(&model, rng, p);
+                assert_lp_matches_the_reference(&model, &fixed);
+            }
+        },
+    );
+}
+
+#[test]
+fn lp_answers_interrupted_on_a_spent_budget() {
+    let mut rng = Rng::new(7);
+    let model = random_knapsack(&mut rng);
+    let spent = Budget::unlimited();
+    spent.cancel_handle().cancel();
+    assert_eq!(
+        Simplex::new().with_budget(spent).solve(&model, &[]),
+        LpResult::Interrupted
+    );
 }
 
 #[test]
