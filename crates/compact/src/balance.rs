@@ -16,6 +16,8 @@
 
 use std::collections::HashSet;
 
+use flowc_graph::Lowpoint;
+
 use crate::labeling::{Labeling, LabelingStats, VhLabel};
 use crate::preprocess::BddGraph;
 
@@ -269,8 +271,8 @@ impl Totals {
     }
 }
 
-/// `G − vh` as balancing sees it, from one iterative DFS that starts each
-/// connected part at its lowest-index node: the 2-coloring (that node
+/// `G − vh` as balancing sees it, from one [`Lowpoint`] DFS that starts
+/// each connected part at its lowest-index node: the 2-coloring (that node
 /// gets color 0), every part's [`ClassCounts`], and for [`MoveScorer`]
 /// each node's `disc`/`low` times, DFS children and per-class subtree
 /// counts.
@@ -298,69 +300,52 @@ impl Remainder {
     /// Panics if `vh` is not a valid odd cycle transversal.
     fn new(graph: &BddGraph, vh: &HashSet<usize>, align: bool) -> Remainder {
         let n = graph.num_nodes();
-        let g = &graph.graph;
         let aligned = aligned_nodes(graph, align);
+        let Lowpoint {
+            order,
+            parent,
+            disc,
+            low,
+        } = Lowpoint::new(&graph.graph, |v| vh.contains(&v));
         let mut part = vec![NONE; n];
-        let mut disc = vec![NONE; n];
-        let mut low = vec![0; n];
         let mut color = vec![0u8; n];
         let mut first_child = vec![NONE; n];
         let mut next_sibling = vec![NONE; n];
+        let mut parts = 0;
+        for &v in &order {
+            match parent[v] {
+                NONE => {
+                    part[v] = parts;
+                    parts += 1;
+                }
+                p => {
+                    part[v] = part[p];
+                    color[v] = 1 - color[p];
+                    next_sibling[v] = first_child[p];
+                    first_child[p] = v;
+                }
+            }
+        }
+        for &(u, v) in graph.graph.edges() {
+            assert!(
+                part[u] == NONE || part[v] == NONE || color[u] != color[v],
+                "transversal does not make the graph bipartite"
+            );
+        }
         let mut subtree = vec![ClassCounts::default(); n];
-        let mut parts = Vec::new();
-        let mut clock = 0;
-        // (node, index of the next neighbor to scan)
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for root in 0..n {
-            if vh.contains(&root) || disc[root] != NONE {
-                continue;
+        let mut counts = vec![ClassCounts::default(); parts];
+        for &v in order.iter().rev() {
+            subtree[v].add(color[v], aligned[v]);
+            match parent[v] {
+                NONE => counts[part[v]] = subtree[v],
+                p => subtree[p] = subtree[p].plus(subtree[v]),
             }
-            let p = parts.len();
-            let mut discovered = Some((root, 0u8));
-            loop {
-                if let Some((v, c)) = discovered.take() {
-                    part[v] = p;
-                    disc[v] = clock;
-                    low[v] = clock;
-                    clock += 1;
-                    color[v] = c;
-                    subtree[v].add(c, aligned[v]);
-                    stack.push((v, 0));
-                }
-                let Some(&mut (v, ref mut next)) = stack.last_mut() else {
-                    break;
-                };
-                if let Some(&w) = g.neighbors(v).get(*next) {
-                    *next += 1;
-                    if vh.contains(&w) {
-                        continue;
-                    }
-                    if disc[w] == NONE {
-                        next_sibling[w] = first_child[v];
-                        first_child[v] = w;
-                        discovered = Some((w, 1 - color[v]));
-                    } else {
-                        assert!(
-                            color[w] != color[v],
-                            "transversal does not make the graph bipartite"
-                        );
-                        low[v] = low[v].min(disc[w]);
-                    }
-                } else {
-                    stack.pop();
-                    if let Some(&(u, _)) = stack.last() {
-                        low[u] = low[u].min(low[v]);
-                        subtree[u] = subtree[u].plus(subtree[v]);
-                    }
-                }
-            }
-            parts.push(subtree[root]);
         }
         Remainder {
             part,
             color,
             aligned,
-            parts,
+            parts: counts,
             disc,
             low,
             first_child,

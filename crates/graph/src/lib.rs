@@ -1,8 +1,10 @@
 //! Undirected graph algorithms for the COMPACT reproduction: bipartiteness
 //! and 2-coloring, connected components, the Cartesian product with `K₂`,
 //! maximum bipartite matching (Hopcroft–Karp), exact minimum vertex cover
-//! with LP/Nemhauser–Trotter kernelization, and the odd cycle transversal
-//! via the paper's Lemma 1 (`OCT(G) = k  ⇔  VC(G □ K₂) = n + k`).
+//! with LP/Nemhauser–Trotter kernelization, depth-first lowpoints and
+//! biconnected blocks, and the odd cycle transversal via the paper's
+//! Lemma 1 (`OCT(G) = k  ⇔  VC(G □ K₂) = n + k`), searched one block at a
+//! time.
 //!
 //! ```
 //! use flowc_budget::Budget;
@@ -22,6 +24,7 @@
 #![warn(missing_docs)]
 
 mod bipartite;
+mod blocks;
 mod matching;
 mod oct;
 mod product;
@@ -29,6 +32,7 @@ mod ugraph;
 mod vertex_cover;
 
 pub use bipartite::{two_color, ColorResult};
+pub use blocks::Lowpoint;
 pub use matching::{hopcroft_karp, konig_cover, BipartiteMatching};
 pub use oct::{oct_heuristic, odd_cycle_transversal, OctResult};
 pub use product::cartesian_with_k2;

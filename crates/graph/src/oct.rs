@@ -3,13 +3,31 @@
 //! cover of the product therefore yields a minimum OCT; *any* vertex cover
 //! yields a valid (possibly suboptimal) OCT, which is what makes stopping
 //! at the budget's deadline sound.
+//!
+//! Every odd cycle lies inside one biconnected block, so the exact search
+//! runs block by block over the block–cut tree, rooted at each component's
+//! largest non-bipartite block and solved from the leaves up. A block `B`
+//! with parent cut vertex `p` has its forced child cut vertices removed,
+//! leaving `B′`. It costs two Lemma 1 searches, `OCT(B′ − p)` and
+//! `OCT(B′)`, and keeping `p` is free for it iff the two are equal: a
+//! smaller transversal avoiding `p` would contradict the minimum. A cut
+//! vertex that some child block cannot keep for free is forced into the
+//! transversal: it costs one and saves at least one below, and once it is
+//! forced its other child blocks need only the first search. The root
+//! block costs one search and a bipartite block none, so a single-block
+//! graph is one whole-graph search.
+
+use std::cmp::Reverse;
 
 use flowc_budget::Budget;
 
 use crate::bipartite::extract_cycle;
+use crate::blocks::{blocks, Block};
 use crate::product::cartesian_with_k2;
 use crate::vertex_cover::minimum_vertex_cover;
 use crate::{two_color, ColorResult, UGraph};
+
+const NONE: usize = usize::MAX;
 
 /// Result of an odd-cycle-transversal computation.
 #[derive(Debug, Clone)]
@@ -20,25 +38,166 @@ pub struct OctResult {
     pub optimal: bool,
     /// A valid lower bound on the minimum OCT size.
     pub lower_bound: usize,
-    /// Branch & bound nodes expanded by the vertex-cover solve.
+    /// Branch & bound nodes expanded by the vertex-cover solves.
     pub nodes: u64,
 }
 
-/// Computes an odd cycle transversal of `g` via Lemma 1 (vertex cover of
-/// `G □ K₂`). Bipartite inputs short-circuit to the empty transversal.
-/// `threads` workers solve the product's components. The vertex-cover
-/// branch & bound checks `budget`'s cancellation and deadline
+/// The answer for a bipartite graph.
+const BIPARTITE: OctResult = OctResult {
+    transversal: Vec::new(),
+    optimal: true,
+    lower_bound: 0,
+    nodes: 0,
+};
+
+/// Computes a minimum odd cycle transversal of `g` over its block–cut
+/// tree (see the module doc), one Lemma 1 search (vertex cover of
+/// `B □ K₂`) per call. Bipartite inputs short-circuit to the empty
+/// transversal. `threads` workers solve each product's components. The
+/// vertex-cover branch & bound checks `budget`'s cancellation and deadline
 /// cooperatively, so an in-flight solve can be interrupted mid-branch; on
-/// exhaustion the result is a valid (greedy-backed) transversal with
-/// `optimal == false`.
+/// exhaustion the result is the union of the blocks' transversals or the
+/// greedy one, whichever is smaller, with `optimal == false` and a lower
+/// bound summed over disjoint pieces of the blocks.
 pub fn odd_cycle_transversal(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
     if matches!(two_color(g), ColorResult::Bipartite(_)) {
-        return OctResult {
-            transversal: Vec::new(),
-            optimal: true,
-            lower_bound: 0,
-            nodes: 0,
-        };
+        return BIPARTITE;
+    }
+    let n = g.num_vertices();
+    let blocks = blocks(g);
+
+    // Root each component's block–cut tree at its largest non-bipartite
+    // block: a breadth-first pass that makes every other block at a newly
+    // reached vertex a child of that (cut) vertex.
+    let mut blocks_at: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (b, block) in blocks.iter().enumerate() {
+        for &v in &block.vertices {
+            blocks_at[v].push(b);
+        }
+    }
+    let mut roots: Vec<usize> = (0..blocks.len()).collect();
+    roots.sort_by_key(|&b| Reverse((blocks[b].odd, blocks[b].vertices.len())));
+    let mut parent_cut = vec![NONE; blocks.len()];
+    let mut visited = vec![false; blocks.len()];
+    let mut reached = vec![false; n];
+    let mut order = Vec::with_capacity(blocks.len());
+    for root in roots {
+        if visited[root] {
+            continue;
+        }
+        visited[root] = true;
+        order.push(root);
+        let mut head = order.len() - 1;
+        while let Some(&b) = order.get(head) {
+            head += 1;
+            for &c in &blocks[b].vertices {
+                if std::mem::replace(&mut reached[c], true) {
+                    continue;
+                }
+                for &child in &blocks_at[c] {
+                    if !std::mem::replace(&mut visited[child], true) {
+                        parent_cut[child] = c;
+                        order.push(child);
+                    }
+                }
+            }
+        }
+    }
+
+    // Leaves up. `forced[c]`: some child block of `c` cannot keep it for
+    // free. Each block's search excludes its forced child cut vertices.
+    let mut forced = vec![false; n];
+    let mut local = vec![NONE; n];
+    let mut transversal = Vec::new();
+    let (mut optimal, mut lower_bound, mut nodes) = (true, 0, 0);
+    let mut solve = |b: usize, drop: &dyn Fn(usize) -> bool| {
+        let (sub, back) = block_graph(&blocks[b], drop, &mut local);
+        let r = lemma1(&sub, threads, budget);
+        optimal &= r.optimal;
+        nodes += r.nodes;
+        let t: Vec<usize> = r.transversal.iter().map(|&v| back[v]).collect();
+        (t, r.lower_bound)
+    };
+    for &b in order.iter().rev() {
+        if !blocks[b].odd {
+            continue;
+        }
+        let p = parent_cut[b];
+        let below = |v: usize| v != p && forced[v];
+        // The pieces `B′ − p` of the blocks and the roots' `B′` are
+        // disjoint, so their bounds add up to a bound on the whole.
+        let (t, bound) = solve(b, &|v| below(v) || v == p);
+        lower_bound += bound;
+        if p == NONE || forced[p] {
+            transversal.extend(t);
+            continue;
+        }
+        let (keep, _) = solve(b, &below);
+        if keep.len() <= t.len() {
+            transversal.extend(keep);
+        } else {
+            forced[p] = true;
+            transversal.extend(t);
+        }
+    }
+    transversal.extend((0..n).filter(|&v| forced[v]));
+    transversal.sort_unstable();
+    transversal.dedup();
+    debug_assert!(
+        is_valid_oct(g, &transversal),
+        "block transversals do not compose"
+    );
+    let lower_bound = if optimal {
+        transversal.len()
+    } else {
+        let greedy = oct_heuristic(g);
+        if greedy.len() < transversal.len() {
+            transversal = greedy;
+        }
+        lower_bound.max(1)
+    };
+    OctResult {
+        transversal,
+        optimal,
+        lower_bound,
+        nodes,
+    }
+}
+
+/// The subgraph of `g` induced on `block`'s vertices for which `drop`
+/// fails, with the map from its indices back to `g`'s. `local` is an
+/// all-`NONE` scratch of `g`'s size, left as it was found.
+fn block_graph(
+    block: &Block,
+    drop: impl Fn(usize) -> bool,
+    local: &mut [usize],
+) -> (UGraph, Vec<usize>) {
+    let back: Vec<usize> = block
+        .vertices
+        .iter()
+        .copied()
+        .filter(|&v| !drop(v))
+        .collect();
+    for (i, &v) in back.iter().enumerate() {
+        local[v] = i;
+    }
+    let mut sub = UGraph::new(back.len());
+    for &(u, v) in &block.edges {
+        if local[u] != NONE && local[v] != NONE {
+            sub.add_edge(local[u], local[v]);
+        }
+    }
+    for &v in &back {
+        local[v] = NONE;
+    }
+    (sub, back)
+}
+
+/// One Lemma 1 search over the whole of `g`: a vertex cover of `G □ K₂`,
+/// seeded from the greedy transversal.
+fn lemma1(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
+    if matches!(two_color(g), ColorResult::Bipartite(_)) {
+        return BIPARTITE;
     }
     let n = g.num_vertices();
     let p = cartesian_with_k2(g);
@@ -339,6 +498,47 @@ mod tests {
         let r = oct(&g);
         assert_eq!(r.transversal, vec![0]);
         assert!(r.optimal);
+    }
+
+    #[test]
+    fn a_fan_forces_its_hub_into_the_transversal() {
+        // The 7-cycle 0, 6..=11 is the root block. The fan of triangles
+        // 0-i-(i+1) over the path 1..=5 hangs off cut vertex 0: keeping 0
+        // would cost it two, so 0 is forced and the cycle, without 0, is a
+        // path.
+        let mut g = UGraph::new(12);
+        for i in 1..=5 {
+            g.add_edge(0, i);
+        }
+        for i in 1..5 {
+            g.add_edge(i, i + 1);
+        }
+        for (u, v) in [(0, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 0)] {
+            g.add_edge(u, v);
+        }
+        let r = oct(&g);
+        assert_eq!(r.transversal, vec![0]);
+        assert!(r.optimal);
+        assert_eq!(r.lower_bound, 1);
+    }
+
+    #[test]
+    fn an_interrupted_bound_counts_each_block_without_its_parent_cut_vertex() {
+        // Three triangles share vertex 0; each non-root triangle minus 0 is
+        // an edge, so the disjoint pieces bound the OCT by the root's 1.
+        let mut g = UGraph::new(7);
+        for base in [1, 3, 5] {
+            g.add_edge(0, base);
+            g.add_edge(base, base + 1);
+            g.add_edge(0, base + 1);
+        }
+        let budget = Budget::unlimited();
+        budget.cancel_handle().cancel();
+        let r = odd_cycle_transversal(&g, 1, &budget);
+        assert!(!r.optimal);
+        assert_eq!(r.lower_bound, 1);
+        assert!(is_valid_oct(&g, &r.transversal));
+        assert_eq!(oct(&g).transversal, vec![0]);
     }
 
     #[test]

@@ -105,13 +105,15 @@ fn save(network: &Network, path: &str) -> Result<(), String> {
     flowc_report::write_atomic(Path::new(path), &text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses `--deadline`: non-negative seconds the clock can represent.
-fn parse_deadline(text: &str) -> Result<Duration, String> {
-    let secs = text
-        .parse::<f64>()
-        .map_err(|e| format!("--deadline: {e}"))?;
-    Duration::try_from_secs_f64(secs)
-        .map_err(|_| "--deadline must be a non-negative number of seconds".into())
+/// Parses the `<secs>` of `flag` (`--deadline`, `--time-limit`):
+/// non-negative seconds, fractions allowed. More than the clock can
+/// represent saturates, so `--time-limit 18446744073709551615` is no limit.
+fn parse_secs(flag: &str, text: &str) -> Result<Duration, String> {
+    let secs = text.parse::<f64>().map_err(|e| format!("{flag}: {e}"))?;
+    match Duration::try_from_secs_f64(secs) {
+        Err(_) if secs > 0.0 => Ok(Duration::MAX),
+        secs => secs.map_err(|_| format!("{flag} must be a non-negative number of seconds")),
+    }
 }
 
 struct Options {
@@ -190,13 +192,11 @@ impl Options {
                 }
                 "--strategy" => opts.strategy = value("--strategy")?.parse()?,
                 "--time-limit" => {
-                    opts.time_limit = Duration::from_secs(
-                        value("--time-limit")?
-                            .parse::<u64>()
-                            .map_err(|e| format!("--time-limit: {e}"))?,
-                    )
+                    opts.time_limit = parse_secs("--time-limit", &value("--time-limit")?)?
                 }
-                "--deadline" => opts.deadline = Some(parse_deadline(&value("--deadline")?)?),
+                "--deadline" => {
+                    opts.deadline = Some(parse_secs("--deadline", &value("--deadline")?)?)
+                }
                 "--max-bdd-nodes" => {
                     opts.max_bdd_nodes = Some(
                         value("--max-bdd-nodes")?
@@ -756,7 +756,9 @@ impl RemoteOptions {
                     )
                 }
                 "--strategy" => opts.strategy = Some(value("--strategy")?),
-                "--deadline" => opts.deadline = Some(parse_deadline(&value("--deadline")?)?),
+                "--deadline" => {
+                    opts.deadline = Some(parse_secs("--deadline", &value("--deadline")?)?)
+                }
                 "--priority" => {
                     opts.priority = Some(
                         value("--priority")?

@@ -2012,9 +2012,19 @@ fn lp_answers_interrupted_on_a_spent_budget() {
     );
 }
 
+/// The registry's exact OCTs. int2float is one block, so its count is
+/// the whole-graph search's; the others count the nodes of their blocks'
+/// searches. router and i2c are many blocks of at most 12 and 104 nodes,
+/// which a whole-graph search does not close in 10 s.
 #[test]
 fn odd_cycle_transversal_searches_on_registry_circuits_are_pinned() {
-    for (name, size, nodes) in [("int2float", 11, 627), ("ctrl", 1, 3), ("priority", 1, 3)] {
+    for (name, size, nodes) in [
+        ("int2float", 11, 627),
+        ("ctrl", 1, 3),
+        ("priority", 1, 3),
+        ("router", 53, 341),
+        ("i2c", 3, 9),
+    ] {
         let network = flowc::logic::bench_suite::by_name(name)
             .unwrap()
             .network()
@@ -2022,9 +2032,141 @@ fn odd_cycle_transversal_searches_on_registry_circuits_are_pinned() {
         let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None));
         let r = odd_cycle_transversal(&graph.graph, 1, &Budget::unlimited());
         assert!(r.optimal, "{name}");
+        assert_eq!(r.lower_bound, size, "{name}");
         assert_eq!((r.transversal.len(), r.nodes), (size, nodes), "{name}");
         assert!(is_bipartite_without(&graph.graph, &r.transversal), "{name}");
     }
+}
+
+/// The whole-graph Lemma 1 search `odd_cycle_transversal` ran before it
+/// went block by block: one vertex cover of `G □ K₂`, seeded from the
+/// greedy transversal.
+fn reference_oct(g: &UGraph, budget: &Budget) -> flowc::graph::OctResult {
+    if matches!(two_color(g), ColorResult::Bipartite(_)) {
+        return flowc::graph::OctResult {
+            transversal: Vec::new(),
+            optimal: true,
+            lower_bound: 0,
+            nodes: 0,
+        };
+    }
+    let n = g.num_vertices();
+    let p = cartesian_with_k2(g);
+    let greedy = oct_heuristic(g);
+    let seed = {
+        let mut keep = vec![true; n];
+        for &v in &greedy {
+            keep[v] = false;
+        }
+        let (sub, back) = g.induced_subgraph(&keep);
+        match two_color(&sub) {
+            ColorResult::Bipartite(colors) => {
+                let mut cover = Vec::with_capacity(n + greedy.len());
+                for &v in &greedy {
+                    cover.push(v);
+                    cover.push(v + n);
+                }
+                for (sub_v, &orig) in back.iter().enumerate() {
+                    cover.push(if colors[sub_v] == 0 { orig } else { orig + n });
+                }
+                Some(cover)
+            }
+            ColorResult::OddCycle(_) => None,
+        }
+    };
+    let vc = minimum_vertex_cover(&p, 1, budget, seed.as_deref());
+    let mut in_cover = vec![false; 2 * n];
+    for &v in &vc.cover {
+        in_cover[v] = true;
+    }
+    let transversal: Vec<usize> = (0..n).filter(|&v| in_cover[v] && in_cover[v + n]).collect();
+    let transversal = if vc.optimal || transversal.len() <= greedy.len() {
+        transversal
+    } else {
+        greedy
+    };
+    flowc::graph::OctResult {
+        optimal: vc.optimal,
+        lower_bound: vc.lower_bound.saturating_sub(n).max(1),
+        transversal,
+        nodes: vc.nodes,
+    }
+}
+
+/// A random graph glued from small blocks at cut vertices: each new piece
+/// shares one vertex `p` with what is built so far, often the `p` of the
+/// piece before, so one cut vertex may join three or more blocks. A piece
+/// is a random graph over `p` and its new vertices, a cycle (even cycles
+/// are bipartite blocks), a pendant triangle with a tail of bridges, or a
+/// fan whose triangles all share `p`, where keeping `p` costs more than
+/// one.
+fn gen_multi_block_graph(rng: &mut Rng) -> UGraph {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    let (mut n, mut p) = (1, 0);
+    for _ in 0..rng.range(2, 9) {
+        if !rng.chance(0.3) {
+            p = rng.below(n);
+        }
+        let fresh: Vec<usize> = (n..n + rng.range(2, 7)).collect();
+        n += fresh.len();
+        let ring: Vec<usize> = std::iter::once(p).chain(fresh.iter().copied()).collect();
+        match rng.below(4) {
+            0 => {
+                edges.extend(ring.windows(2).map(|w| (w[0], w[1])));
+                for _ in 0..rng.below(2 * ring.len()) {
+                    edges.push((ring[rng.below(ring.len())], ring[rng.below(ring.len())]));
+                }
+            }
+            1 => edges.extend((0..ring.len()).map(|i| (ring[i], ring[(i + 1) % ring.len()]))),
+            2 => {
+                edges.extend([(p, fresh[0]), (p, fresh[1])]);
+                edges.extend(fresh.windows(2).map(|w| (w[0], w[1])));
+            }
+            _ => {
+                edges.extend(fresh.iter().map(|&v| (p, v)));
+                edges.extend(fresh.windows(2).map(|w| (w[0], w[1])));
+            }
+        }
+    }
+    let mut g = UGraph::new(n);
+    for (u, v) in edges {
+        if u != v {
+            g.add_edge(u, v);
+        }
+    }
+    g
+}
+
+#[test]
+fn oct_decomposition_matches_the_reference() {
+    harness("oct_decomposition_matches_the_reference").check(|rng| {
+        let g = gen_multi_block_graph(rng);
+        let want = reference_oct(&g, &Budget::unlimited());
+        let got = odd_cycle_transversal(&g, 1, &Budget::unlimited());
+        assert!(want.optimal && got.optimal);
+        assert_eq!(got.transversal.len(), want.transversal.len());
+        assert_eq!(got.lower_bound, got.transversal.len());
+        assert!(is_bipartite_without(&g, &got.transversal));
+    });
+}
+
+/// Deadlines of 0–2000 µs, skewed towards zero: a release build stops
+/// about half of these searches partway, some between two blocks.
+#[test]
+fn oct_decomposition_bound_is_sound_when_interrupted() {
+    harness("oct_decomposition_bound_is_sound_when_interrupted").check(|rng| {
+        let g = gen_multi_block_graph(rng);
+        let optimum = reference_oct(&g, &Budget::unlimited()).transversal.len();
+        let deadline = Duration::from_micros((rng.below(2001) >> rng.below(11)) as u64);
+        let r = odd_cycle_transversal(&g, 1, &Budget::unlimited().with_deadline(deadline));
+        assert!(is_bipartite_without(&g, &r.transversal), "{deadline:?}");
+        assert!(r.transversal.len() >= optimum, "{deadline:?}");
+        assert!(r.lower_bound <= optimum, "{deadline:?}");
+        assert!(r.lower_bound >= usize::from(optimum > 0), "{deadline:?}");
+        if r.optimal {
+            assert_eq!(r.transversal.len(), optimum, "{deadline:?}");
+        }
+    });
 }
 
 #[test]
