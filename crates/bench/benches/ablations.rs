@@ -43,11 +43,7 @@ fn bench_kernelization() {
         black_box(greedy_cover(&product).len())
     });
     bench("vc_kernelization", "exact_vc_int2float_product", || {
-        black_box(
-            minimum_vertex_cover(&product, 1, &secs(10), None)
-                .cover
-                .len(),
-        )
+        black_box(minimum_vertex_cover(&product, &secs(10), None).cover.len())
     });
 }
 

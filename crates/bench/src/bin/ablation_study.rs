@@ -28,18 +28,12 @@ fn main() {
         let g = BddGraph::from_bdds(&build_sbdd(&n, None));
         let free = min_semiperimeter(
             &g,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
+            &OctMethodConfig { align: false },
             &Budget::unlimited().with_deadline(budget),
         );
         let aligned = min_semiperimeter(
             &g,
-            &OctMethodConfig {
-                align: true,
-                ..Default::default()
-            },
+            &OctMethodConfig { align: true },
             &Budget::unlimited().with_deadline(budget),
         );
         let sf = free.labeling.stats().semiperimeter;
@@ -89,10 +83,7 @@ fn main() {
         let t0 = Instant::now();
         let exact = min_semiperimeter(
             &g,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
+            &OctMethodConfig { align: false },
             &Budget::unlimited().with_deadline(budget),
         );
         let t_exact = t0.elapsed();

@@ -35,20 +35,23 @@
 //! `--backends` (default: all of them) synthesizes each benchmark once
 //! through the unified [`flowc_baselines::Backend`] dispatch, each design
 //! is sample-verified, and the per-backend shapes (rows, cols, S, tiles,
-//! transfer ops, wall) land under `"backends"` in the result file.
+//! transfer ops, wall) land under `"backends"` in the result file. A
+//! proven-infeasible request (a cone that no 12x12 tile can hold) is that
+//! row's outcome, recorded with its proven semiperimeter bound; every
+//! other synthesis error and every verification failure fails the run.
 //! `--backends ""` skips the comparison.
 
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
 
-use flowc_baselines::{partitioned_with_tile, Backend, MappingBackend, SynthesisCtx};
+use flowc_baselines::{partitioned_with_tile, Backend, BackendError, MappingBackend, SynthesisCtx};
 use flowc_bench::report::{self, Json};
 use flowc_bench::{build_network, time_limit};
 use flowc_budget::{Budget, Stopwatch};
 use flowc_compact::{
-    gamma_sweep_tasks, synthesize_batch, synthesize_in_budgeted, Config, EditSession,
-    EditSessionConfig, EditableNetlist, Session, StageKind, StageTrace,
+    gamma_sweep_tasks, synthesize_batch, synthesize_in_budgeted, Config, ConstraintError,
+    EditSession, EditSessionConfig, EditableNetlist, Session, StageKind, StageTrace,
 };
 use flowc_conform::{EditStreamGen, Rng};
 use flowc_logic::bench_suite;
@@ -312,8 +315,10 @@ fn edit_replay(opts: &Options, budget: Duration) -> (Json, bool) {
 
 /// The backend comparison: each named backend maps every benchmark once
 /// through the unified enum dispatch, the design is sample-verified, and
-/// the per-backend shape lands in one row. Returns the rows and whether
-/// any synthesis or verification failed.
+/// the per-backend shape lands in one row. A proven `Infeasible` answer is
+/// the row's outcome, not a failure: the request cannot be met, and the
+/// row keeps the proven bound. Returns the rows and whether any other
+/// synthesis error or any verification failed.
 fn backend_comparison(opts: &Options, budget: Duration) -> (Json, bool) {
     let mut rows = Vec::new();
     let mut failed = false;
@@ -339,6 +344,31 @@ fn backend_comparison(opts: &Options, budget: Duration) -> (Json, bool) {
             let sw = Stopwatch::unbudgeted();
             let design = match backend.synthesize(&network, &ctx) {
                 Ok(d) => d,
+                Err(BackendError::Infeasible(ConstraintError::Infeasible {
+                    semiperimeter_lower_bound,
+                    limits,
+                })) => {
+                    println!(
+                        "{bench:<11} {:<15} infeasible: S >= {semiperimeter_lower_bound} \
+                         but a {} x {} tile allows {}",
+                        backend.name(),
+                        limits.max_rows,
+                        limits.max_cols,
+                        limits.max_rows + limits.max_cols
+                    );
+                    rows.push(Json::Obj(vec![
+                        ("benchmark".into(), Json::str(bench.clone())),
+                        ("backend".into(), Json::str(backend.name())),
+                        ("outcome".into(), Json::str("infeasible")),
+                        (
+                            "semiperimeter_lower_bound".into(),
+                            Json::int(semiperimeter_lower_bound),
+                        ),
+                        ("max_rows".into(), Json::int(limits.max_rows)),
+                        ("max_cols".into(), Json::int(limits.max_cols)),
+                    ]));
+                    continue;
+                }
                 Err(e) => {
                     eprintln!("{bench} via {}: synthesis failed: {e}", backend.name());
                     failed = true;
@@ -369,6 +399,7 @@ fn backend_comparison(opts: &Options, budget: Duration) -> (Json, bool) {
             rows.push(Json::Obj(vec![
                 ("benchmark".into(), Json::str(bench.clone())),
                 ("backend".into(), Json::str(design.backend)),
+                ("outcome".into(), Json::str("mapped")),
                 ("rows".into(), Json::int(m.rows)),
                 ("cols".into(), Json::int(m.cols)),
                 ("semiperimeter".into(), Json::int(m.semiperimeter)),

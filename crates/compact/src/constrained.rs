@@ -129,7 +129,7 @@ pub fn synthesize_constrained(
     }
 
     // Semiperimeter lower bound: S ≥ n + OCT(G) (plus the constant-0 rows).
-    let oct = odd_cycle_transversal(&graph.graph, 1, &budget.share(0.5));
+    let oct = odd_cycle_transversal(&graph.graph, &budget.share(0.5));
     let s_lower = graph.num_nodes() + oct.lower_bound + const0;
     if s_lower > limits.max_rows + limits.max_cols {
         return Err(ConstraintError::Infeasible {

@@ -227,9 +227,7 @@ mod tests {
             strategy: crate::pipeline::VhStrategy::MinSemiperimeter {
                 time_limit: std::time::Duration::from_secs(5),
             },
-            align: true,
-            var_order: None,
-            label_threads: 1,
+            ..Config::default()
         };
         let r = synthesize(&n, &cfg).unwrap();
         assert!(verify_symbolic(&r.crossbar, &n).equivalent);

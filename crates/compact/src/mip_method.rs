@@ -38,9 +38,6 @@ pub struct MipConfig {
     pub gamma: f64,
     /// Enforce the Eq. 7 alignment constraints.
     pub align: bool,
-    /// Search threads for the exact branch & bound (1 = plain best-first
-    /// search on the calling thread).
-    pub threads: usize,
 }
 
 impl Default for MipConfig {
@@ -48,7 +45,6 @@ impl Default for MipConfig {
         MipConfig {
             gamma: 0.5,
             align: true,
-            threads: 1,
         }
     }
 }
@@ -364,19 +360,13 @@ fn branch_and_bound(
 ) -> Option<MipOutcome> {
     let gamma = config.gamma;
     let (model, vars) = build_model(graph, gamma, config.align);
-    let mut solver = BranchBound::new()
-        .trace_every(10)
-        .budget(budget)
-        .threads(config.threads.max(1));
+    let mut solver = BranchBound::new().trace_every(10).budget(budget);
     if let Some(labeling) = warm {
         solver = solver.warm_start(warm_start_values(graph, &vars, model.num_vars(), labeling));
     }
     let layout = vh_layout(graph, &vars, gamma);
-    let sol = solver
-        .solve_with(&model, || {
-            HybridBounder::new(VhBounder::new(layout.clone())).with_budget(budget.clone())
-        })
-        .ok()?;
+    let bounder = HybridBounder::new(VhBounder::new(layout)).with_budget(budget.clone());
+    let sol = solver.solve_with(&model, bounder).ok()?;
     let labeling = labeling_from_solution(&vars, &sol.values);
     debug_assert!(labeling.is_valid(graph));
     let objective = labeling.stats().objective(gamma);
@@ -445,7 +435,7 @@ fn anytime(
     let (oct, computed) = match hint {
         Some(h) => (h.clone(), false),
         None => {
-            let fresh = odd_cycle_transversal(&graph.graph, config.threads, &budget.share(0.6));
+            let fresh = odd_cycle_transversal(&graph.graph, &budget.share(0.6));
             (fresh, true)
         }
     };
@@ -548,7 +538,6 @@ mod tests {
             &MipConfig {
                 gamma: 1.0,
                 align: false,
-                ..Default::default()
             },
         );
         assert!(out.optimal, "fig2 is tiny; the MIP must close");
@@ -574,7 +563,6 @@ mod tests {
             &MipConfig {
                 gamma: 0.0,
                 align: false,
-                ..Default::default()
             },
         );
         let min_s = solve_cold(
@@ -582,7 +570,6 @@ mod tests {
             &MipConfig {
                 gamma: 1.0,
                 align: false,
-                ..Default::default()
             },
         );
         let bs = balanced.labeling.stats();
@@ -615,7 +602,6 @@ mod tests {
             &MipConfig {
                 gamma: 0.5,
                 align: true,
-                ..Default::default()
             },
         );
         let anytime = solve_anytime(
@@ -623,7 +609,6 @@ mod tests {
             &MipConfig {
                 gamma: 0.5,
                 align: true,
-                ..Default::default()
             },
         );
         assert!(exact.optimal);

@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use flowc_budget::Budget;
-use flowc_graph::{oct_heuristic, odd_cycle_transversal};
+use flowc_graph::odd_cycle_transversal;
 
 use crate::balance::balanced_labeling;
 use crate::labeling::Labeling;
@@ -15,20 +15,13 @@ use crate::preprocess::BddGraph;
 /// Configuration for the OCT-based solver.
 #[derive(Debug, Clone)]
 pub struct OctMethodConfig {
-    /// Above this node count the greedy OCT heuristic is used instead of
-    /// the exact Lemma-1 solve (documented deviation: the paper runs CPLEX
-    /// for up to three hours; see DESIGN.md §3).
-    pub exact_node_limit: usize,
     /// Enforce the paper's Eq. 7 alignment constraints.
     pub align: bool,
 }
 
 impl Default for OctMethodConfig {
     fn default() -> Self {
-        OctMethodConfig {
-            exact_node_limit: 20_000,
-            align: true,
-        }
+        OctMethodConfig { align: true }
     }
 }
 
@@ -47,31 +40,25 @@ pub struct OctMethodResult {
 }
 
 /// Solves the VH-labeling problem for minimal semiperimeter (Eq. 2) under
-/// `budget`: the exact Lemma-1 solve checks it cooperatively and degrades
-/// to a greedy-backed (valid, non-optimal) transversal on exhaustion.
+/// `budget`, the only bound on the search: the exact Lemma-1 solve checks it
+/// cooperatively and, on exhaustion, returns a valid, non-optimal
+/// transversal, the smaller of the greedy one and the union of the
+/// blocks'.
 pub fn min_semiperimeter(
     graph: &BddGraph,
     config: &OctMethodConfig,
     budget: &Budget,
 ) -> OctMethodResult {
-    let (transversal, optimal, lower_bound) = if graph.num_nodes() <= config.exact_node_limit {
-        let r = odd_cycle_transversal(&graph.graph, 1, budget);
-        (r.transversal, r.optimal, r.lower_bound)
-    } else {
-        let t = oct_heuristic(&graph.graph);
-        // A non-empty greedy transversal means an odd cycle exists.
-        let lower_bound = usize::from(!t.is_empty());
-        (t, false, lower_bound)
-    };
-    let oct_size = transversal.len();
-    let vh: HashSet<usize> = transversal.into_iter().collect();
+    let oct = odd_cycle_transversal(&graph.graph, budget);
+    let oct_size = oct.transversal.len();
+    let vh: HashSet<usize> = oct.transversal.into_iter().collect();
     let labeling = balanced_labeling(graph, &vh, config.align);
     debug_assert!(labeling.is_valid(graph));
     OctMethodResult {
         labeling,
-        optimal,
+        optimal: oct.optimal,
         oct_size,
-        oct_lower_bound: lower_bound,
+        oct_lower_bound: oct.lower_bound,
     }
 }
 
@@ -118,14 +105,7 @@ mod tests {
         let f = n.add_gate(GateKind::And, &[a, b], "f").unwrap();
         n.mark_output(f);
         let g = BddGraph::from_bdds(&build_sbdd(&n, None));
-        let r = min_semiperimeter(
-            &g,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
-            &Budget::unlimited(),
-        );
+        let r = min_semiperimeter(&g, &OctMethodConfig { align: false }, &Budget::unlimited());
         assert!(r.optimal);
         assert_eq!(r.oct_size, 0);
         assert_eq!(r.labeling.stats().semiperimeter, g.num_nodes());
@@ -133,14 +113,12 @@ mod tests {
 
     #[test]
     fn heuristic_mode_is_still_valid() {
+        // A spent budget stops the exact search before it proves anything.
         let g = fig2();
         let r = min_semiperimeter(
             &g,
-            &OctMethodConfig {
-                exact_node_limit: 0, // force the heuristic path
-                ..Default::default()
-            },
-            &Budget::unlimited(),
+            &OctMethodConfig::default(),
+            &Budget::unlimited().with_deadline(std::time::Duration::ZERO),
         );
         assert!(!r.optimal);
         assert!(r.labeling.is_valid(&g));

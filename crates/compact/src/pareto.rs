@@ -1,12 +1,11 @@
 //! γ-sweep and non-dominated design extraction (Figure 9 of the paper).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use flowc_logic::Network;
 
-use crate::pipeline::{Config, VhStrategy};
-use crate::session::{synthesize_in, Session};
-use crate::supervisor::Rung;
+use crate::session::{gamma_sweep_tasks, synthesize_batch, Session};
 
 /// One point of the sweep: the γ that produced it and the design's shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,10 +28,11 @@ pub fn gamma_sweep(network: &Network, steps: usize, time_limit: Duration) -> Vec
 
 /// [`gamma_sweep`] inside an existing [`Session`]: every γ point varies
 /// only the labeling objective, so the session serves one BDD build and
-/// one graph extraction to the whole sweep. Points run in descending γ
-/// order (γ = 1 closes fastest) so each point's optimum warm-starts the
-/// next through the session's warm-hint registry; results are still
-/// returned in ascending γ order.
+/// one graph extraction to the whole sweep. The points are
+/// [`gamma_sweep_tasks`], run one after another in its descending γ order
+/// (γ = 1 closes fastest) so each point's optimum warm-starts the next
+/// through the session's warm-hint registry; results are still returned
+/// in ascending γ order.
 pub fn gamma_sweep_in(
     session: &Session,
     network: &Network,
@@ -40,19 +40,18 @@ pub fn gamma_sweep_in(
     time_limit: Duration,
 ) -> Vec<SweepPoint> {
     let steps = steps.max(2);
-    let mut points: Vec<SweepPoint> = (0..steps)
-        .rev()
-        .filter_map(|i| {
-            let gamma = i as f64 / (steps - 1) as f64;
-            let cfg = Config {
-                strategy: VhStrategy::entering(Rung::ExactMip, gamma, time_limit),
-                ..Config::gamma(gamma)
-            };
-            // The supervised pipeline only errs on internal bugs; a failed
-            // γ point degrades the sweep's resolution, not the caller.
-            let r = synthesize_in(session, network, &cfg).ok()?;
+    let gammas: Vec<f64> = (0..steps).map(|i| i as f64 / (steps - 1) as f64).collect();
+    let tasks = gamma_sweep_tasks(&Arc::new(network.clone()), &gammas, time_limit);
+    let results = synthesize_batch(session, &tasks, 1);
+    // The supervised pipeline only errs on internal bugs; a failed γ point
+    // degrades the sweep's resolution, not the caller.
+    let mut points: Vec<SweepPoint> = tasks
+        .iter()
+        .zip(results)
+        .filter_map(|(task, result)| {
+            let r = result.ok()?;
             Some(SweepPoint {
-                gamma,
+                gamma: task.config.strategy.gamma(),
                 rows: r.stats.rows,
                 cols: r.stats.cols,
             })
@@ -75,7 +74,7 @@ pub fn aspect_sweep(network: &Network, steps: usize, time_limit: Duration) -> Ve
     let bdds = flowc_bdd::build_sbdd(network, None);
     let graph = BddGraph::from_bdds(&bdds);
     let budget = flowc_budget::Budget::unlimited().with_deadline(time_limit);
-    let oct = flowc_graph::odd_cycle_transversal(&graph.graph, 1, &budget);
+    let oct = flowc_graph::odd_cycle_transversal(&graph.graph, &budget);
     let vh: std::collections::HashSet<usize> = oct.transversal.into_iter().collect();
     // The feasible row range is bracketed by the balanced solution (rows ≈
     // S/2) and the all-rows extreme (rows ≈ S − #VH); sweep targets across

@@ -91,9 +91,9 @@ pub struct Config {
     pub align: bool,
     /// Optional BDD variable order (a permutation of the input indices).
     pub var_order: Option<Vec<usize>>,
-    /// Search threads for the exact VH-labeling branch & bound (1 = plain
-    /// best-first search on the calling thread; more threads prove the
-    /// same optimum).
+    /// Ignored: every labeling search runs on the calling thread. The field
+    /// stays only until the code that still builds a `Config` by struct
+    /// literal with it is updated.
     pub label_threads: usize,
 }
 
@@ -294,9 +294,7 @@ mod tests {
         ] {
             let cfg = Config {
                 strategy,
-                align: true,
-                var_order: None,
-                label_threads: 1,
+                ..Config::default()
             };
             let r = synthesize(&n, &cfg).unwrap();
             let report = verify_functional(&r.crossbar, &n, 64).unwrap();

@@ -304,7 +304,6 @@ fn run_rung(
                 &MipConfig {
                     gamma: strategy.gamma(),
                     align: config.align,
-                    threads: config.label_threads.max(1),
                 },
                 &solver_budget,
                 warm,
@@ -325,7 +324,6 @@ fn run_rung(
                 graph,
                 &OctMethodConfig {
                     align: config.align,
-                    ..Default::default()
                 },
                 &solver_budget,
             );
@@ -782,9 +780,7 @@ mod tests {
         ] {
             let cfg = Config {
                 strategy,
-                align: true,
-                var_order: None,
-                label_threads: 1,
+                ..Config::default()
             };
             let budget = Budget::unlimited().with_deadline(Duration::ZERO);
             let r = synthesize_with_budget(&n, &cfg, &budget).unwrap();

@@ -296,9 +296,7 @@ pub fn shipped_oracles_budgeted(gammas: &[f64], budget: &Budget) -> Vec<Box<dyn 
                 strategy: VhStrategy::MinSemiperimeter {
                     time_limit: Duration::from_secs(5),
                 },
-                align: true,
-                var_order: None,
-                label_threads: 1,
+                ..Config::default()
             },
             Arc::clone(&session),
         )),
@@ -313,9 +311,7 @@ pub fn shipped_oracles_budgeted(gammas: &[f64], budget: &Budget) -> Vec<Box<dyn 
             format!("heuristic γ={gamma}"),
             Config {
                 strategy: VhStrategy::Heuristic { gamma },
-                align: true,
-                var_order: None,
-                label_threads: 1,
+                ..Config::default()
             },
             Arc::clone(&session),
         )));

@@ -15,7 +15,7 @@
 //! g.add_edge(0, 1);
 //! g.add_edge(1, 2);
 //! g.add_edge(0, 2);
-//! let oct = odd_cycle_transversal(&g, 1, &Budget::unlimited());
+//! let oct = odd_cycle_transversal(&g, &Budget::unlimited());
 //! assert_eq!(oct.transversal.len(), 1);
 //! assert!(oct.optimal);
 //! ```

@@ -53,13 +53,12 @@ const BIPARTITE: OctResult = OctResult {
 /// Computes a minimum odd cycle transversal of `g` over its block–cut
 /// tree (see the module doc), one Lemma 1 search (vertex cover of
 /// `B □ K₂`) per call. Bipartite inputs short-circuit to the empty
-/// transversal. `threads` workers solve each product's components. The
-/// vertex-cover branch & bound checks `budget`'s cancellation and deadline
+/// transversal. The vertex-cover branch & bound checks `budget`'s cancellation and deadline
 /// cooperatively, so an in-flight solve can be interrupted mid-branch; on
 /// exhaustion the result is the union of the blocks' transversals or the
 /// greedy one, whichever is smaller, with `optimal == false` and a lower
 /// bound summed over disjoint pieces of the blocks.
-pub fn odd_cycle_transversal(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
+pub fn odd_cycle_transversal(g: &UGraph, budget: &Budget) -> OctResult {
     if matches!(two_color(g), ColorResult::Bipartite(_)) {
         return BIPARTITE;
     }
@@ -112,7 +111,7 @@ pub fn odd_cycle_transversal(g: &UGraph, threads: usize, budget: &Budget) -> Oct
     let (mut optimal, mut lower_bound, mut nodes) = (true, 0, 0);
     let mut solve = |b: usize, drop: &dyn Fn(usize) -> bool| {
         let (sub, back) = block_graph(&blocks[b], drop, &mut local);
-        let r = lemma1(&sub, threads, budget);
+        let r = lemma1(&sub, budget);
         optimal &= r.optimal;
         nodes += r.nodes;
         let t: Vec<usize> = r.transversal.iter().map(|&v| back[v]).collect();
@@ -195,7 +194,7 @@ fn block_graph(
 
 /// One Lemma 1 search over the whole of `g`: a vertex cover of `G □ K₂`,
 /// seeded from the greedy transversal.
-fn lemma1(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
+fn lemma1(g: &UGraph, budget: &Budget) -> OctResult {
     if matches!(two_color(g), ColorResult::Bipartite(_)) {
         return BIPARTITE;
     }
@@ -208,7 +207,7 @@ fn lemma1(g: &UGraph, threads: usize, budget: &Budget) -> OctResult {
     // two of the optimum and prunes the branch & bound from the start.
     let greedy = oct_heuristic(g);
     let seed = product_cover_from_transversal(g, &greedy, n);
-    let vc = minimum_vertex_cover(&p, threads, budget, seed.as_deref());
+    let vc = minimum_vertex_cover(&p, budget, seed.as_deref());
     let in_cover = {
         let mut m = vec![false; 2 * n];
         for &v in &vc.cover {
@@ -424,9 +423,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// An unbudgeted single-thread solve.
+    /// An unbudgeted solve.
     fn oct(g: &UGraph) -> OctResult {
-        odd_cycle_transversal(g, 1, &Budget::unlimited())
+        odd_cycle_transversal(g, &Budget::unlimited())
     }
 
     fn cycle(n: usize) -> UGraph {
@@ -534,7 +533,7 @@ mod tests {
         }
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let r = odd_cycle_transversal(&g, 1, &budget);
+        let r = odd_cycle_transversal(&g, &budget);
         assert!(!r.optimal);
         assert_eq!(r.lower_bound, 1);
         assert!(is_valid_oct(&g, &r.transversal));
@@ -658,7 +657,7 @@ mod tests {
         }
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let r = odd_cycle_transversal(&g, 1, &budget);
+        let r = odd_cycle_transversal(&g, &budget);
         assert!(is_valid_oct(&g, &r.transversal));
         assert!(!r.optimal);
     }
@@ -675,7 +674,7 @@ mod tests {
                 }
             }
         }
-        let r = odd_cycle_transversal(&g, 1, &Budget::unlimited().with_deadline(Duration::ZERO));
+        let r = odd_cycle_transversal(&g, &Budget::unlimited().with_deadline(Duration::ZERO));
         assert!(is_valid_oct(&g, &r.transversal));
         assert!(r.lower_bound <= r.transversal.len().max(1));
     }

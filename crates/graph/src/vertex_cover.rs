@@ -491,25 +491,13 @@ impl<'g> Solver<'g> {
 /// and adopted as the branch & bound incumbent when it beats the greedy
 /// one. Seeding only ever tightens pruning; the returned cover is
 /// identical to the unseeded one whenever both prove optimality.
-///
-/// With `threads > 1`, non-bipartite components are solved on scoped
-/// worker threads. The merge happens in component order, so the result does
-/// not depend on the thread count.
-pub fn minimum_vertex_cover(
-    g: &UGraph,
-    threads: usize,
-    budget: &Budget,
-    seed: Option<&[usize]>,
-) -> VcResult {
+pub fn minimum_vertex_cover(g: &UGraph, budget: &Budget, seed: Option<&[usize]>) -> VcResult {
     use crate::{two_color, ColorResult};
     let (comp, count) = g.components();
     let mut cover = Vec::new();
     let mut lower_bound = 0usize;
     let mut optimal = true;
     let mut nodes = 0u64;
-    // König-solvable bipartite components are handled inline; branch &
-    // bound components are collected for (optionally concurrent) solving.
-    let mut hard: Vec<(UGraph, Vec<usize>, Option<Vec<usize>>)> = Vec::new();
     for c in 0..count {
         let keep: Vec<bool> = comp.iter().map(|&x| x == c).collect();
         let (sub, back) = g.induced_subgraph(&keep);
@@ -523,7 +511,7 @@ pub fn minimum_vertex_cover(
                 cover.extend(local.into_iter().map(|v| back[v]));
             }
             ColorResult::OddCycle(_) => {
-                let local_seed = seed.map(|seed| {
+                let local_seed: Option<Vec<usize>> = seed.map(|seed| {
                     let mut inv = vec![NIL; g.num_vertices()];
                     for (k, &orig) in back.iter().enumerate() {
                         inv[orig] = k;
@@ -532,33 +520,13 @@ pub fn minimum_vertex_cover(
                         .filter_map(|&v| (inv[v] != NIL).then_some(inv[v]))
                         .collect()
                 });
-                hard.push((sub, back, local_seed));
+                let local = vc_nonbipartite(&sub, budget, local_seed.as_deref());
+                lower_bound += local.lower_bound;
+                optimal &= local.optimal;
+                nodes += local.nodes;
+                cover.extend(local.cover.into_iter().map(|v| back[v]));
             }
         }
-    }
-    let solved: Vec<VcResult> = if threads > 1 && hard.len() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = hard
-                .iter()
-                .map(|(sub, _back, local_seed)| {
-                    scope.spawn(move || vc_nonbipartite(sub, budget, local_seed.as_deref()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("vertex-cover worker panicked"))
-                .collect()
-        })
-    } else {
-        hard.iter()
-            .map(|(sub, _back, local_seed)| vc_nonbipartite(sub, budget, local_seed.as_deref()))
-            .collect()
-    };
-    for ((_sub, back, _seed), local) in hard.iter().zip(solved) {
-        lower_bound += local.lower_bound;
-        optimal &= local.optimal;
-        nodes += local.nodes;
-        cover.extend(local.cover.into_iter().map(|v| back[v]));
     }
     cover.sort_unstable();
     cover.dedup();
@@ -664,9 +632,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// An unbudgeted, unseeded single-thread solve.
+    /// An unbudgeted, unseeded solve.
     fn mvc(g: &UGraph) -> VcResult {
-        minimum_vertex_cover(g, 1, &Budget::unlimited(), None)
+        minimum_vertex_cover(g, &Budget::unlimited(), None)
     }
 
     fn is_cover(g: &UGraph, cover: &[usize]) -> bool {
@@ -850,12 +818,7 @@ mod tests {
                 }
             }
         }
-        let r = minimum_vertex_cover(
-            &g,
-            1,
-            &Budget::unlimited().with_deadline(Duration::ZERO),
-            None,
-        );
+        let r = minimum_vertex_cover(&g, &Budget::unlimited().with_deadline(Duration::ZERO), None);
         assert!(is_cover(&g, &r.cover));
         assert!(r.lower_bound <= r.cover.len());
     }
@@ -868,7 +831,7 @@ mod tests {
         tri.add_edge(0, 2);
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let r = minimum_vertex_cover(&tri, 1, &budget, None);
+        let r = minimum_vertex_cover(&tri, &budget, None);
         assert!(is_cover(&tri, &r.cover));
         assert!(!r.optimal, "a cancelled solve must not claim optimality");
         assert!(r.lower_bound <= r.cover.len());
@@ -881,7 +844,7 @@ mod tests {
         tri.add_edge(1, 2);
         tri.add_edge(0, 2);
         let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-        let r = minimum_vertex_cover(&tri, 1, &budget, None);
+        let r = minimum_vertex_cover(&tri, &budget, None);
         assert!(is_cover(&tri, &r.cover));
         assert!(!r.optimal);
     }

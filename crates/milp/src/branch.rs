@@ -1,10 +1,10 @@
 //! Best-first branch & bound over the binary variables of a [`Model`].
 //!
 //! This module holds the solver's configuration ([`BranchBound`]), the
-//! [`Bounder`] contract and the per-node step ([`expand_node`]); the one
-//! search loop that drives them, at every thread count, is in
-//! [`crate::parallel`]. Nodes carry the relaxation point computed when
-//! they were *created*, so each node costs exactly one bounder call.
+//! [`Bounder`] contract and the per-node step ([`expand_node`]); the
+//! search loop that drives them is in [`crate::search`]. Nodes carry the
+//! relaxation point computed when they were *created*, so each node costs
+//! exactly one bounder call.
 //! Bounders can short-circuit against a cutoff (the incumbent), propose
 //! greedy completions for early incumbents, and steer branching — see
 //! [`Bounder`].
@@ -189,19 +189,19 @@ pub(crate) struct Expansion {
 
 /// Expands `node`: selects a branching variable, bounds both children, and
 /// harvests incumbents (leaf completions, integral relaxation points).
-/// `inc_obj` is the incumbent objective (`+inf` if none); `abort` is polled
-/// between child bounds — returning `true` aborts mid-expansion and yields
-/// `None` (the caller abandons the node). `budget` bounds a leaf's LP
-/// completion.
+/// `inc_obj` is the incumbent objective (`+inf` if none). `cfg`'s budget,
+/// with `explored` nodes spent, is checked before each child bound; when it
+/// is exhausted the expansion yields `None` (the caller abandons the node).
+/// The budget also bounds a leaf's LP completion.
 pub(crate) fn expand_node(
     model: &Model,
     bounder: &mut dyn Bounder,
     node: &Node,
     inc_obj: f64,
-    integrality_tol: f64,
-    budget: &Budget,
-    abort: &mut dyn FnMut() -> bool,
+    cfg: &BranchBound,
+    explored: u64,
 ) -> Option<Expansion> {
+    let integrality_tol = cfg.integrality_tol;
     let mut out = Expansion {
         children: Vec::with_capacity(2),
         incumbents: Vec::new(),
@@ -222,16 +222,16 @@ pub(crate) fn expand_node(
         .or_else(|| select_branch_var(model, &node.fixed, node.point.as_deref(), integrality_tol));
     let Some(branch_var) = branch_var else {
         // All binaries fixed: complete the continuous part and record.
-        if let Some((values, obj)) = complete_leaf(model, bounder, &node.fixed, budget) {
+        if let Some((values, obj)) = complete_leaf(model, bounder, &node.fixed, &cfg.budget) {
             out.incumbents.push((values, obj));
         }
         return Some(out);
     };
     for value in [true, false] {
-        // Poll the abort check before each child bound: an expansion runs up
-        // to two bounder calls, and waiting for the next pop to notice a
+        // Check the budget before each child bound: an expansion runs up to
+        // two bounder calls, and waiting for the next pop to notice a
         // cancellation would stretch abort latency to a full expansion.
-        if abort() {
+        if cfg.budget_exhausted(explored) {
             return None;
         }
         let mut child = node.fixed.clone();
@@ -336,7 +336,6 @@ pub struct BranchBound {
     pub(crate) integrality_tol: f64,
     pub(crate) trace_every: usize,
     pub(crate) budget: Budget,
-    pub(crate) threads: usize,
     pub(crate) warm: Option<Vec<f64>>,
 }
 
@@ -347,7 +346,6 @@ impl Default for BranchBound {
             integrality_tol: 1e-6,
             trace_every: 50,
             budget: Budget::unlimited(),
-            threads: 1,
             warm: None,
         }
     }
@@ -384,15 +382,6 @@ impl BranchBound {
         self
     }
 
-    /// Number of search threads (default 1). One thread expands the nodes
-    /// of plain best-first search in order, on the calling thread; more
-    /// threads share the tree by work stealing and prove the same optimum,
-    /// possibly at a different optimal point when ties exist.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
     /// Seeds the search with a known feasible point (e.g. the incumbent of
     /// an adjacent γ solve re-costed under this model's objective). The
     /// vector is validated — length, binary integrality, feasibility —
@@ -412,21 +401,17 @@ impl BranchBound {
     /// found before the budget ran out), [`MilpError::Unbounded`] when the
     /// relaxation has no finite optimum.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
-        self.solve_with(model, || LpBounder::with_budget(self.budget.clone()))
+        self.solve_with(model, LpBounder::with_budget(self.budget.clone()))
     }
 
-    /// Solves `model` with one [`Bounder`] per worker thread, each built by
-    /// `make_bounder`.
+    /// Solves `model` with `bounder` bounding every node, on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// See [`BranchBound::solve`].
-    pub fn solve_with<B, F>(&self, model: &Model, make_bounder: F) -> Result<Solution>
-    where
-        B: Bounder,
-        F: Fn() -> B + Sync,
-    {
-        crate::parallel::solve(self, model, make_bounder)
+    pub fn solve_with<B: Bounder>(&self, model: &Model, bounder: B) -> Result<Solution> {
+        crate::search::solve(self, model, bounder)
     }
 
     pub(crate) fn budget_exhausted(&self, explored: u64) -> bool {
@@ -626,12 +611,10 @@ pub(crate) mod tests {
         let mut m = Model::new();
         let a = m.add_binary("a", 1.0);
         m.add_constraint(&[(a, 1.0)], Sense::Ge, 2.0);
-        for threads in [1, 4] {
-            assert_eq!(
-                BranchBound::new().threads(threads).solve(&m).unwrap_err(),
-                MilpError::Infeasible
-            );
-        }
+        assert_eq!(
+            BranchBound::new().solve(&m).unwrap_err(),
+            MilpError::Infeasible
+        );
     }
 
     #[test]
@@ -785,36 +768,31 @@ pub(crate) mod tests {
     #[test]
     fn cancellation_mid_solve_returns_promptly() {
         // The search tree on this instance is nowhere near exhausted when
-        // the cancel fires, so every worker must notice the token between
+        // the cancel fires, so the search must notice the token between
         // LP bound calls — not only at node pops — for the abort to land
         // within a couple of LP solves. The 2s ceiling is a wide CI-proof
         // margin over the observed latency; the 30s deadline is a
         // backstop so a cancellation regression fails the test instead of
         // hanging it.
         let m = market_split_model(40, 4);
-        for threads in [1, 4] {
-            let budget = Budget::unlimited().with_deadline(Duration::from_secs(30));
-            let handle = budget.cancel_handle();
-            let canceller = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                handle.cancel();
-            });
-            let start = Instant::now();
-            let result = BranchBound::new()
-                .threads(threads)
-                .budget(&budget)
-                .solve(&m);
-            let elapsed = start.elapsed();
-            canceller.join().unwrap();
-            match result {
-                Ok(sol) => assert_eq!(sol.status, SolveStatus::TimeLimit),
-                Err(e) => assert_eq!(e, MilpError::Infeasible),
-            }
-            assert!(
-                elapsed < Duration::from_secs(2),
-                "cancelled solve on {threads} threads took {elapsed:?}"
-            );
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(30));
+        let handle = budget.cancel_handle();
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            handle.cancel();
+        });
+        let start = Instant::now();
+        let result = BranchBound::new().budget(&budget).solve(&m);
+        let elapsed = start.elapsed();
+        canceller.join().unwrap();
+        match result {
+            Ok(sol) => assert_eq!(sol.status, SolveStatus::TimeLimit),
+            Err(e) => assert_eq!(e, MilpError::Infeasible),
         }
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "cancelled solve took {elapsed:?}"
+        );
     }
 
     #[test]
@@ -902,9 +880,7 @@ pub(crate) mod tests {
             m.add_constraint(&[(xs[u], 1.0), (xs[v], 1.0)], Sense::Ge, 1.0);
         }
         let sol = BranchBound::new()
-            .solve_with(&m, || CoverBounder {
-                pairs: pairs.clone(),
-            })
+            .solve_with(&m, CoverBounder { pairs })
             .unwrap();
         assert_eq!(sol.objective.round() as i64, 3);
         assert_eq!(sol.status, SolveStatus::Optimal);
@@ -959,10 +935,13 @@ pub(crate) mod tests {
         // terminate with a feasible answer and an internally consistent
         // bound — never corrupt the heap or loop forever.
         let sol = BranchBound::new()
-            .solve_with(&m, || NanBounder {
-                inner: LpBounder::new(),
-                calls: 0,
-            })
+            .solve_with(
+                &m,
+                NanBounder {
+                    inner: LpBounder::new(),
+                    calls: 0,
+                },
+            )
             .unwrap();
         assert!(model_feasible(&m, &sol.values));
         assert!(!sol.objective.is_nan());
@@ -1002,24 +981,22 @@ pub(crate) mod tests {
         for i in 0..5 {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
         }
-        for threads in [1, 4] {
-            let solver = BranchBound::new().threads(threads);
-            let warm = vec![1.0, 0.0, 1.0, 0.0, 1.0];
-            let sol = solver.clone().warm_start(warm).solve(&m).unwrap();
-            assert_eq!(sol.objective.round() as i64, 3);
-            assert_eq!(sol.status, SolveStatus::Optimal);
-            assert_eq!(sol.warm_start, Some(true));
+        let solver = BranchBound::new();
+        let warm = vec![1.0, 0.0, 1.0, 0.0, 1.0];
+        let sol = solver.clone().warm_start(warm).solve(&m).unwrap();
+        assert_eq!(sol.objective.round() as i64, 3);
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert_eq!(sol.warm_start, Some(true));
 
-            // An infeasible warm start is rejected, not trusted.
-            let bad = vec![0.0; 5];
-            let sol = solver.clone().warm_start(bad).solve(&m).unwrap();
-            assert_eq!(sol.objective.round() as i64, 3);
-            assert_eq!(sol.warm_start, Some(false));
+        // An infeasible warm start is rejected, not trusted.
+        let bad = vec![0.0; 5];
+        let sol = solver.clone().warm_start(bad).solve(&m).unwrap();
+        assert_eq!(sol.objective.round() as i64, 3);
+        assert_eq!(sol.warm_start, Some(false));
 
-            // No warm start ⇒ `None`.
-            let sol = solver.solve(&m).unwrap();
-            assert_eq!(sol.warm_start, None);
-        }
+        // No warm start ⇒ `None`.
+        let sol = solver.solve(&m).unwrap();
+        assert_eq!(sol.warm_start, None);
     }
 
     #[test]
@@ -1031,13 +1008,11 @@ pub(crate) mod tests {
         for i in 0..5 {
             m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
         }
-        for threads in [1, 4] {
-            let sol = BranchBound::new().threads(threads).solve(&m).unwrap();
-            assert!(
-                sol.nodes >= 1,
-                "expected at least one explored node on {threads} threads, got {}",
-                sol.nodes
-            );
-        }
+        let sol = BranchBound::new().solve(&m).unwrap();
+        assert!(
+            sol.nodes >= 1,
+            "expected at least one explored node, got {}",
+            sol.nodes
+        );
     }
 }

@@ -41,7 +41,7 @@ mod branch;
 pub mod lp;
 pub mod metrics;
 mod model;
-mod parallel;
+mod search;
 mod sol;
 
 pub use branch::{Bounder, BranchBound, LpBounder};

@@ -257,10 +257,10 @@ mod tests {
         let m = c5();
         let prob = CoverProblem::from_model(&m).unwrap();
         let matching = BranchBound::new()
-            .solve_with(&m, || MatchingCoverBounder::new(prob.clone()))
+            .solve_with(&m, MatchingCoverBounder::new(prob.clone()))
             .unwrap();
         let degree = BranchBound::new()
-            .solve_with(&m, || DegreeCoverBounder::new(prob.clone()))
+            .solve_with(&m, DegreeCoverBounder::new(prob))
             .unwrap();
         assert_eq!(matching.objective.round() as i64, 3);
         assert_eq!(degree.objective.round() as i64, 3);

@@ -128,7 +128,7 @@ mod tests {
         }
         let prob = CoverProblem::from_model(&m).unwrap();
         let hybrid = || HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
-        let sol = BranchBound::new().solve_with(&m, hybrid).unwrap();
+        let sol = BranchBound::new().solve_with(&m, hybrid()).unwrap();
         assert_eq!(sol.objective.round() as i64, 3);
         // A cutoff the cheap bound already reaches skips the LP; one it
         // cannot reach pays for it, and the LP's 2.5 beats matching's 2.

@@ -561,7 +561,7 @@ mod tests {
                 );
 
                 let sol = BranchBound::new()
-                    .solve_with(&m, || VhBounder::new(layout.clone()))
+                    .solve_with(&m, VhBounder::new(layout.clone()))
                     .unwrap();
                 assert!(
                     (sol.objective - expected).abs() < 1e-6,
@@ -570,18 +570,15 @@ mod tests {
                     expected
                 );
 
-                for threads in [1, 2] {
-                    let sol = BranchBound::new()
-                        .threads(threads)
-                        .solve_with(&m, || HybridBounder::new(VhBounder::new(layout.clone())))
-                        .unwrap();
-                    assert!(
-                        (sol.objective - expected).abs() < 1e-6,
-                        "Hybrid on {threads} threads n={n} γ={gamma}: {} vs {}",
-                        sol.objective,
-                        expected
-                    );
-                }
+                let sol = BranchBound::new()
+                    .solve_with(&m, HybridBounder::new(VhBounder::new(layout)))
+                    .unwrap();
+                assert!(
+                    (sol.objective - expected).abs() < 1e-6,
+                    "Hybrid n={n} γ={gamma}: {} vs {}",
+                    sol.objective,
+                    expected
+                );
             }
         }
     }

@@ -1177,9 +1177,7 @@ fn worker_loop(inner: &Arc<ServerInner>, slot: usize) {
         let remaining = budget.remaining_or(Duration::from_secs(3600));
         let config = Config {
             strategy: VhStrategy::entering(rung, spec.gamma, remaining),
-            align: true,
-            var_order: None,
-            label_threads: 1,
+            ..Config::default()
         };
         // Every job runs through the one `MappingBackend` dispatch; a patch
         // job's incremental result is wrapped as a COMPACT design. The

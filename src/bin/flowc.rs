@@ -25,9 +25,6 @@
 //!                         above), exact-oct (minimal S), heuristic-oct,
 //!                         or all-vh (`anytime-mip` is accepted for
 //!                         exact-mip, `staircase` for all-vh)
-//!   --label-threads <n>   worker threads for the labeling branch & bound
-//!                         (default 1; the optimum is identical at any
-//!                         thread count)
 //!   --edit-stream <file>  after the initial synthesis, apply a netlist
 //!                         edit script (one edit per line, `#` comments)
 //!                         through one incremental edit session, printing
@@ -132,7 +129,6 @@ struct Options {
     seed: u64,
     spare_rows: usize,
     spare_cols: usize,
-    label_threads: usize,
     edit_stream: Option<String>,
     backend: String,
     tile_rows: Option<usize>,
@@ -158,7 +154,6 @@ impl Options {
             seed: 1,
             spare_rows: 0,
             spare_cols: 0,
-            label_threads: 1,
             edit_stream: None,
             backend: "compact".to_string(),
             tile_rows: None,
@@ -239,12 +234,6 @@ impl Options {
                         .parse::<usize>()
                         .map_err(|e| format!("--spare-cols: {e}"))?
                 }
-                "--label-threads" => {
-                    opts.label_threads = value("--label-threads")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--label-threads: {e}"))?
-                        .max(1)
-                }
                 "--edit-stream" => opts.edit_stream = Some(value("--edit-stream")?),
                 "--backend" => opts.backend = value("--backend")?,
                 "--tile-rows" => {
@@ -275,8 +264,7 @@ impl Options {
         Config {
             strategy: VhStrategy::entering(self.strategy, self.gamma, self.time_limit),
             align: self.align,
-            var_order: None,
-            label_threads: self.label_threads,
+            ..Config::default()
         }
     }
 
@@ -341,10 +329,7 @@ fn gamma_sweep(network: &Network, steps: usize, opts: &Options) -> Result<bool, 
     // Tasks come back ordered by descending γ (warm-start chaining);
     // sequential execution preserves that order so each point seeds the
     // next. Results are re-sorted to ascending γ for display.
-    let mut tasks = gamma_sweep_tasks(&network, &gammas, opts.time_limit);
-    for task in &mut tasks {
-        task.config.label_threads = opts.label_threads;
-    }
+    let tasks = gamma_sweep_tasks(&network, &gammas, opts.time_limit);
     // Sequential: adjacent γ points share warm starts.
     let results = synthesize_batch(&session, &tasks, 1);
     println!("circuit    : {}", network.name());
@@ -671,8 +656,6 @@ SYNTHESIS OPTIONS (synth/bench):
                            alias anytime-mip), exact-oct, heuristic-oct,
                            all-vh (alias staircase); lower rungs are
                            fallbacks
-    --label-threads <n>    labeling branch & bound workers (default 1;
-                           same optimum at any thread count)
     --edit-stream <file>   apply a netlist edit script incrementally
                            after the initial synthesis (synth only);
                            prints each edit's resolution and counters

@@ -132,7 +132,7 @@ fn balanced_labelings_are_valid_aligned_and_balanced() {
                 return;
             }
             let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
-            let oct = odd_cycle_transversal(&graph.graph, 1, &budget);
+            let oct = odd_cycle_transversal(&graph.graph, &budget);
             let vh: HashSet<usize> = oct.transversal.iter().copied().collect();
             let labeling = balanced_labeling(&graph, &vh, true);
             assert!(labeling.is_valid(&graph), "labeling must cover every edge");
@@ -158,7 +158,7 @@ fn boxed_labeling_fits_the_box_whenever_the_balanced_one_does() {
                 return;
             }
             let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
-            let oct = odd_cycle_transversal(&graph.graph, 1, &budget);
+            let oct = odd_cycle_transversal(&graph.graph, &budget);
             let vh: HashSet<usize> = oct.transversal.iter().copied().collect();
             let balanced = balanced_labeling(&graph, &vh, true);
             let s = balanced.stats();

@@ -1,8 +1,7 @@
 //! Equivalence suite for the metric-guided branch & bound: on small,
 //! conform-generator-seeded instances, every `Bounder` implementation must
-//! reproduce the exhaustive-enumeration optimum, four search threads must
-//! agree with one, and a warm-started γ sweep must land on the same optima
-//! as cold solves.
+//! reproduce the exhaustive-enumeration optimum, and a warm-started γ
+//! sweep must land on the same optima as cold solves.
 
 use std::time::Duration;
 
@@ -81,7 +80,6 @@ fn conform_seeded_labelings_match_exhaustive_enumeration() {
                 &MipConfig {
                     gamma,
                     align: false,
-                    threads: 1,
                 },
                 &Budget::unlimited().with_deadline(Duration::from_secs(30)),
                 None,
@@ -142,38 +140,18 @@ fn every_bounder_matches_exhaustive_on_conform_seeded_covers() {
             );
         };
         check("lp", solver.solve(&m).expect("solvable"));
-        let hybrid = || HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
+        let hybrid = HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
         check(
             "hybrid-matching",
             solver.solve_with(&m, hybrid).expect("solvable"),
         );
-        let matching = || MatchingCoverBounder::new(prob.clone());
+        let matching = MatchingCoverBounder::new(prob.clone());
         check(
             "matching",
             solver.solve_with(&m, matching).expect("solvable"),
         );
-        let degree = || DegreeCoverBounder::new(prob.clone());
+        let degree = DegreeCoverBounder::new(prob);
         check("degree", solver.solve_with(&m, degree).expect("solvable"));
-    }
-}
-
-#[test]
-fn one_and_four_thread_solves_agree_on_conform_seeded_covers() {
-    let mut rng = Rng::new(0xD15C);
-    for case in 0..6u64 {
-        let n = 8 + (case as usize % 5); // 8..=12 nodes
-        let g = gen_graph(&mut rng, n);
-        let m = cover_model(&g);
-        let solver =
-            BranchBound::new().budget(&Budget::unlimited().with_deadline(Duration::from_secs(30)));
-        let one = solver.clone().threads(1).solve(&m).expect("1-thread solve");
-        let four = solver.threads(4).solve(&m).expect("4-thread solve");
-        assert!(
-            (one.objective - four.objective).abs() < 1e-6,
-            "case {case}: 1 thread {} vs 4 threads {}",
-            one.objective,
-            four.objective
-        );
     }
 }
 
@@ -194,11 +172,7 @@ fn warm_started_sweep_lands_on_the_cold_optima() {
     // Sweep ordered for reuse (γ = 1 closes fastest and seeds the rest).
     for gamma in [1.0, 0.75, 0.5, 0.25, 0.0] {
         let budget = Budget::unlimited().with_deadline(Duration::from_secs(60));
-        let config = MipConfig {
-            gamma,
-            align: true,
-            threads: 1,
-        };
+        let config = MipConfig { gamma, align: true };
         let (cold, _) = mip_solve(&graph, &config, &budget, None, None);
         let (warmed, _) = mip_solve(&graph, &config, &budget, warm.as_ref(), None);
         assert_eq!(warmed.warm_start.is_some(), warm.is_some(), "γ={gamma}");

@@ -137,7 +137,7 @@ fn oct_makes_random_graphs_bipartite() {
     harness("oct_makes_random_graphs_bipartite").check(|rng| {
         let g = gen_small_graph(rng, 14);
         let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
-        let r = odd_cycle_transversal(&g, 1, &budget);
+        let r = odd_cycle_transversal(&g, &budget);
         let keep: Vec<bool> = (0..g.num_vertices())
             .map(|v| !r.transversal.contains(&v))
             .collect();
@@ -617,7 +617,7 @@ fn vertex_cover_is_minimum_on_small_graphs() {
     harness("vertex_cover_is_minimum_on_small_graphs").check(|rng| {
         let g = gen_small_graph(rng, 10);
         let budget = Budget::unlimited().with_deadline(Duration::from_secs(5));
-        let r = flowc::graph::minimum_vertex_cover(&g, 1, &budget, None);
+        let r = flowc::graph::minimum_vertex_cover(&g, &budget, None);
         assert!(r.optimal);
         // Valid cover.
         let set: HashSet<usize> = r.cover.iter().copied().collect();
@@ -1081,7 +1081,7 @@ fn assert_vertex_cover_matches_the_reference(g: &UGraph, rng: &mut Rng) -> bool 
     let mut branched = false;
     for seed in [None, Some(cover.as_slice())] {
         let want = reference_vertex_cover(g, &Budget::unlimited(), seed);
-        let got = minimum_vertex_cover(g, 1, &Budget::unlimited(), seed);
+        let got = minimum_vertex_cover(g, &Budget::unlimited(), seed);
         assert_eq!(
             (&got.cover, got.nodes, got.lower_bound, got.optimal),
             (&want.cover, want.nodes, want.lower_bound, want.optimal),
@@ -2030,7 +2030,7 @@ fn odd_cycle_transversal_searches_on_registry_circuits_are_pinned() {
             .network()
             .unwrap();
         let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None));
-        let r = odd_cycle_transversal(&graph.graph, 1, &Budget::unlimited());
+        let r = odd_cycle_transversal(&graph.graph, &Budget::unlimited());
         assert!(r.optimal, "{name}");
         assert_eq!(r.lower_bound, size, "{name}");
         assert_eq!((r.transversal.len(), r.nodes), (size, nodes), "{name}");
@@ -2074,7 +2074,7 @@ fn reference_oct(g: &UGraph, budget: &Budget) -> flowc::graph::OctResult {
             ColorResult::OddCycle(_) => None,
         }
     };
-    let vc = minimum_vertex_cover(&p, 1, budget, seed.as_deref());
+    let vc = minimum_vertex_cover(&p, budget, seed.as_deref());
     let mut in_cover = vec![false; 2 * n];
     for &v in &vc.cover {
         in_cover[v] = true;
@@ -2142,7 +2142,7 @@ fn oct_decomposition_matches_the_reference() {
     harness("oct_decomposition_matches_the_reference").check(|rng| {
         let g = gen_multi_block_graph(rng);
         let want = reference_oct(&g, &Budget::unlimited());
-        let got = odd_cycle_transversal(&g, 1, &Budget::unlimited());
+        let got = odd_cycle_transversal(&g, &Budget::unlimited());
         assert!(want.optimal && got.optimal);
         assert_eq!(got.transversal.len(), want.transversal.len());
         assert_eq!(got.lower_bound, got.transversal.len());
@@ -2158,7 +2158,7 @@ fn oct_decomposition_bound_is_sound_when_interrupted() {
         let g = gen_multi_block_graph(rng);
         let optimum = reference_oct(&g, &Budget::unlimited()).transversal.len();
         let deadline = Duration::from_micros((rng.below(2001) >> rng.below(11)) as u64);
-        let r = odd_cycle_transversal(&g, 1, &Budget::unlimited().with_deadline(deadline));
+        let r = odd_cycle_transversal(&g, &Budget::unlimited().with_deadline(deadline));
         assert!(is_bipartite_without(&g, &r.transversal), "{deadline:?}");
         assert!(r.transversal.len() >= optimum, "{deadline:?}");
         assert!(r.lower_bound <= optimum, "{deadline:?}");
@@ -2181,7 +2181,7 @@ fn an_interrupted_vertex_cover_is_a_cover_with_a_valid_bound() {
     let optimum = graph.num_vertices() + 11;
     for micros in [500, 1000, 2000, 4000, 8000] {
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(micros));
-        let r = minimum_vertex_cover(&product, 1, &budget, None);
+        let r = minimum_vertex_cover(&product, &budget, None);
         let set: HashSet<usize> = r.cover.iter().copied().collect();
         for &(u, v) in product.edges() {
             assert!(set.contains(&u) || set.contains(&v), "{micros} µs");

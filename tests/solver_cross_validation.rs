@@ -36,14 +36,7 @@ fn mip_and_oct_are_consistent_on_ctrl_at_gamma_one() {
     assert!(graph.num_nodes() <= 80, "ctrl must stay in exact-MIP range");
 
     // Unaligned OCT: the unconditional lower bound S ≥ n + k_min.
-    let oct_free = min_semiperimeter(
-        &graph,
-        &OctMethodConfig {
-            align: false,
-            ..Default::default()
-        },
-        &secs(30),
-    );
+    let oct_free = min_semiperimeter(&graph, &OctMethodConfig { align: false }, &secs(30));
     assert!(oct_free.optimal);
     // Aligned OCT method: minimum transversal + post-hoc upgrades (an upper
     // bound for the aligned optimum — upgrades are not jointly optimized).
@@ -54,7 +47,6 @@ fn mip_and_oct_are_consistent_on_ctrl_at_gamma_one() {
         &MipConfig {
             gamma: 1.0,
             align: true,
-            threads: 1,
         },
         &secs(60),
         None,
@@ -102,20 +94,12 @@ fn mip_and_oct_agree_on_random_functions_at_gamma_one() {
         if graph.num_nodes() == 0 || graph.num_nodes() > 40 {
             continue;
         }
-        let oct = min_semiperimeter(
-            &graph,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
-            &secs(30),
-        );
+        let oct = min_semiperimeter(&graph, &OctMethodConfig { align: false }, &secs(30));
         let (mip, _) = mip_solve(
             &graph,
             &MipConfig {
                 gamma: 1.0,
                 align: false,
-                threads: 1,
             },
             &secs(30),
             None,
@@ -138,14 +122,7 @@ fn semiperimeter_respects_theoretical_bounds() {
         let b = bench_suite::by_name(name).unwrap();
         let network = b.network().unwrap();
         let graph = graph_of_network(&network);
-        let r = min_semiperimeter(
-            &graph,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
-            &secs(30),
-        );
+        let r = min_semiperimeter(&graph, &OctMethodConfig { align: false }, &secs(30));
         let s = r.labeling.stats().semiperimeter;
         let n = graph.num_nodes();
         assert!(s >= n, "{name}: S = {s} below n = {n}");
@@ -163,22 +140,8 @@ fn alignment_never_reduces_semiperimeter() {
         let b = bench_suite::by_name(name).unwrap();
         let network = b.network().unwrap();
         let graph = graph_of_network(&network);
-        let free = min_semiperimeter(
-            &graph,
-            &OctMethodConfig {
-                align: false,
-                ..Default::default()
-            },
-            &secs(30),
-        );
-        let aligned = min_semiperimeter(
-            &graph,
-            &OctMethodConfig {
-                align: true,
-                ..Default::default()
-            },
-            &secs(30),
-        );
+        let free = min_semiperimeter(&graph, &OctMethodConfig { align: false }, &secs(30));
+        let aligned = min_semiperimeter(&graph, &OctMethodConfig { align: true }, &secs(30));
         assert!(
             aligned.labeling.stats().semiperimeter >= free.labeling.stats().semiperimeter,
             "{name}: alignment is a constraint, it cannot help"
