@@ -1,7 +1,7 @@
 //! The mapping-backend abstraction: every way this workspace turns a
 //! [`Network`] into an executable in-memory design sits behind one
 //! [`MappingBackend`] trait, and the [`Backend`] enum (generated by
-//! [`make_backend_enum!`]) dispatches over all of them without dynamic
+//! `make_backend_enum!`) dispatches over all of them without dynamic
 //! allocation. Downstream consumers — the CLI, the conform oracle panel,
 //! `flowc-serve`, the bench bins — select backends through this single
 //! parse/display/capability surface instead of hand-rolled string matches.

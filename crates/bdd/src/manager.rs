@@ -106,7 +106,7 @@ impl Manager {
     }
 
     /// Caps the arena at `limit` nodes (`None` removes the cap). Once the
-    /// cap is reached, every new allocation is refused: [`Manager::mk`]
+    /// cap is reached, every new allocation is refused: `Manager::mk`
     /// returns `ZERO` instead of a fresh node and the manager is *poisoned*
     /// — [`Manager::limit_hit`] stays `true` and results computed after
     /// the hit are unreliable. Callers that care (e.g.
@@ -130,7 +130,7 @@ impl Manager {
 
     /// Attaches a cancellation token polled on every fresh allocation
     /// (`None` detaches). Once the token is observed cancelled the manager
-    /// is poisoned exactly like a node-limit hit — [`Manager::mk`] refuses
+    /// is poisoned exactly like a node-limit hit — `Manager::mk` refuses
     /// allocations, [`Manager::cancel_hit`] stays `true`, and the partial
     /// forest must be discarded.
     pub fn set_cancel(&mut self, cancel: Option<CancelHandle>) {

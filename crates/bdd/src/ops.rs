@@ -1,116 +1,8 @@
-//! Additional BDD operations beyond the ITE core: cofactors, restriction,
-//! quantification, support computation, and satisfying-cube enumeration.
+//! Satisfying-assignment extraction beyond the ITE core.
 
-use std::collections::HashMap;
-
-use crate::{Manager, Ref, VarId};
+use crate::{Manager, Ref};
 
 impl Manager {
-    /// The cofactor `f|var=value`.
-    pub fn cofactor_by(&mut self, f: Ref, var: VarId, value: bool) -> Ref {
-        self.restrict(f, &[(var, value)])
-    }
-
-    /// Restricts `f` by a partial assignment (simultaneous cofactor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a variable does not belong to this manager.
-    pub fn restrict(&mut self, f: Ref, assignment: &[(VarId, bool)]) -> Ref {
-        let mut values = vec![None; self.num_vars()];
-        for &(v, b) in assignment {
-            values[v.index()] = Some(b);
-        }
-        let mut memo = HashMap::new();
-        self.restrict_rec(f, &values, &mut memo)
-    }
-
-    fn restrict_rec(
-        &mut self,
-        f: Ref,
-        values: &[Option<bool>],
-        memo: &mut HashMap<Ref, Ref>,
-    ) -> Ref {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let var = self.node_var(f);
-        let (lo, hi) = (self.node_lo(f), self.node_hi(f));
-        let r = match values[var.index()] {
-            Some(true) => self.restrict_rec(hi, values, memo),
-            Some(false) => self.restrict_rec(lo, values, memo),
-            None => {
-                let nlo = self.restrict_rec(lo, values, memo);
-                let nhi = self.restrict_rec(hi, values, memo);
-                let v = self.var(var);
-                self.ite(v, nhi, nlo)
-            }
-        };
-        memo.insert(f, r);
-        r
-    }
-
-    /// Existential quantification `∃var. f = f|var=0 ∨ f|var=1`.
-    pub fn exists(&mut self, f: Ref, var: VarId) -> Ref {
-        let f0 = self.cofactor_by(f, var, false);
-        let f1 = self.cofactor_by(f, var, true);
-        self.or(f0, f1)
-    }
-
-    /// Universal quantification `∀var. f = f|var=0 ∧ f|var=1`.
-    pub fn forall(&mut self, f: Ref, var: VarId) -> Ref {
-        let f0 = self.cofactor_by(f, var, false);
-        let f1 = self.cofactor_by(f, var, true);
-        self.and(f0, f1)
-    }
-
-    /// The support of `f`: the variables it structurally depends on, in
-    /// variable-index order.
-    pub fn support(&self, f: Ref) -> Vec<VarId> {
-        let mut present = vec![false; self.num_vars()];
-        for r in self.reachable(&[f]) {
-            if !r.is_terminal() {
-                present[self.node_var(r).index()] = true;
-            }
-        }
-        (0..self.num_vars())
-            .filter(|&i| present[i])
-            .map(|i| VarId(i as u32))
-            .collect()
-    }
-
-    /// Enumerates the satisfying cubes of `f`: each cube is a list of
-    /// `(variable, value)` literals along one 1-path (variables not listed
-    /// are don't-cares). The number of cubes equals the number of distinct
-    /// root-to-1 paths, which can be exponential — intended for small
-    /// functions and tests.
-    pub fn sat_cubes(&self, f: Ref) -> Vec<Vec<(VarId, bool)>> {
-        let mut out = Vec::new();
-        let mut path = Vec::new();
-        self.cubes_rec(f, &mut path, &mut out);
-        out
-    }
-
-    fn cubes_rec(&self, f: Ref, path: &mut Vec<(VarId, bool)>, out: &mut Vec<Vec<(VarId, bool)>>) {
-        if f == Ref::ZERO {
-            return;
-        }
-        if f == Ref::ONE {
-            out.push(path.clone());
-            return;
-        }
-        let var = self.node_var(f);
-        path.push((var, false));
-        self.cubes_rec(self.node_lo(f), path, out);
-        path.pop();
-        path.push((var, true));
-        self.cubes_rec(self.node_hi(f), path, out);
-        path.pop();
-    }
-
     /// One satisfying assignment of `f` over all declared variables (don't
     /// cares default to `false`), or `None` when `f` is unsatisfiable.
     pub fn pick_sat(&self, f: Ref) -> Option<Vec<bool>> {
@@ -139,81 +31,11 @@ impl Manager {
 mod tests {
     use super::*;
 
-    fn setup() -> (Manager, Ref, Ref, Ref, [VarId; 3]) {
-        let mut m = Manager::new();
-        let a = m.new_var("a");
-        let b = m.new_var("b");
-        let c = m.new_var("c");
-        let (va, vb, vc) = (m.var(a), m.var(b), m.var(c));
-        (m, va, vb, vc, [a, b, c])
-    }
-
-    #[test]
-    fn restrict_matches_shannon() {
-        let (mut m, va, vb, vc, [a, _, _]) = setup();
-        let ab = m.and(va, vb);
-        let f = m.or(ab, vc); // (a∧b)∨c
-        let f1 = m.cofactor_by(f, a, true); // b∨c
-        let expect = m.or(vb, vc);
-        assert_eq!(f1, expect);
-        let f0 = m.cofactor_by(f, a, false); // c
-        assert_eq!(f0, vc);
-        // Simultaneous restriction.
-        let (b, c) = (VarId(1), VarId(2));
-        let r = m.restrict(f, &[(b, true), (c, false)]);
-        assert_eq!(r, va);
-    }
-
-    #[test]
-    fn quantification() {
-        let (mut m, va, vb, _, [a, b, _]) = setup();
-        let f = m.and(va, vb);
-        // ∃a. a∧b = b ; ∀a. a∧b = 0.
-        assert_eq!(m.exists(f, a), vb);
-        assert_eq!(m.forall(f, a), Ref::ZERO);
-        let g = m.or(va, vb);
-        // ∀b. a∨b = a.
-        assert_eq!(m.forall(g, b), va);
-        assert_eq!(m.exists(g, b), Ref::ONE);
-    }
-
-    #[test]
-    fn support_is_structural() {
-        let (mut m, va, _, vc, [a, b, c]) = setup();
-        let f = m.and(va, vc);
-        assert_eq!(m.support(f), vec![a, c]);
-        let _ = b;
-        assert!(m.support(Ref::ONE).is_empty());
-    }
-
-    #[test]
-    fn sat_cubes_cover_exactly_the_onset() {
-        let (mut m, va, vb, vc, _) = setup();
-        let ab = m.and(va, vb);
-        let f = m.or(ab, vc);
-        let cubes = m.sat_cubes(f);
-        // Reconstruct the on-set from the cubes and compare to eval.
-        let mut onset = [false; 8];
-        for cube in &cubes {
-            // Expand don't-cares.
-            for bits in 0u32..8 {
-                let assignment = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
-                if cube.iter().all(|&(v, val)| assignment[v.index()] == val) {
-                    onset[bits as usize] = true;
-                }
-            }
-        }
-        for bits in 0u32..8 {
-            let assignment = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
-            assert_eq!(onset[bits as usize], m.eval(f, &assignment), "{bits:03b}");
-        }
-        // Cubes are disjoint by construction (BDD paths).
-        assert_eq!(cubes.len(), 3, "paths of the Fig. 2 BDD: a·b, a·¬b·c, ¬a·c");
-    }
-
     #[test]
     fn pick_sat_finds_a_model() {
-        let (mut m, va, vb, vc, _) = setup();
+        let mut m = Manager::new();
+        let vars = ["a", "b", "c"].map(|name| m.new_var(name));
+        let [va, vb, vc] = vars.map(|v| m.var(v));
         let nb = m.not(vb);
         let t = m.and(va, nb);
         let f = m.and(t, vc); // a ∧ ¬b ∧ c

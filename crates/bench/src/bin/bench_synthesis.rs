@@ -29,7 +29,9 @@
 //! synthesis after every edit. The incremental contract is gated: the
 //! session must beat per-edit cold re-synthesis by ≥3× wall-clock with
 //! more than half the edits resolved above the cold rung (cache hit,
-//! permutation repair, or warm start). `--edits 0` skips the replay.
+//! permutation repair, or warm start). Each side's wall time is the median
+//! of three replays, alternating which side runs first; the row records
+//! every replay. `--edits 0` skips the replay.
 //!
 //! A *backend comparison* closes each run: every mapping backend named in
 //! `--backends` (default: all of them) synthesizes each benchmark once
@@ -59,6 +61,10 @@ use flowc_logic::bench_suite;
 /// Fixed seed for the edit-replay stream: the same edits every run, so
 /// the ≥3× gate measures the repair ladder, not generator luck.
 const EDIT_REPLAY_SEED: u64 = 0xED17_57A6;
+
+/// Replays per side of the edit-replay gate; each side's wall time is the
+/// median.
+const REPLAY_ROUNDS: usize = 3;
 
 struct Options {
     benchmarks: Vec<String>,
@@ -208,57 +214,88 @@ fn edit_replay(opts: &Options, budget: Duration) -> (Json, bool) {
     let mut failed = false;
 
     // Incremental: one session carries the whole stream.
-    let inc_sw = Stopwatch::unbudgeted();
-    let mut session = match EditSession::new(
-        &case.base,
-        EditSessionConfig {
-            synthesis: config.clone(),
-            ..EditSessionConfig::default()
-        },
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: edit-replay base synthesis failed: {e}", b.name);
-            exit(1);
+    let mut replay_incremental = || {
+        let sw = Stopwatch::unbudgeted();
+        let mut session = match EditSession::new(
+            &case.base,
+            EditSessionConfig {
+                synthesis: config.clone(),
+                ..EditSessionConfig::default()
+            },
+        ) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("{}: edit-replay base synthesis failed: {e}", b.name);
+                exit(1);
+            }
+        };
+        for edit in &case.edits {
+            let per_edit = Budget::unlimited().with_deadline(budget);
+            if let Err(e) = session.apply_budgeted(edit, &per_edit) {
+                eprintln!("{}: edit replay refused `{edit}`: {e}", b.name);
+                failed = true;
+            }
         }
+        (sw.elapsed(), session.stats())
     };
-    for edit in &case.edits {
-        let per_edit = Budget::unlimited().with_deadline(budget);
-        if let Err(e) = session.apply_budgeted(edit, &per_edit) {
-            eprintln!("{}: edit replay refused `{edit}`: {e}", b.name);
-            failed = true;
-        }
-    }
-    let inc_wall = inc_sw.elapsed();
-    let stats = session.stats();
 
     // Cold: a from-scratch synthesis of the materialized netlist after
     // every edit — what a caller without the session would pay.
-    let cold_sw = Stopwatch::unbudgeted();
-    let mut shadow = EditableNetlist::from_network(&case.base);
-    let cold_solve = |net: &flowc_logic::Network| {
-        let per_edit = Budget::unlimited().with_deadline(budget);
-        synthesize_in_budgeted(&Session::default(), net, &config, &per_edit)
-            .map_err(|e| e.to_string())
+    let mut cold_failed = false;
+    let mut replay_cold = || {
+        let sw = Stopwatch::unbudgeted();
+        let mut shadow = EditableNetlist::from_network(&case.base);
+        let cold_solve = |net: &flowc_logic::Network| {
+            let per_edit = Budget::unlimited().with_deadline(budget);
+            synthesize_in_budgeted(&Session::default(), net, &config, &per_edit)
+                .map_err(|e| e.to_string())
+        };
+        if let Err(e) = cold_solve(&case.base) {
+            eprintln!("{}: cold base synthesis failed: {e}", b.name);
+            cold_failed = true;
+        }
+        for edit in &case.edits {
+            if shadow.apply(edit).is_err() {
+                continue; // the session refused it too (counted above)
+            }
+            let result = shadow
+                .materialize()
+                .map_err(|e| e.to_string())
+                .and_then(|net| cold_solve(&net));
+            if let Err(e) = result {
+                eprintln!("{}: cold synthesis after `{edit}` failed: {e}", b.name);
+                cold_failed = true;
+            }
+        }
+        sw.elapsed()
     };
-    if let Err(e) = cold_solve(&case.base) {
-        eprintln!("{}: cold base synthesis failed: {e}", b.name);
-        failed = true;
-    }
-    for edit in &case.edits {
-        if shadow.apply(edit).is_err() {
-            continue; // the session refused it too (counted above)
+
+    // One replay of each side sits inside run-to-run noise, so each side
+    // is the median of REPLAY_ROUNDS replays, alternating which runs first.
+    let mut inc_runs = Vec::with_capacity(REPLAY_ROUNDS);
+    let mut cold_runs = Vec::with_capacity(REPLAY_ROUNDS);
+    let mut first_stats = None;
+    for round in 0..REPLAY_ROUNDS {
+        if round % 2 == 1 {
+            cold_runs.push(replay_cold());
         }
-        let result = shadow
-            .materialize()
-            .map_err(|e| e.to_string())
-            .and_then(|net| cold_solve(&net));
-        if let Err(e) = result {
-            eprintln!("{}: cold synthesis after `{edit}` failed: {e}", b.name);
-            failed = true;
+        let (wall, stats) = replay_incremental();
+        inc_runs.push(wall);
+        first_stats.get_or_insert(stats);
+        if round % 2 == 0 {
+            cold_runs.push(replay_cold());
         }
     }
-    let cold_wall = cold_sw.elapsed();
+    let stats = first_stats.expect("at least one replay");
+    failed |= cold_failed;
+    let median = |runs: &[Duration]| {
+        let mut sorted = runs.to_vec();
+        sorted.sort_unstable();
+        sorted[sorted.len() / 2]
+    };
+    let (inc_wall, cold_wall) = (median(&inc_runs), median(&cold_runs));
+    let secs =
+        |runs: &[Duration]| Json::Arr(runs.iter().map(|d| Json::Num(d.as_secs_f64())).collect());
 
     let resolved = stats.hits + stats.repairs + stats.warm_starts;
     let speedup = cold_wall.as_secs_f64() / inc_wall.as_secs_f64().max(1e-9);
@@ -300,6 +337,8 @@ fn edit_replay(opts: &Options, budget: Duration) -> (Json, bool) {
             Json::Num(inc_wall.as_secs_f64()),
         ),
         ("cold_wall_s".into(), Json::Num(cold_wall.as_secs_f64())),
+        ("incremental_runs_s".into(), secs(&inc_runs)),
+        ("cold_runs_s".into(), secs(&cold_runs)),
         ("speedup".into(), Json::Num(speedup)),
         ("hits".into(), Json::int(stats.hits)),
         ("repairs".into(), Json::int(stats.repairs)),

@@ -185,7 +185,8 @@ pub fn run_campaign(
         .collect()
 }
 
-/// Synthesizes a campaign-ready design through a [`Backend`].
+/// Synthesizes a campaign-ready design through a
+/// [`Backend`](flowc_baselines::Backend).
 ///
 /// The repair ladder permutes, re-places, and re-synthesizes one
 /// monolithic crossbar, so only backends advertising

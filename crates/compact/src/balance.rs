@@ -363,10 +363,10 @@ impl Remainder {
 /// is the length in 64-bit words of the free parts' subset-sum bitset.
 ///
 /// The objective reads each connected part of `G − vh` only through its
-/// per-class [`ClassCounts`], and removing `v` changes only `v`'s own part.
+/// per-class `ClassCounts`, and removing `v` changes only `v`'s own part.
 /// That part splits into the DFS subtrees of `v`'s children `u` with
 /// `low(u) ≥ disc(v)` (Tarjan's articulation test) and the remainder, so
-/// the scorer keeps the DFS of `G − vh` ([`Remainder`]) and the subset
+/// the scorer keeps the DFS of `G − vh` (`Remainder`) and the subset
 /// sums of the free parts' row contributions as a bitset.
 #[derive(Debug, Clone)]
 pub struct MoveScorer {

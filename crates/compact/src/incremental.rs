@@ -335,7 +335,7 @@ pub struct EditGate {
 
 /// A name-keyed, mutable view of a combinational netlist.
 ///
-/// [`Network`](flowc_logic::Network) is append-only and acyclic by
+/// [`Network`] is append-only and acyclic by
 /// construction — ideal for synthesis, useless for editing. This type
 /// holds the same circuit as named gates with name-based wiring, accepts
 /// [`NetlistEdit`]s with full validation (rejecting cycles, dangling

@@ -317,7 +317,7 @@ const EXACT_NODE_LIMIT: usize = 80;
 /// under `budget`, which every stage — the LP solves included — checks
 /// cooperatively; `budget` is the only time bound.
 ///
-/// Graphs of at most [`EXACT_NODE_LIMIT`] nodes go through the LP-bounded
+/// Graphs of at most `EXACT_NODE_LIMIT` nodes go through the LP-bounded
 /// branch & bound, warm-started from `warm` (typically the incumbent of an
 /// adjacent γ point; it is re-costed under this γ, and an invalid hint is
 /// ignored rather than trusted). When that search returns no incumbent,

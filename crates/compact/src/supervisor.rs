@@ -26,7 +26,7 @@
 //! the BDD build runs as [`crate::pass::BddBuildPass`] (budgeted first
 //! attempt, one unbudgeted rebuild on exhaustion or panic —
 //! `bdd_budget_lifted` in the report), and the ladder itself is
-//! [`run_ladder`], driven by [`crate::pass::LadderPass`]. Callers that
+//! `run_ladder`, driven by [`crate::pass::LadderPass`]. Callers that
 //! want artifact reuse across calls (γ sweeps, repair, the conformance
 //! oracles) hold a long-lived session and use
 //! [`crate::session::synthesize_in`] directly.
@@ -58,9 +58,10 @@ use crate::pipeline::{CompactError, CompactResult, Config, VhStrategy};
 use crate::preprocess::BddGraph;
 use crate::session::Session;
 
-/// One uniform "unknown name" message: `unknown <kind> \`<got>\`
-/// (<a|b|c>)`. Shared by every name-table parser ([`Rung`], the mapping
-/// backends) so every selection surface rejects with the same shape.
+/// One uniform "unknown name" message,
+/// ``unknown <kind> `<got>` (<a|b|c>)``. Shared by every name-table
+/// parser ([`Rung`], the mapping backends) so every selection surface
+/// rejects with the same shape.
 pub fn unknown_name_error(kind: &str, got: &str, known: &[&str]) -> String {
     format!("unknown {kind} `{got}` ({})", known.join("|"))
 }
@@ -370,7 +371,7 @@ fn bounded_output(
 }
 
 /// What the degradation ladder shipped, with full provenance. Produced by
-/// [`run_ladder`] / [`crate::pass::LadderPass`] and folded into a
+/// `run_ladder` / [`crate::pass::LadderPass`] and folded into a
 /// [`CompactResult`] by [`crate::session::synthesize_in`].
 #[derive(Debug)]
 pub struct LadderOutcome {
@@ -407,7 +408,7 @@ pub struct LadderOutcome {
     /// was offered, `Some(accepted)` otherwise).
     pub warm_start: Option<bool>,
     /// Whether the labeling was served from the session's artifact cache
-    /// (set by [`crate::pass::LadderPass`], never by [`run_ladder`]).
+    /// (set by [`crate::pass::LadderPass`], never by `run_ladder`).
     pub from_cache: bool,
     /// Freshly proven-optimal OCT from the MIP rung's anytime path
     /// (γ-independent), for the session to cache across sweep points.

@@ -2,7 +2,7 @@
 //!
 //! The conformance suite's other oracles compare *algorithms* on one
 //! frozen netlist. This module compares *histories*: it drives a
-//! [`EditSession`](flowc_compact::EditSession) through a generated stream
+//! [`EditSession`] through a generated stream
 //! of netlist edits and checks, after every single edit, that the
 //! incrementally-maintained design is indistinguishable from a cold
 //! synthesis of the same netlist — same optimality verdict, same

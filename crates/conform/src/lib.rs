@@ -7,7 +7,7 @@
 //! and builds the conformance machinery on top:
 //!
 //! - [`rng`] — deterministic `splitmix64` streams ([`Rng`]).
-//! - [`env`] — lenient `PROPTEST_CASES` / `PROPTEST_SEED` parsing.
+//! - [`env`](mod@env) — lenient `PROPTEST_CASES` / `PROPTEST_SEED` parsing.
 //! - [`gen`] — composable generators: networks ([`NetworkGen`]), BLIF/PLA
 //!   sources, undirected graphs, defect maps.
 //! - [`oracle`] — the multi-oracle differential checker: every case runs

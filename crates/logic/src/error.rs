@@ -37,13 +37,6 @@ pub enum LogicError {
         /// Explanation of what went wrong.
         message: String,
     },
-    /// A truth table operation mixed tables of different arity.
-    TruthArity {
-        /// Arity of the left operand.
-        left: usize,
-        /// Arity of the right operand.
-        right: usize,
-    },
     /// A truth table was requested with too many variables to materialize.
     TruthTooLarge(usize),
 }
@@ -73,9 +66,6 @@ impl fmt::Display for LogicError {
             }
             LogicError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
-            }
-            LogicError::TruthArity { left, right } => {
-                write!(f, "truth tables have mismatched arity ({left} vs {right})")
             }
             LogicError::TruthTooLarge(n) => {
                 write!(
@@ -123,7 +113,6 @@ mod tests {
                 },
                 "line 3",
             ),
-            (LogicError::TruthArity { left: 2, right: 3 }, "2"),
             (LogicError::TruthTooLarge(40), "40"),
         ];
         for (err, needle) in cases {

@@ -1,4 +1,4 @@
-//! Gate-level logic networks, truth tables, BLIF/PLA I/O, simulation, and
+//! Gate-level logic networks, BLIF/PLA/Verilog I/O, simulation, and
 //! benchmark circuit generators.
 //!
 //! This crate is the logic-synthesis substrate of the COMPACT reproduction.
@@ -32,7 +32,6 @@
 mod error;
 mod netlist;
 mod sim;
-mod truth;
 
 pub mod bench_suite;
 pub mod blif;
@@ -43,7 +42,7 @@ pub mod xform;
 
 pub use error::LogicError;
 pub use netlist::{Gate, GateKind, Net, NetId, Network};
-pub use truth::{TruthTable, MAX_TRUTH_VARS};
+pub use pla::MAX_TRUTH_VARS;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LogicError>;

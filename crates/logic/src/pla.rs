@@ -26,6 +26,10 @@ use std::fmt::Write as _;
 use crate::cube::{Cube, CubeLit};
 use crate::{GateKind, LogicError, NetId, Network, Result};
 
+/// Maximum input count [`write()`] enumerates (2^24 rows, 2 MiB of simulated
+/// words per output).
+pub const MAX_TRUTH_VARS: usize = 24;
+
 /// Parses PLA source text into a [`Network`].
 ///
 /// # Errors
@@ -219,15 +223,15 @@ pub fn parse(source: &str) -> Result<Network> {
 
 /// Serializes the two-level projection of a network to PLA text.
 ///
-/// The network must have at most [`crate::truth::MAX_TRUTH_VARS`] inputs;
-/// the PLA is emitted as one minterm row per satisfying assignment per
-/// output (no minimization), which is sufficient for interchange and tests.
+/// The network must have at most [`MAX_TRUTH_VARS`] inputs; the PLA is
+/// emitted as one minterm row per satisfying assignment per output (no
+/// minimization), which is sufficient for interchange and tests.
 ///
 /// # Errors
 ///
 /// Returns [`LogicError::TruthTooLarge`] for networks with too many inputs.
 pub fn write(network: &Network) -> Result<String> {
-    let tts = network.truth_tables()?;
+    let words = output_words(network)?;
     let ni = network.num_inputs();
     let no = network.num_outputs();
     let mut out = String::new();
@@ -245,7 +249,10 @@ pub fn write(network: &Network) -> Result<String> {
     let _ = writeln!(out);
     let mut rows: Vec<(usize, Vec<bool>)> = Vec::new();
     for r in 0..1usize << ni {
-        let outs: Vec<bool> = tts.iter().map(|t| t.get(r)).collect();
+        let outs: Vec<bool> = words
+            .iter()
+            .map(|w| w[r / 64] >> (r % 64) & 1 == 1)
+            .collect();
         if outs.iter().any(|&b| b) {
             rows.push((r, outs));
         }
@@ -263,6 +270,36 @@ pub fn write(network: &Network) -> Result<String> {
     }
     let _ = writeln!(out, ".e");
     Ok(out)
+}
+
+/// Simulates every assignment of the network's inputs, 64 per word: bit
+/// `r % 64` of word `r / 64` of output `o` is output `o` on assignment `r`,
+/// whose input `i` is bit `i` of `r`.
+fn output_words(network: &Network) -> Result<Vec<Vec<u64>>> {
+    let k = network.num_inputs();
+    if k > MAX_TRUTH_VARS {
+        return Err(LogicError::TruthTooLarge(k));
+    }
+    let rows = 1usize << k;
+    let words = rows.div_ceil(64);
+    let mut outs = vec![Vec::with_capacity(words); network.num_outputs()];
+    let mut inputs = vec![0u64; k];
+    for word in 0..words {
+        for (i, w) in inputs.iter_mut().enumerate() {
+            *w = 0;
+            for bit in 0..64usize.min(rows - word * 64) {
+                let assignment = word * 64 + bit;
+                if assignment >> i & 1 == 1 {
+                    *w |= 1 << bit;
+                }
+            }
+        }
+        let res = network.simulate64(&inputs)?;
+        for (out, val) in outs.iter_mut().zip(res) {
+            out.push(val);
+        }
+    }
+    Ok(outs)
 }
 
 #[cfg(test)]
@@ -317,6 +354,46 @@ mod tests {
         assert!(parse(".i 2\n.o 1\n11\n.e\n").is_err()); // missing output
         assert!(parse("11 1\n.e\n").is_err()); // row before .i/.o
         assert!(parse(".i 2\n.o 1\n.type xyz\n.e\n").is_err());
+    }
+
+    fn xor_tree(width: usize) -> Network {
+        let mut n = Network::new("xor");
+        let ins: Vec<_> = (0..width).map(|i| n.add_input(format!("x{i}"))).collect();
+        let out = n.add_gate(GateKind::Xor, &ins, "p").unwrap();
+        n.mark_output(out);
+        n
+    }
+
+    #[test]
+    fn write_lists_the_onset_past_the_first_word() {
+        // 7 inputs = 128 rows = 2 simulated words; parity fills both.
+        let n = xor_tree(7);
+        let text = write(&n).unwrap();
+        let rows: Vec<&str> = text.lines().filter(|l| !l.starts_with('.')).collect();
+        let onset: Vec<String> = (0usize..128)
+            .filter(|&r| {
+                let bits: Vec<bool> = (0..7).map(|i| r >> i & 1 == 1).collect();
+                n.simulate(&bits).unwrap()[0]
+            })
+            .map(|r| {
+                let bits: String = (0..7)
+                    .map(|i| if r >> i & 1 == 1 { '1' } else { '0' })
+                    .collect();
+                format!("{bits} 1")
+            })
+            .collect();
+        assert_eq!(rows, onset);
+        assert!(text.contains(".p 64\n"));
+        // Assignment 64 (x6 alone) is odd, 65 (x0 and x6) is even.
+        assert!(rows.contains(&"0000001 1") && !rows.contains(&"1000001 1"));
+    }
+
+    #[test]
+    fn write_rejects_more_than_max_truth_vars_inputs() {
+        assert_eq!(
+            write(&xor_tree(MAX_TRUTH_VARS + 1)),
+            Err(LogicError::TruthTooLarge(MAX_TRUTH_VARS + 1))
+        );
     }
 
     #[test]

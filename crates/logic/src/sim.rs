@@ -57,45 +57,6 @@ impl Network {
         }
         Ok(self.outputs().iter().map(|o| state[o.index()]).collect())
     }
-
-    /// Exhaustively enumerates all `2^k` input assignments (requires at most
-    /// 24 inputs) and returns, for each output, a packed truth table in
-    /// [`crate::TruthTable`] bit order (assignment index = input bits with
-    /// input 0 as the least significant bit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::TruthTooLarge`] for networks with more than 24
-    /// inputs.
-    pub fn truth_tables(&self) -> Result<Vec<crate::TruthTable>> {
-        let k = self.num_inputs();
-        if k > 24 {
-            return Err(LogicError::TruthTooLarge(k));
-        }
-        let rows = 1usize << k;
-        let words = rows.div_ceil(64);
-        let mut outs = vec![Vec::with_capacity(words); self.num_outputs()];
-        let mut inputs = vec![0u64; k];
-        for word in 0..words {
-            for (i, w) in inputs.iter_mut().enumerate() {
-                *w = 0;
-                for bit in 0..64usize.min(rows - word * 64) {
-                    let assignment = word * 64 + bit;
-                    if assignment >> i & 1 == 1 {
-                        *w |= 1 << bit;
-                    }
-                }
-            }
-            let res = self.simulate64(&inputs)?;
-            for (out, val) in outs.iter_mut().zip(res) {
-                out.push(val);
-            }
-        }
-        Ok(outs
-            .into_iter()
-            .map(|w| crate::TruthTable::from_words(k, w))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -141,40 +102,5 @@ mod tests {
         let n = xor_tree(3);
         assert!(n.simulate(&[true]).is_err());
         assert!(n.simulate64(&[0, 0]).is_err());
-    }
-
-    #[test]
-    fn truth_tables_match_simulation() {
-        let mut n = Network::new("maj");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let ab = n.add_gate(GateKind::And, &[a, b], "").unwrap();
-        let ac = n.add_gate(GateKind::And, &[a, c], "").unwrap();
-        let bc = n.add_gate(GateKind::And, &[b, c], "").unwrap();
-        let m = n.add_gate(GateKind::Or, &[ab, ac, bc], "maj").unwrap();
-        n.mark_output(m);
-        let tts = n.truth_tables().unwrap();
-        assert_eq!(tts.len(), 1);
-        for assignment in 0usize..8 {
-            let bits: Vec<bool> = (0..3).map(|i| assignment >> i & 1 == 1).collect();
-            assert_eq!(tts[0].get(assignment), n.simulate(&bits).unwrap()[0]);
-        }
-    }
-
-    #[test]
-    fn truth_tables_cross_word_boundary() {
-        // 7 inputs = 128 rows = 2 words; parity exercises both words.
-        let n = xor_tree(7);
-        let tt = n.truth_tables().unwrap().remove(0);
-        for assignment in 0usize..128 {
-            assert_eq!(tt.get(assignment), (assignment.count_ones() % 2) == 1);
-        }
-    }
-
-    #[test]
-    fn truth_tables_reject_large() {
-        let n = xor_tree(25);
-        assert!(n.truth_tables().is_err());
     }
 }

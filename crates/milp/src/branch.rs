@@ -332,7 +332,6 @@ pub(crate) fn validate_warm_start(model: &Model, values: &[f64], tol: f64) -> Op
 /// [`BranchBound::solve_with`] (custom [`Bounder`]).
 #[derive(Debug, Clone)]
 pub struct BranchBound {
-    pub(crate) gap_tolerance: f64,
     pub(crate) integrality_tol: f64,
     pub(crate) trace_every: usize,
     pub(crate) budget: Budget,
@@ -342,7 +341,6 @@ pub struct BranchBound {
 impl Default for BranchBound {
     fn default() -> Self {
         BranchBound {
-            gap_tolerance: 1e-9,
             integrality_tol: 1e-6,
             trace_every: 50,
             budget: Budget::unlimited(),
@@ -355,12 +353,6 @@ impl BranchBound {
     /// Creates a solver with an unlimited budget and exact tolerances.
     pub fn new() -> Self {
         BranchBound::default()
-    }
-
-    /// Stops when the relative gap falls at or below `gap` (0 = optimal).
-    pub fn gap_tolerance(mut self, gap: f64) -> Self {
-        self.gap_tolerance = gap;
-        self
     }
 
     /// Records a trace point every `n` explored nodes (in addition to every

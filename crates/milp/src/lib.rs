@@ -4,7 +4,9 @@
 //! The paper solves its VH-labeling formulations (minimum vertex cover ILP,
 //! Eq. 2, and the weighted MIP, Eq. 4) with CPLEX under a wall-clock limit,
 //! reporting the best integer solution, the best bound, and the relative gap
-//! over time (Figures 10 and 11). This crate provides the same capabilities:
+//! over time (Figures 10 and 11). Here the Eq. 2 cover is a combinatorial
+//! search in `flowc-graph`; this crate solves Eq. 4 with the same
+//! capabilities:
 //!
 //! - [`Model`]: a row/column model builder (binary and continuous variables,
 //!   `<=`/`>=`/`=` linear constraints, minimization objective);
@@ -14,9 +16,10 @@
 //!   with LP bounding, activity-based constraint propagation, rounding
 //!   heuristics, a wall-clock limit, and a [`SolveTrace`] recording the
 //!   incumbent/bound/gap trajectory;
-//! - a pluggable [`Bounder`] so domain code (the VH-labeling of
-//!   `flowc-compact`) can substitute combinatorial bounds where the dense
-//!   LP would be too large.
+//! - a pluggable [`Bounder`], with the Eq. 4 bounders in [`metrics`]
+//!   ([`metrics::VhBounder`], and [`metrics::HybridBounder`] adding LP
+//!   refinement), so the VH-labeling of `flowc-compact` can substitute
+//!   combinatorial bounds where the dense LP would be too large.
 //!
 //! # Example: a tiny knapsack
 //!

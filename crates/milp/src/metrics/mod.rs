@@ -1,12 +1,6 @@
-//! Metric-guided bounders: combinatorial lower bounds specialized to the
-//! structures this repo actually solves, pluggable into [`BranchBound`]
-//! via the [`Bounder`] trait.
+//! Combinatorial bounders for the VH-labeling MIP, pluggable into
+//! [`crate::BranchBound`] via the [`crate::Bounder`] trait:
 //!
-//! Three families live here:
-//!
-//! - [`MatchingCoverBounder`] / [`DegreeCoverBounder`]: bounds for pairwise
-//!   vertex-cover ILPs (`x_u + x_v >= 1` rows), via greedy disjoint-pair
-//!   matching and degree counting respectively;
 //! - [`VhBounder`]: the VH-labeling objective of the paper's Eq. 4
 //!   (`γ·S + (1−γ)·D`), bounding S through forced-VH counts plus a
 //!   vertex-disjoint triangle packing (every triangle is an odd cycle, so
@@ -15,14 +9,12 @@
 //!   relaxation — the LP is solved only when the cheap bound fails to reach
 //!   the cutoff, which on deep subtrees skips most LP work.
 //!
-//! Every bounder here is pinned by exhaustive-enumeration-vs-branch&bound
-//! equivalence tests on seeded random models (`tests/` in this crate and
-//! the labeling equivalence suite in `flowc-conform`).
+//! Both are pinned by exhaustive-enumeration-vs-branch&bound equivalence
+//! tests on small Eq. 4 models (`vh.rs`) and by the labeling equivalence
+//! suite in the root package's `tests/`.
 
-mod cover;
-mod vh;
+pub(crate) mod vh;
 
-pub use cover::{CoverProblem, DegreeCoverBounder, MatchingCoverBounder};
 pub use vh::{VhBounder, VhLayout};
 
 use flowc_budget::Budget;
@@ -41,8 +33,6 @@ pub struct HybridBounder<B> {
     /// Whether the last `lower_bound` call ran the LP (its relaxation
     /// point is only meaningful then).
     lp_fresh: bool,
-    lp_solves: u64,
-    lp_skips: u64,
 }
 
 impl<B: Bounder> HybridBounder<B> {
@@ -52,8 +42,6 @@ impl<B: Bounder> HybridBounder<B> {
             cheap,
             lp: LpBounder::new(),
             lp_fresh: false,
-            lp_solves: 0,
-            lp_skips: 0,
         }
     }
 
@@ -63,12 +51,6 @@ impl<B: Bounder> HybridBounder<B> {
         self.lp = LpBounder::with_budget(budget);
         self
     }
-
-    /// `(lp_solves, lp_skips)` so far — how often the cheap bound made the
-    /// LP unnecessary.
-    pub fn lp_stats(&self) -> (u64, u64) {
-        (self.lp_solves, self.lp_skips)
-    }
 }
 
 impl<B: Bounder> Bounder for HybridBounder<B> {
@@ -77,10 +59,8 @@ impl<B: Bounder> Bounder for HybridBounder<B> {
         let cheap = sanitize_bound(self.cheap.lower_bound(model, fixed, cutoff));
         let cheap = self.cheap.tighten_bound(cheap);
         if cheap == f64::INFINITY || cheap >= cutoff - 1e-9 {
-            self.lp_skips += 1;
             return cheap;
         }
-        self.lp_solves += 1;
         let lp = sanitize_bound(self.lp.lower_bound(model, fixed, cutoff));
         if lp == f64::INFINITY {
             return lp;
@@ -114,29 +94,28 @@ impl<B: Bounder> Bounder for HybridBounder<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::metrics::vh::tests::{build_vh_model, graphs};
     use crate::BranchBound;
 
     #[test]
     fn hybrid_is_never_weaker_than_lp_alone() {
-        // C5 vertex cover: hybrid(Matching) must reach the optimum with a
-        // proven gap of zero, like the LP path does.
-        let mut m = Model::new();
-        let xs: Vec<_> = (0..5).map(|i| m.add_binary(format!("x{i}"), 1.0)).collect();
-        for i in 0..5 {
-            m.add_constraint(&[(xs[i], 1.0), (xs[(i + 1) % 5], 1.0)], Sense::Ge, 1.0);
-        }
-        let prob = CoverProblem::from_model(&m).unwrap();
-        let hybrid = || HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
+        // The Eq. 4 model of C5 at γ = 0.5: hybrid(Vh) must reach the
+        // optimum with a proven gap of zero, like the LP path does.
+        let (n, edges) = graphs().swap_remove(1);
+        let (m, layout) = build_vh_model(n, &edges, 0.5);
+        let hybrid = || HybridBounder::new(VhBounder::new(layout.clone()));
         let sol = BranchBound::new().solve_with(&m, hybrid()).unwrap();
-        assert_eq!(sol.objective.round() as i64, 3);
-        // A cutoff the cheap bound already reaches skips the LP; one it
-        // cannot reach pays for it, and the LP's 2.5 beats matching's 2.
+        assert_eq!((sol.objective, sol.best_bound), (4.5, 4.5));
+        // A cutoff the cheap bound already reaches skips the LP (no
+        // relaxation point); one it cannot reach pays for it, and the
+        // bound is the larger of the two: the cheap 4.0 over the LP's 3.75.
         let mut bounder = hybrid();
-        let root = vec![None; 5];
-        assert_eq!(bounder.lower_bound(&m, &root, 1.0), 2.0);
-        assert_eq!(bounder.lp_stats(), (0, 1));
-        assert!((bounder.lower_bound(&m, &root, f64::INFINITY) - 2.5).abs() < 1e-9);
-        assert_eq!(bounder.lp_stats(), (1, 1));
+        let root = vec![None; m.num_vars()];
+        assert_eq!(bounder.lower_bound(&m, &root, 4.0), 4.0);
+        assert!(bounder.relaxation_point().is_none());
+        let mut lp = LpBounder::new();
+        assert!((lp.lower_bound(&m, &root, f64::INFINITY) - 3.75).abs() < 1e-9);
+        assert_eq!(bounder.lower_bound(&m, &root, f64::INFINITY), 4.0);
+        assert!(bounder.relaxation_point().is_some());
     }
 }

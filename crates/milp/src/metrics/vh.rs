@@ -459,7 +459,7 @@ impl Bounder for VhBounder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::HybridBounder;
     use crate::model::Sense;
@@ -467,7 +467,11 @@ mod tests {
 
     /// Builds the Eq. 4 MIP for a small graph, mirroring the layout the
     /// labeling stage produces: objective `γ·Σ(xv+xh) + (1−γ)·D`.
-    fn build_vh_model(n: usize, edges: &[(usize, usize)], gamma: f64) -> (Model, VhLayout) {
+    pub(crate) fn build_vh_model(
+        n: usize,
+        edges: &[(usize, usize)],
+        gamma: f64,
+    ) -> (Model, VhLayout) {
         let mut m = Model::new();
         let xv: Vec<_> = (0..n)
             .map(|i| m.add_binary(format!("v{i}"), gamma))
@@ -528,7 +532,7 @@ mod tests {
         best
     }
 
-    fn graphs() -> Vec<(usize, Vec<(usize, usize)>)> {
+    pub(crate) fn graphs() -> Vec<(usize, Vec<(usize, usize)>)> {
         vec![
             // Triangle: one VH forced.
             (3, vec![(0, 1), (1, 2), (0, 2)]),

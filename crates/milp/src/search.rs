@@ -21,6 +21,10 @@ use crate::model::Model;
 use crate::sol::{MilpError, Solution, SolveStatus, SolveTrace, TracePoint};
 use crate::Result;
 
+/// A node whose bound is within this relative gap of the incumbent is
+/// pruned: the search proves optimality, not a gap.
+const GAP_TOLERANCE: f64 = 1e-9;
+
 /// The incumbent and the trace of one search.
 struct Progress {
     incumbent: Option<(Vec<f64>, f64)>,
@@ -144,8 +148,7 @@ pub(crate) fn solve<B: Bounder>(
         let inc_obj = progress.objective();
         if inc_obj.is_finite() {
             let denom = inc_obj.abs().max(1e-10);
-            if node.bound >= inc_obj - 1e-9
-                || (inc_obj - node.bound).abs() / denom <= cfg.gap_tolerance
+            if node.bound >= inc_obj - 1e-9 || (inc_obj - node.bound).abs() / denom <= GAP_TOLERANCE
             {
                 continue;
             }
@@ -193,7 +196,8 @@ mod tests {
     use crate::branch::tests::{
         knapsack_model, ring_cover_model, set_cover_model, weighted_cover_model,
     };
-    use crate::metrics::{CoverProblem, HybridBounder, MatchingCoverBounder};
+    use crate::metrics::vh::tests::{build_vh_model, graphs};
+    use crate::metrics::{HybridBounder, VhBounder, VhLayout};
     use flowc_budget::Budget;
 
     /// `(nodes, objective, best_bound, status)`, or `None` for infeasible.
@@ -209,9 +213,20 @@ mod tests {
         }
     }
 
-    fn hybrid_cover(m: &Model) -> HybridBounder<MatchingCoverBounder> {
-        let problem = CoverProblem::from_model(m).expect("pairwise cover");
-        HybridBounder::new(MatchingCoverBounder::new(problem))
+    fn hybrid_vh(layout: &VhLayout) -> HybridBounder<VhBounder> {
+        HybridBounder::new(VhBounder::new(layout.clone()))
+    }
+
+    /// Every node VH (`xv = xh = 1`, every orientation 0, `D = n`): feasible
+    /// but the worst labeling there is.
+    fn all_vh(m: &Model, layout: &VhLayout) -> Vec<f64> {
+        let mut values = vec![0.0; m.num_vars()];
+        for i in 0..layout.n {
+            values[layout.xv[i]] = 1.0;
+            values[layout.xh[i]] = 1.0;
+        }
+        values[layout.d_var] = layout.n as f64;
+        values
     }
 
     /// The search expands the nodes of plain single-heap best-first search
@@ -232,25 +247,43 @@ mod tests {
             let want = Some((0, obj, obj, Optimal));
             check(format!("ring{n}"), solver.solve(&m), want);
         }
-        for (seed, lp_nodes, hybrid_nodes, obj) in [
-            (1, 1, 1, 40.0),
-            (2, 0, 1, 37.0),
-            (3, 3, 4, 42.0),
-            (4, 0, 0, 51.0),
-            (5, 1, 1, 53.0),
+        for (seed, nodes, obj) in [
+            (1, 1, 40.0),
+            (2, 0, 37.0),
+            (3, 3, 42.0),
+            (4, 0, 51.0),
+            (5, 1, 53.0),
         ] {
             let n = 20 + 4 * seed as usize;
             let m = weighted_cover_model(seed, n, 40 + 10 * seed as usize);
-            let lp = Some((lp_nodes, obj, obj, Optimal));
-            check(format!("cover{seed}-lp"), solver.solve(&m), lp);
-            let hybrid = Some((hybrid_nodes, obj, obj, Optimal));
-            let got = solver.solve_with(&m, hybrid_cover(&m));
-            check(format!("cover{seed}-hybrid"), got, hybrid);
-            // An all-ones warm start is feasible but poor: the root
-            // heuristic must still run and replace it.
-            let warm = solver.clone().warm_start(vec![1.0; n]);
-            let got = warm.solve_with(&m, hybrid_cover(&m));
-            check(format!("cover{seed}-hybrid-warm"), got, hybrid);
+            let want = Some((nodes, obj, obj, Optimal));
+            check(format!("cover{seed}-lp"), solver.solve(&m), want);
+        }
+        // The Eq. 4 models of the `metrics::vh` tests under the product's
+        // `HybridBounder<VhBounder>`, cold and from an all-VH warm start:
+        // that start is feasible but poor, so the root heuristic must still
+        // run and replace it.
+        let graphs = graphs();
+        for (g, gamma, nodes, obj) in [
+            (0, 0.5, 0, 3.0),
+            (1, 0.0, 0, 3.0),
+            (1, 0.5, 8, 4.5),
+            (1, 1.0, 8, 6.0),
+            (3, 0.5, 0, 4.5),
+            (4, 0.0, 0, 3.0),
+            (4, 0.5, 4, 4.5),
+            (4, 1.0, 4, 6.0),
+        ] {
+            let (n, edges) = &graphs[g];
+            let (m, layout) = build_vh_model(*n, edges, gamma);
+            let want = Some((nodes, obj, obj, Optimal));
+            let got = solver.solve_with(&m, hybrid_vh(&layout));
+            check(format!("vh{g}-γ{gamma}-hybrid"), got, want);
+            let warm = solver.clone().warm_start(all_vh(&m, &layout));
+            let got = warm.solve_with(&m, hybrid_vh(&layout));
+            let accepted = got.as_ref().map(|s| s.warm_start);
+            assert_eq!(accepted, Ok(Some(true)), "vh{g}-γ{gamma}");
+            check(format!("vh{g}-γ{gamma}-hybrid-warm"), got, want);
         }
         // These relaxations have several optimal vertices, and the one the
         // LP returns steers branching: the counts pin the LP's choice.

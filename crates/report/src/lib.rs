@@ -644,16 +644,6 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     write_atomic_typed(path, contents).map_err(io::Error::from)
 }
 
-/// Renders `json` pretty-printed and writes it atomically + durably to
-/// `path`, with the typed per-step error.
-///
-/// # Errors
-///
-/// A [`WriteError`] naming the failed step (see [`write_atomic_typed`]).
-pub fn write_json_atomic(path: &Path, json: &Json) -> Result<(), WriteError> {
-    write_atomic_typed(path, &json.to_pretty())
-}
-
 /// Renders `json` pretty-printed and writes it atomically to `path`.
 ///
 /// # Errors

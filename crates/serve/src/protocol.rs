@@ -67,7 +67,7 @@ pub struct SubmitSpec {
     /// every fallback (and every journal replay) stays correct.
     pub patch: Option<PatchDirective>,
     /// The mapping backend running the job. Non-COMPACT backends bypass
-    /// the rung ladder (the rung still shapes the [`Config`] their
+    /// the rung ladder (the rung still shapes the [`Config`](flowc_compact::Config) their
     /// synthesis context carries).
     pub backend: Backend,
 }

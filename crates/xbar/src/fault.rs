@@ -1,7 +1,7 @@
 //! Manufacturing-defect modeling for crossbar designs: a typed defect map
 //! (stuck-off / stuck-on junctions, open wordlines / bitlines), a
-//! deterministic seedable fault-injection engine, and benign/functional
-//! classification of defects against a reference network.
+//! deterministic seedable fault-injection engine, and [`apply_defects`],
+//! which shows a design as the defective array computes it.
 //!
 //! Real ReRAM arrays ship with a percentage of unprogrammable junctions
 //! and the occasional broken nanowire; a mapping that is only valid on a
@@ -22,10 +22,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use flowc_logic::Network;
-
 use crate::rng::XorShift64;
-use crate::verify::verify_functional;
 use crate::{Crossbar, DeviceAssignment, Result, XbarError};
 
 /// A single manufacturing defect on a physical crossbar array.
@@ -383,75 +380,10 @@ pub fn apply_defects(xbar: &Crossbar, map: &DefectMap) -> Result<Crossbar> {
     Ok(faulty)
 }
 
-/// How a defect (or a whole defect map) affects a design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultImpact {
-    /// The defective array still computes the reference function on every
-    /// checked assignment.
-    Benign,
-    /// The defective array mismatches the reference.
-    Functional,
-}
-
-/// One fault with its classified impact on a specific design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassifiedFault {
-    /// The injected fault.
-    pub fault: Fault,
-    /// Whether the design survives it.
-    pub impact: FaultImpact,
-}
-
-/// Classifies the defect map *as a whole* against the reference network:
-/// applies every fault and runs functional verification.
-///
-/// # Errors
-///
-/// Propagates dimension-mismatch and verification errors.
-pub fn classify_map(
-    xbar: &Crossbar,
-    reference: &Network,
-    map: &DefectMap,
-    samples: usize,
-) -> Result<FaultImpact> {
-    let faulty = apply_defects(xbar, map)?;
-    let report = verify_functional(&faulty, reference, samples)?;
-    Ok(if report.mismatches.is_empty() {
-        FaultImpact::Benign
-    } else {
-        FaultImpact::Functional
-    })
-}
-
-/// Classifies each fault of the map *individually* (single-fault
-/// assumption): a fault is benign iff the design with only that fault
-/// present still verifies clean. Useful for locating which defects actually
-/// hurt a mapping before attempting repair.
-///
-/// # Errors
-///
-/// Propagates dimension-mismatch and verification errors.
-pub fn classify_faults(
-    xbar: &Crossbar,
-    reference: &Network,
-    map: &DefectMap,
-    samples: usize,
-) -> Result<Vec<ClassifiedFault>> {
-    map.faults()
-        .map(|fault| {
-            let mut single = DefectMap::new(map.rows(), map.cols());
-            single.add(fault).expect("fault was in range in `map`");
-            Ok(ClassifiedFault {
-                fault,
-                impact: classify_map(xbar, reference, &single, samples)?,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_functional;
     use flowc_logic::{GateKind, Network};
 
     /// The Fig. 2 design for f = (a ∧ b) ∨ c with its reference network.
@@ -499,12 +431,19 @@ mod tests {
         (x, n)
     }
 
+    /// Whether the design with every fault of `map` applied still computes
+    /// the reference on every assignment.
+    fn survives(x: &Crossbar, n: &Network, map: &DefectMap) -> bool {
+        let faulty = apply_defects(x, map).unwrap();
+        verify_functional(&faulty, n, 64).unwrap().is_valid()
+    }
+
     #[test]
     fn empty_map_changes_nothing() {
         let (x, n) = fig2_pair();
         let map = DefectMap::new(3, 3);
         let faulty = apply_defects(&x, &map).unwrap();
-        assert_eq!(classify_map(&x, &n, &map, 64).unwrap(), FaultImpact::Benign);
+        assert!(survives(&x, &n, &map));
         for bits in 0u32..8 {
             let ins: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(faulty.evaluate(&ins).unwrap(), x.evaluate(&ins).unwrap());
@@ -516,10 +455,7 @@ mod tests {
         let (x, n) = fig2_pair();
         let mut map = DefectMap::new(3, 3);
         map.add(Fault::StuckOff { row: 0, col: 2 }).unwrap();
-        assert_eq!(
-            classify_map(&x, &n, &map, 64).unwrap(),
-            FaultImpact::Functional
-        );
+        assert!(!survives(&x, &n, &map));
     }
 
     #[test]
@@ -528,7 +464,7 @@ mod tests {
         // (1,0) is a VH bridge (always on) — sticking it on changes nothing.
         let mut map = DefectMap::new(3, 3);
         map.add(Fault::StuckOn { row: 1, col: 0 }).unwrap();
-        assert_eq!(classify_map(&x, &n, &map, 64).unwrap(), FaultImpact::Benign);
+        assert!(survives(&x, &n, &map));
     }
 
     #[test]
@@ -536,10 +472,7 @@ mod tests {
         let (x, n) = fig2_pair();
         let mut map = DefectMap::new(3, 3);
         map.add(Fault::OpenWordline { row: 0 }).unwrap();
-        assert_eq!(
-            classify_map(&x, &n, &map, 64).unwrap(),
-            FaultImpact::Functional
-        );
+        assert!(!survives(&x, &n, &map));
         // The severed input row conducts nothing.
         let faulty = apply_defects(&x, &map).unwrap();
         for bits in 0u32..8 {
@@ -560,22 +493,18 @@ mod tests {
     }
 
     #[test]
-    fn classify_individual_faults() {
+    fn each_fault_is_judged_on_its_own() {
         let (x, n) = fig2_pair();
-        let mut map = DefectMap::new(3, 3);
-        map.add(Fault::StuckOn { row: 1, col: 0 }).unwrap(); // benign (bridge)
-        map.add(Fault::StuckOff { row: 0, col: 0 }).unwrap(); // kills literal b
-        let classified = classify_faults(&x, &n, &map, 64).unwrap();
-        assert_eq!(classified.len(), 2);
-        let impact_of = |f: Fault| classified.iter().find(|c| c.fault == f).unwrap().impact;
-        assert_eq!(
-            impact_of(Fault::StuckOn { row: 1, col: 0 }),
-            FaultImpact::Benign
-        );
-        assert_eq!(
-            impact_of(Fault::StuckOff { row: 0, col: 0 }),
-            FaultImpact::Functional
-        );
+        let bridge = Fault::StuckOn { row: 1, col: 0 }; // benign (bridge)
+        let literal = Fault::StuckOff { row: 0, col: 0 }; // kills literal b
+        let mut both = DefectMap::new(3, 3);
+        for (fault, benign) in [(bridge, true), (literal, false)] {
+            let mut single = DefectMap::new(3, 3);
+            single.add(fault).unwrap();
+            assert_eq!(survives(&x, &n, &single), benign, "{fault:?}");
+            both.add(fault).unwrap();
+        }
+        assert!(!survives(&x, &n, &both));
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //! literal devices) and delay (`rows + 1` time steps).
 //!
 //! [`fault`] models manufacturing defects (stuck-off/stuck-on junctions,
-//! open wordlines/bitlines) with a typed [`fault::DefectMap`], a seedable
-//! injection engine, and benign/functional classification against a
-//! reference network — the substrate of the defect-aware repair pass in
-//! `flowc-compact`.
+//! open wordlines/bitlines) with a typed [`fault::DefectMap`] and a
+//! seedable injection engine — the substrate of the defect-aware repair
+//! pass in `flowc-compact`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +33,6 @@ pub mod metrics;
 mod model;
 pub mod rng;
 pub mod svg;
-pub mod variation;
 pub mod verify;
 
 pub use model::{Crossbar, DeviceAssignment, Evaluator, Port, XbarError};

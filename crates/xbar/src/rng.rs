@@ -1,12 +1,12 @@
 //! Small deterministic random sources shared by the stochastic analyses
-//! (fault injection, device-variation Monte Carlo, assignment sampling).
+//! (fault injection, assignment sampling).
 //! Everything here is explicitly seeded so every campaign is reproducible
 //! across runs and CI — no global or OS entropy is ever consulted.
 
 /// Deterministic xorshift64 generator.
 ///
 /// The same generator the verification sampler has always used, promoted to
-/// a shared type so fault injection and variation analysis draw from one
+/// a shared type so fault injection and assignment sampling draw from one
 /// audited implementation.
 #[derive(Debug, Clone)]
 pub struct XorShift64 {
@@ -54,13 +54,6 @@ impl XorShift64 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p
     }
-
-    /// Standard normal sample (Box–Muller on two uniform draws).
-    pub fn normal(&mut self) -> f64 {
-        let u1 = self.uniform().max(1e-12);
-        let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
 }
 
 #[cfg(test)]
@@ -89,17 +82,6 @@ mod tests {
             let u = r.uniform();
             assert!((0.0..1.0).contains(&u));
         }
-    }
-
-    #[test]
-    fn normal_has_sane_moments() {
-        let mut r = XorShift64::new(11);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "variance {var}");
     }
 
     #[test]

@@ -136,27 +136,9 @@ pub fn verify_functional(
     reference: &Network,
     samples: usize,
 ) -> Result<VerifyReport> {
-    verify_functional_budgeted(xbar, reference, samples, &Budget::unlimited())
-}
-
-/// [`verify_functional`] under a cooperative [`Budget`]: the deadline and
-/// cancellation token are checked between 64-assignment evaluation chunks,
-/// so a long verification can be interrupted mid-sweep.
-///
-/// # Errors
-///
-/// In addition to [`verify_functional`]'s errors, returns
-/// [`XbarError::Budget`] when the budget is exhausted before the sweep
-/// finishes.
-pub fn verify_functional_budgeted(
-    xbar: &Crossbar,
-    reference: &Network,
-    samples: usize,
-    budget: &Budget,
-) -> Result<VerifyReport> {
     check_inputs(xbar, reference)?;
     let evaluator = xbar.evaluator();
-    verify_with(reference, samples, budget, |words| {
+    verify_with(reference, samples, &Budget::unlimited(), |words| {
         evaluator.evaluate64(words)
     })
 }
@@ -349,10 +331,13 @@ mod tests {
         let (x, n) = fig2_pair();
         let budget = Budget::unlimited();
         budget.cancel_handle().cancel();
-        let err = verify_functional_budgeted(&x, &n, 64, &budget).unwrap_err();
+        let evaluator = x.evaluator();
+        let evaluate = |words: &[u64]| evaluator.evaluate64(words);
+        let err = verify_with(&n, 64, &budget, evaluate).unwrap_err();
         assert!(matches!(err, XbarError::Budget(_)));
         // An unlimited budget behaves like the plain entry point.
-        let r = verify_functional_budgeted(&x, &n, 64, &Budget::unlimited()).unwrap();
+        let r = verify_with(&n, 64, &Budget::unlimited(), evaluate).unwrap();
+        assert_eq!(r, verify_functional(&x, &n, 64).unwrap());
         assert!(r.is_valid());
     }
 

@@ -11,8 +11,7 @@ use flowc::compact::BddGraph;
 use flowc::conform::gen::gen_graph;
 use flowc::conform::Rng;
 use flowc::graph::UGraph;
-use flowc::milp::metrics::{CoverProblem, DegreeCoverBounder, HybridBounder, MatchingCoverBounder};
-use flowc::milp::{BranchBound, Model, Sense, Solution};
+use flowc::milp::{BranchBound, Model, Sense};
 
 /// Wraps a bare conform-generated graph as a labeling instance (no BDD
 /// provenance needed: with `align = false` the solver never consults
@@ -96,7 +95,7 @@ fn conform_seeded_labelings_match_exhaustive_enumeration() {
 }
 
 /// Minimum-vertex-cover model of `g`: minimize Σx subject to x_i + x_j ≥ 1
-/// per edge — the shape `CoverProblem::from_model` recognizes.
+/// per edge — the paper's Eq. 2 cover as a 0-1 program.
 fn cover_model(g: &UGraph) -> Model {
     let n = g.num_vertices();
     let mut m = Model::new();
@@ -131,27 +130,12 @@ fn every_bounder_matches_exhaustive_on_conform_seeded_covers() {
         let want = enumerate_cover_optimum(&g);
         let solver =
             BranchBound::new().budget(&Budget::unlimited().with_deadline(Duration::from_secs(30)));
-        let prob = CoverProblem::from_model(&m).expect("cover shape");
-        let check = |name: &str, sol: Solution| {
-            assert!(
-                (sol.objective - want).abs() < 1e-6,
-                "case {case} bounder {name}: bnb {} vs exhaustive {want}",
-                sol.objective
-            );
-        };
-        check("lp", solver.solve(&m).expect("solvable"));
-        let hybrid = HybridBounder::new(MatchingCoverBounder::new(prob.clone()));
-        check(
-            "hybrid-matching",
-            solver.solve_with(&m, hybrid).expect("solvable"),
+        let sol = solver.solve(&m).expect("solvable");
+        assert!(
+            (sol.objective - want).abs() < 1e-6,
+            "case {case}: bnb {} vs exhaustive {want}",
+            sol.objective
         );
-        let matching = MatchingCoverBounder::new(prob.clone());
-        check(
-            "matching",
-            solver.solve_with(&m, matching).expect("solvable"),
-        );
-        let degree = DegreeCoverBounder::new(prob);
-        check("degree", solver.solve_with(&m, degree).expect("solvable"));
     }
 }
 
