@@ -249,16 +249,17 @@ mod tests {
         use flowc_budget::BudgetExceeded;
         use std::time::{Duration, Instant};
 
-        // Unbudgeted, int2float's per-output flow runs for tens of
-        // seconds: two outputs' root LPs alone take 2 s and 11 s.
+        // int2float's per-output flow runs one exact ladder per output;
+        // the root LPs of its two largest outputs take 17–29 ms in a
+        // release build.
         let n = bench_suite::by_name("int2float")
             .unwrap()
             .network()
             .unwrap();
-        let deadline = || Budget::unlimited().with_deadline(Duration::from_millis(50));
 
         let started = Instant::now();
-        let ctx = SynthesisCtx::new(Config::default()).with_budget(deadline());
+        let budget = Budget::unlimited().with_deadline(Duration::from_millis(50));
+        let ctx = SynthesisCtx::new(Config::default()).with_budget(budget);
         match DiagonalBackend.synthesize(&n, &ctx) {
             Ok(_) | Err(BackendError::Budget(BudgetExceeded::Deadline)) => {}
             Err(e) => panic!("unexpected error: {e}"),
@@ -266,8 +267,11 @@ mod tests {
         let took = started.elapsed();
         assert!(took < Duration::from_secs(2), "backend took {took:?}");
 
-        // Past the deadline the remaining outputs degrade rather than fail.
-        let r = compact_per_output(&n, &Config::default(), &deadline()).unwrap();
+        // Past the deadline the outputs degrade rather than fail. The
+        // deadline has already passed, so no output can finish inside it,
+        // however fast the host.
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+        let r = compact_per_output(&n, &Config::default(), &expired).unwrap();
         assert!(r
             .per_output
             .iter()

@@ -325,14 +325,17 @@ const EXACT_NODE_LIMIT: usize = 80;
 /// `oct_hint` in place of its OCT stage. Either way the outcome's trace
 /// records the incumbent/bound/gap trajectory.
 ///
-/// The second return value is a freshly computed, proven-optimal odd
-/// cycle transversal for the caller to cache: it is γ-independent, and
-/// the search costs one block at a time, so it is milliseconds on a graph
-/// of many small blocks (router, i2c) but the OCT's whole 60% share of
-/// the budget when the largest block does not close (cavlc is one
-/// 592-node block). It is `None` when the hint
-/// was used, the branch & bound answered, or the OCT solve timed out (a
-/// timed-out transversal depends on the budget and must not be reused).
+/// The second return value is the odd cycle transversal the anytime path
+/// searched for, for the caller to cache: it is γ-independent, and the
+/// search costs one block at a time, so it is milliseconds on a graph of
+/// many small blocks (router, i2c) but the OCT's whole 60% share of the
+/// budget when the largest block does not close (cavlc is one 592-node
+/// block). It is proven, or stopped by `budget`; only the caller knows
+/// whether that budget was the job's own time limit, which makes a stopped
+/// transversal reusable by jobs with no larger limit. It is `None` when
+/// the hint was used or the branch & bound answered; after a branch &
+/// bound that found no incumbent only a proven transversal is returned,
+/// since that search took part of the time limit first.
 pub fn solve(
     graph: &BddGraph,
     config: &MipConfig,
@@ -346,6 +349,8 @@ pub fn solve(
         if let Some(out) = branch_and_bound(graph, config, budget, warm) {
             return (out, None);
         }
+        let (out, oct) = anytime(graph, config, budget, oct_hint);
+        return (out, oct.filter(|o| o.optimal));
     }
     anytime(graph, config, budget, oct_hint)
 }
@@ -406,7 +411,8 @@ pub(crate) fn relative_gap(objective: f64, bound: f64) -> f64 {
 /// the time left (bound + incumbent; replaced outright by `hint`) →
 /// VH-addition hill climbing, skipped once the incumbent is proven
 /// optimal. Always returns a valid labeling, even on an already-exhausted
-/// budget. The second return value is as for [`solve`].
+/// budget. The second return value is the freshly searched OCT, proven or
+/// stopped (`None` when `hint` was used).
 fn anytime(
     graph: &BddGraph,
     config: &MipConfig,
@@ -484,8 +490,9 @@ fn anytime(
         best_bound,
         open_nodes: 0,
     });
-    // Only a proven-optimal OCT is budget-independent and safe to reuse.
-    let publish = (computed && oct.optimal).then(|| oct.clone());
+    // A reused OCT expands no nodes here; report the reuse as an accepted
+    // warm start instead.
+    let nodes = if computed { oct.nodes } else { 0 };
     (
         MipOutcome {
             labeling: best,
@@ -494,12 +501,13 @@ fn anytime(
             best_bound,
             relative_gap,
             trace,
-            // A reused OCT expands no nodes here; report the reuse as an
-            // accepted warm start instead.
-            nodes: if computed { oct.nodes } else { 0 },
+            nodes,
             warm_start: (!computed).then_some(true),
         },
-        publish,
+        // Any fresh search goes back: a proven OCT is budget-independent,
+        // and the caller knows whether a stopped one was stopped by the
+        // job's time limit alone.
+        computed.then_some(oct),
     )
 }
 

@@ -335,7 +335,12 @@ impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPa
             Claim::Build(ticket) => ticket,
         };
         let warm = session.warm_hint(graph_key);
-        let oct_hint = session.oct_hint(graph_key);
+        let time_limit = self.config.strategy.time_limit();
+        let oct_hint = session.oct_hint(graph_key, time_limit);
+        // With at least `time_limit` left, the exact rungs' clock is the
+        // time limit alone, so a search it stops is what any job with that
+        // limit would get.
+        let limit_only = budget.remaining().is_none_or(|left| left >= time_limit);
         let outcome = run_ladder(
             graph,
             self.config,
@@ -365,11 +370,15 @@ impl<'c> Pass<(&BddGraph, ArtifactKey, &[String], Option<Trigger>)> for LadderPa
         }
         drop(ticket); // publish (or release) before waking claim waiters
 
-        // Any shipped labeling seeds later solves over this graph; a fresh
-        // proven-optimal OCT (γ-independent) serves every later sweep point.
+        // Any shipped labeling seeds later solves over this graph. A fresh
+        // OCT (γ-independent) serves later sweep points when it is proven,
+        // or when only the time limit stopped it: a deadline or cancel
+        // that cut the search short says nothing about other jobs.
         session.offer_warm_hint(graph_key, outcome.labeling.clone());
         if let Some(oct) = &outcome.oct {
-            session.offer_oct_hint(graph_key, Arc::new(oct.clone()));
+            if oct.optimal || (limit_only && !budget.is_cancelled()) {
+                session.offer_oct_hint(graph_key, Arc::new(oct.clone()), time_limit);
+            }
         }
         session.record_label(
             outcome.label_wall,

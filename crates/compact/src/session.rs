@@ -473,10 +473,13 @@ struct SessionState {
     /// warm start to subsequent solves over the same graph (a γ sweep
     /// re-costs it under each point's objective).
     warm_hints: ArtifactCache<Labeling>,
-    /// Proven-optimal odd cycle transversals per *graph* key. The OCT is a
-    /// pure, γ-independent function of the graph, so reuse never changes a
-    /// result — it only skips the dominant stage of the anytime path.
-    octs: ArtifactCache<Arc<OctResult>>,
+    /// Odd cycle transversals per *graph* key, each with the time limit
+    /// of the job whose search produced it. The OCT is γ-independent: a
+    /// proven one is a pure function of the graph, and one stopped by its
+    /// job's time limit is what a search with no more time would find
+    /// (cavlc's stops at the greedy transversal at any limit probed), so
+    /// reuse skips the dominant stage of the anytime path.
+    octs: ArtifactCache<OctEntry>,
     trace: StageTrace,
     disk_hits: usize,
     disk_corrupt: usize,
@@ -484,6 +487,14 @@ struct SessionState {
     /// second thread asking for the same key blocks on [`Session::build_cv`]
     /// instead of duplicating the build.
     in_flight: HashSet<ArtifactKey>,
+}
+
+/// A cached odd cycle transversal and the `time_limit` of the job whose
+/// search produced it (only read when the search was stopped).
+#[derive(Debug, Clone)]
+struct OctEntry {
+    oct: Arc<OctResult>,
+    time_limit: Duration,
 }
 
 /// A synthesis session: the shared context every pass runs in.
@@ -670,20 +681,38 @@ impl Session {
         self.lock().warm_hints.insert(graph, labeling);
     }
 
-    /// The cached proven-optimal odd cycle transversal for `graph`, if any.
-    /// Unlike warm labels this is not gated behind an opt-in: the OCT is
-    /// deterministic per graph, so a hit returns exactly what a fresh
-    /// solve would compute.
-    pub(crate) fn oct_hint(&self, graph: ArtifactKey) -> Option<Arc<OctResult>> {
-        self.lock().octs.get(graph)
+    /// The cached odd cycle transversal for `graph` that a job with
+    /// `time_limit` may use: a proven one, or one whose search was stopped
+    /// by a time limit no smaller than the job's own. The limits compared
+    /// are configuration values, so equal-limit sweep points reuse
+    /// deterministically. Unlike warm labels this is not gated behind an
+    /// opt-in: a hit stands in for a search that could do no better.
+    pub(crate) fn oct_hint(
+        &self,
+        graph: ArtifactKey,
+        time_limit: Duration,
+    ) -> Option<Arc<OctResult>> {
+        let entry = self.lock().octs.get(graph)?;
+        (entry.oct.optimal || time_limit <= entry.time_limit).then_some(entry.oct)
     }
 
-    /// Publishes a proven-optimal OCT for `graph` (first writer wins —
-    /// every writer would publish the same value).
-    pub(crate) fn offer_oct_hint(&self, graph: ArtifactKey, oct: Arc<OctResult>) {
+    /// Publishes the OCT a job with `time_limit` searched for over
+    /// `graph`: proven, or stopped by that limit alone. A proven entry is
+    /// final; otherwise a proven offer, or one searched under a larger
+    /// limit, replaces the entry.
+    pub(crate) fn offer_oct_hint(
+        &self,
+        graph: ArtifactKey,
+        oct: Arc<OctResult>,
+        time_limit: Duration,
+    ) {
         let mut state = self.lock();
-        if state.octs.get(graph).is_none() {
-            state.octs.insert(graph, oct);
+        let replace = state
+            .octs
+            .get(graph)
+            .is_none_or(|old| !old.oct.optimal && (oct.optimal || time_limit > old.time_limit));
+        if replace {
+            state.octs.insert(graph, OctEntry { oct, time_limit });
         }
     }
 
@@ -1178,6 +1207,119 @@ mod tests {
                 checked: 8,
             }
         );
+    }
+
+    /// cavlc is one 592-node block whose OCT search closes in no limit
+    /// these tests use, so each search below is stopped.
+    fn cavlc() -> Network {
+        flowc_logic::bench_suite::by_name("cavlc")
+            .unwrap()
+            .network()
+            .unwrap()
+    }
+
+    /// The exact-mip strategy at γ = 1, where nothing climbs after the OCT
+    /// stage, under a time limit of `ms` milliseconds.
+    fn limited(ms: u64) -> Config {
+        Config {
+            strategy: VhStrategy::entering(Rung::ExactMip, 1.0, Duration::from_millis(ms)),
+            ..Config::gamma(1.0)
+        }
+    }
+
+    /// Runs `limited(ms)` on `network` through `session` under `budget`
+    /// and says whether its anytime path reused a cached OCT (no nodes, an
+    /// accepted warm start) rather than searching (no warm start offered).
+    fn reuses_oct(session: &Session, network: &Network, ms: u64, budget: &Budget) -> bool {
+        let result = synthesize_in_budgeted(session, network, &limited(ms), budget).unwrap();
+        let report = result.degradation.as_ref().unwrap();
+        assert!(!report.label_cached && !result.optimal);
+        match report.warm_start {
+            Some(true) => {
+                assert_eq!(report.solver_nodes, 0);
+                true
+            }
+            None => false,
+            Some(false) => panic!("no labeling warm start is offered"),
+        }
+    }
+
+    #[test]
+    fn a_stopped_oct_serves_jobs_with_no_larger_time_limit() {
+        let n = cavlc();
+        let session = Session::default();
+        let shape = |ms| {
+            let r = synthesize_in(&session, &n, &limited(ms)).unwrap();
+            let report = r.degradation.unwrap();
+            let stats = r.stats;
+            (stats.semiperimeter, stats.max_dimension, report.warm_start)
+        };
+        let (s, d, searched) = shape(20);
+        assert_eq!(searched, None);
+        assert_eq!(shape(20), (s, d, Some(true)));
+        assert!(reuses_oct(&session, &n, 5, &Budget::unlimited()));
+    }
+
+    #[test]
+    fn a_larger_time_limit_searches_again_and_replaces_the_entry() {
+        let (n, session, budget) = (cavlc(), Session::default(), Budget::unlimited());
+        assert!(!reuses_oct(&session, &n, 20, &budget));
+        assert!(!reuses_oct(&session, &n, 40, &budget));
+        assert!(reuses_oct(&session, &n, 40, &budget));
+    }
+
+    #[test]
+    fn a_search_cut_short_by_a_deadline_or_cancel_publishes_nothing() {
+        let n = cavlc();
+        let session = Session::default();
+        // Build the BDD and graph on the heuristic rung, which runs no OCT
+        // search, so the cancelled job below reaches its ladder.
+        let heuristic = Config {
+            strategy: VhStrategy::Heuristic { gamma: 1.0 },
+            ..Config::gamma(1.0)
+        };
+        synthesize_in(&session, &n, &heuristic).unwrap();
+
+        // Less time left than the limit: the deadline stops the search.
+        let short = Budget::unlimited().with_deadline(Duration::from_millis(10));
+        assert!(!reuses_oct(&session, &n, 20, &short));
+        let cancelled = Budget::unlimited();
+        cancelled.cancel_handle().cancel();
+        assert!(!reuses_oct(&session, &n, 20, &cancelled));
+        assert!(!reuses_oct(&session, &n, 20, &Budget::unlimited()));
+    }
+
+    #[test]
+    fn oct_hints_follow_the_reuse_and_replace_rules() {
+        let session = Session::default();
+        let graph = ArtifactKey(0x0C7);
+        let ms = Duration::from_millis;
+        let oct = |size: usize, optimal: bool| {
+            Arc::new(OctResult {
+                transversal: (0..size).collect(),
+                optimal,
+                lower_bound: 1,
+                nodes: 0,
+            })
+        };
+        let size = |limit| session.oct_hint(graph, limit).map(|o| o.transversal.len());
+
+        assert_eq!(size(ms(20)), None);
+        session.offer_oct_hint(graph, oct(5, false), ms(20));
+        assert_eq!((size(ms(10)), size(ms(21))), (Some(5), None));
+        // An equal or smaller limit keeps the entry; a larger one replaces it.
+        session.offer_oct_hint(graph, oct(4, false), ms(20));
+        session.offer_oct_hint(graph, oct(4, false), ms(10));
+        assert_eq!(size(ms(20)), Some(5));
+        session.offer_oct_hint(graph, oct(6, false), ms(40));
+        assert_eq!((size(ms(40)), size(ms(41))), (Some(6), None));
+        // A proven offer replaces a stopped entry under any limit, serves
+        // every limit, and is never replaced.
+        session.offer_oct_hint(graph, oct(3, true), ms(1));
+        assert_eq!(size(Duration::MAX), Some(3));
+        session.offer_oct_hint(graph, oct(2, false), Duration::MAX);
+        session.offer_oct_hint(graph, oct(2, true), Duration::MAX);
+        assert_eq!(size(ms(1)), Some(3));
     }
 
     #[test]

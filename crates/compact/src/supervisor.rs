@@ -242,8 +242,8 @@ struct RungOutput {
     nodes: u64,
     /// Warm-start outcome of the MIP rung, when one was offered.
     warm_start: Option<bool>,
-    /// Freshly proven-optimal OCT from the MIP rung's anytime path, for
-    /// the caller to cache (γ-independent, budget-independent).
+    /// The OCT the MIP rung's anytime path searched for, proven or stopped
+    /// by the rung's budget, for the caller to cache (γ-independent).
     oct: Option<OctResult>,
 }
 
@@ -410,8 +410,10 @@ pub struct LadderOutcome {
     /// Whether the labeling was served from the session's artifact cache
     /// (set by [`crate::pass::LadderPass`], never by `run_ladder`).
     pub from_cache: bool,
-    /// Freshly proven-optimal OCT from the MIP rung's anytime path
-    /// (γ-independent), for the session to cache across sweep points.
+    /// The OCT the MIP rung's anytime path searched for (γ-independent),
+    /// proven or stopped by the rung's budget. The session caches it
+    /// across sweep points when it is proven, or when only the job's own
+    /// time limit stopped it.
     pub oct: Option<OctResult>,
 }
 

@@ -34,7 +34,7 @@ mod vertex_cover;
 pub use bipartite::{two_color, ColorResult};
 pub use blocks::Lowpoint;
 pub use matching::{hopcroft_karp, konig_cover, BipartiteMatching};
-pub use oct::{oct_heuristic, odd_cycle_transversal, OctResult};
+pub use oct::{oct_heuristic, odd_cycle_packing, odd_cycle_transversal, OctResult};
 pub use product::cartesian_with_k2;
 pub use ugraph::UGraph;
 pub use vertex_cover::{

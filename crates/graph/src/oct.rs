@@ -57,7 +57,8 @@ const BIPARTITE: OctResult = OctResult {
 /// cooperatively, so an in-flight solve can be interrupted mid-branch; on
 /// exhaustion the result is the union of the blocks' transversals or the
 /// greedy one, whichever is smaller, with `optimal == false` and a lower
-/// bound summed over disjoint pieces of the blocks.
+/// bound that is the larger of the bounds summed over disjoint pieces of
+/// the blocks and the size of an [`odd_cycle_packing`].
 pub fn odd_cycle_transversal(g: &UGraph, budget: &Budget) -> OctResult {
     if matches!(two_color(g), ColorResult::Bipartite(_)) {
         return BIPARTITE;
@@ -153,7 +154,9 @@ pub fn odd_cycle_transversal(g: &UGraph, budget: &Budget) -> OctResult {
         if greedy.len() < transversal.len() {
             transversal = greedy;
         }
-        lower_bound.max(1)
+        // On one large block the search's bound is only 1; vertex-disjoint
+        // odd cycles each need their own transversal vertex.
+        lower_bound.max(odd_cycle_packing(g).len()).max(1)
     };
     OctResult {
         transversal,
@@ -268,55 +271,27 @@ fn product_cover_from_transversal(g: &UGraph, t: &[usize], n: usize) -> Option<V
 /// the cycle vertex of maximum degree; finally try to re-insert removed
 /// vertices that no longer break bipartiteness.
 ///
-/// The 2-coloring is one BFS over `g` that skips removed vertices. Adjacency
-/// lists keep edge-insertion order, as induced subgraphs do, so it visits
-/// vertices exactly as a fresh [`two_color`] of `g − removed` would. A
-/// conflict resets only the current component and recolors it from the same
-/// start: earlier components are finished, bipartite and not adjacent to the
-/// victim. Re-insertion tests each removed vertex, in ascending order,
-/// against its kept neighbours in a parity union-find, which gives the same
-/// answer as recoloring the whole graph.
+/// The 2-coloring is one BFS over `g` that skips removed vertices and, on
+/// a conflict, recolors only the current component. Re-insertion tests
+/// each removed vertex, in ascending order, against its kept neighbours in
+/// a parity union-find, which gives the same answer as recoloring the
+/// whole graph.
 pub fn oct_heuristic(g: &UGraph) -> Vec<usize> {
     let n = g.num_vertices();
     let mut removed = vec![false; n];
-    let mut color = vec![u8::MAX; n];
-    let mut parent = vec![usize::MAX; n];
     let mut forest = ParityForest::new(n);
-    // The current component's BFS queue, which is also its visited list.
-    let mut queue = Vec::new();
-    for start in 0..n {
-        'component: while !removed[start] && color[start] == u8::MAX {
-            color[start] = 0;
-            queue.clear();
-            queue.push(start);
-            let mut head = 0;
-            while let Some(&u) = queue.get(head) {
-                head += 1;
-                for &w in g.neighbors(u) {
-                    if removed[w] {
-                        continue;
-                    }
-                    if color[w] == u8::MAX {
-                        color[w] = 1 - color[u];
-                        parent[w] = u;
-                        queue.push(w);
-                    } else if color[w] == color[u] {
-                        let victim = extract_cycle(&parent, u, w)
-                            .into_iter()
-                            .max_by_key(|&v| g.degree(v))
-                            .expect("cycle is nonempty");
-                        removed[victim] = true;
-                        for &v in &queue {
-                            color[v] = u8::MAX;
-                            parent[v] = usize::MAX;
-                        }
-                        continue 'component;
-                    }
-                }
-            }
-            forest.adopt(start, &queue, &color);
-        }
-    }
+    peel_odd_cycles(
+        g,
+        &mut removed,
+        |cycle, removed| {
+            let victim = cycle
+                .into_iter()
+                .max_by_key(|&v| g.degree(v))
+                .expect("cycle is nonempty");
+            removed[victim] = true;
+        },
+        |start, members, color| forest.adopt(start, members, color),
+    );
     // Re-insertion pass: keep the transversal minimal. `v` may rejoin iff
     // no two of its kept neighbours in one component demand opposite sides.
     let mut demands: Vec<(usize, u8)> = Vec::new();
@@ -342,6 +317,79 @@ pub fn oct_heuristic(g: &UGraph) -> Vec<usize> {
         }
     }
     (0..n).filter(|&v| removed[v]).collect()
+}
+
+/// A greedy packing of vertex-disjoint odd cycles of `g`, each in cycle
+/// order: [`oct_heuristic`]'s component-local 2-coloring, with every
+/// certificate cycle removed whole. Every cycle needs its own transversal
+/// vertex, so the count is a lower bound on the minimum odd cycle
+/// transversal. It costs about one [`oct_heuristic`] pass.
+pub fn odd_cycle_packing(g: &UGraph) -> Vec<Vec<usize>> {
+    let mut removed = vec![false; g.num_vertices()];
+    let mut cycles = Vec::new();
+    peel_odd_cycles(
+        g,
+        &mut removed,
+        |cycle, removed| {
+            for &v in &cycle {
+                removed[v] = true;
+            }
+            cycles.push(cycle);
+        },
+        |_, _, _| {},
+    );
+    cycles
+}
+
+/// The 2-coloring loop of [`oct_heuristic`] and [`odd_cycle_packing`]: one
+/// BFS over `g` that skips `removed` vertices. Adjacency lists keep
+/// edge-insertion order, as induced subgraphs do, so it visits vertices
+/// exactly as a fresh [`two_color`] of `g − removed` would. On a conflict
+/// `remove` gets the odd-cycle certificate and must remove at least one of
+/// its vertices; then only the current component is reset and recolored
+/// from the same start: earlier components are finished, bipartite and not
+/// adjacent to the cycle. `finished` sees each component once it is
+/// 2-colored: its start, its members and the coloring.
+fn peel_odd_cycles(
+    g: &UGraph,
+    removed: &mut [bool],
+    mut remove: impl FnMut(Vec<usize>, &mut [bool]),
+    mut finished: impl FnMut(usize, &[usize], &[u8]),
+) {
+    let n = g.num_vertices();
+    let mut color = vec![u8::MAX; n];
+    let mut parent = vec![usize::MAX; n];
+    // The current component's BFS queue, which is also its visited list.
+    let mut queue = Vec::new();
+    for start in 0..n {
+        'component: while !removed[start] && color[start] == u8::MAX {
+            color[start] = 0;
+            queue.clear();
+            queue.push(start);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &w in g.neighbors(u) {
+                    if removed[w] {
+                        continue;
+                    }
+                    if color[w] == u8::MAX {
+                        color[w] = 1 - color[u];
+                        parent[w] = u;
+                        queue.push(w);
+                    } else if color[w] == color[u] {
+                        remove(extract_cycle(&parent, u, w), removed);
+                        for &v in &queue {
+                            color[v] = u8::MAX;
+                            parent[v] = usize::MAX;
+                        }
+                        continue 'component;
+                    }
+                }
+            }
+            finished(start, &queue, &color);
+        }
+    }
 }
 
 /// A union-find over the kept vertices whose entries carry their 2-coloring
@@ -441,6 +489,7 @@ mod tests {
         let g = cycle(6);
         let r = oct(&g);
         assert!(r.transversal.is_empty() && r.optimal && r.lower_bound == 0);
+        assert!(odd_cycle_packing(&g).is_empty());
     }
 
     #[test]
@@ -538,6 +587,29 @@ mod tests {
         assert_eq!(r.lower_bound, 1);
         assert!(is_valid_oct(&g, &r.transversal));
         assert_eq!(oct(&g).transversal, vec![0]);
+        // The triangles share 0, so a packing holds only one of them.
+        assert_eq!(odd_cycle_packing(&g).len(), 1);
+    }
+
+    #[test]
+    fn an_interrupted_bound_counts_disjoint_odd_cycles_in_one_block() {
+        // Triangles 0-1-2 and 3-4-5 joined by the edges 0-3 and 1-4 form
+        // one block, whose stopped search bounds the OCT by only 1; the
+        // two disjoint triangles prove 2.
+        let mut g = UGraph::new(6);
+        for base in [0, 3] {
+            g.add_edge(base, base + 1);
+            g.add_edge(base + 1, base + 2);
+            g.add_edge(base, base + 2);
+        }
+        g.add_edge(0, 3);
+        g.add_edge(1, 4);
+        let budget = Budget::unlimited();
+        budget.cancel_handle().cancel();
+        let r = odd_cycle_transversal(&g, &budget);
+        assert!(!r.optimal);
+        assert_eq!((r.transversal.len(), r.lower_bound), (2, 2));
+        assert_eq!(odd_cycle_packing(&g), vec![vec![1, 0, 2], vec![4, 3, 5]]);
     }
 
     #[test]

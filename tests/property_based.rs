@@ -24,8 +24,8 @@ use flowc::conform::gen::gen_graph;
 use flowc::conform::{Harness, NetworkGen, Rng};
 use flowc::graph::{
     cartesian_with_k2, greedy_cover, hopcroft_karp, konig_cover, lp_lower_bound,
-    minimum_vertex_cover, nt_kernel, oct_heuristic, odd_cycle_transversal, two_color, ColorResult,
-    UGraph, VcResult,
+    minimum_vertex_cover, nt_kernel, oct_heuristic, odd_cycle_packing, odd_cycle_transversal,
+    two_color, ColorResult, UGraph, VcResult,
 };
 use flowc::logic::{GateKind, Network};
 use flowc::milp::lp::{LpResult, Simplex};
@@ -2167,6 +2167,49 @@ fn oct_decomposition_bound_is_sound_when_interrupted() {
             assert_eq!(r.transversal.len(), optimum, "{deadline:?}");
         }
     });
+}
+
+/// A packing is vertex-disjoint odd cycles of `g`, so it is no larger than
+/// a minimum transversal, and a stopped search reports at least its size.
+#[test]
+fn oct_packing_is_a_disjoint_odd_cycle_lower_bound() {
+    harness("oct_packing_is_a_disjoint_odd_cycle_lower_bound").check(|rng| {
+        let g = gen_multi_block_graph(rng);
+        let packing = odd_cycle_packing(&g);
+        let mut used = HashSet::new();
+        for cycle in &packing {
+            assert_eq!(cycle.len() % 2, 1, "{cycle:?}");
+            for (i, &v) in cycle.iter().enumerate() {
+                assert!(used.insert(v), "{v} is in two cycles");
+                assert!(g.has_edge(v, cycle[(i + 1) % cycle.len()]), "{cycle:?}");
+            }
+        }
+        let optimum = reference_oct(&g, &Budget::unlimited()).transversal.len();
+        assert!(packing.len() <= optimum, "{} > {optimum}", packing.len());
+        let stopped = Budget::unlimited();
+        stopped.cancel_handle().cancel();
+        let r = odd_cycle_transversal(&g, &stopped);
+        assert!(r.lower_bound >= packing.len());
+        assert!(r.lower_bound <= optimum);
+    });
+}
+
+/// cavlc is one 592-node block: a stopped search bounds its OCT by 1, the
+/// packing by 42, and the greedy transversal it returns has 55 vertices.
+#[test]
+fn oct_packing_bounds_cavlcs_interrupted_search() {
+    let network = flowc::logic::bench_suite::by_name("cavlc")
+        .unwrap()
+        .network()
+        .unwrap();
+    let graph = BddGraph::from_bdds(&flowc::bdd::build_sbdd(&network, None)).graph;
+    let stopped = Budget::unlimited();
+    stopped.cancel_handle().cancel();
+    let r = odd_cycle_transversal(&graph, &stopped);
+    assert!(!r.optimal);
+    assert_eq!((r.transversal.len(), r.lower_bound), (55, 42));
+    assert_eq!(odd_cycle_packing(&graph).len(), 42);
+    assert!(is_bipartite_without(&graph, &r.transversal));
 }
 
 #[test]
